@@ -9,11 +9,12 @@
 //     operator new — must be zero),
 //   * bit-identity of the two outputs.
 //
-// A second sweep measures the sharded aggregation pipeline: Krum and MDA
-// at n = 50, d = 1e4, S in {1, 2, 4, 8} (inadmissible (f, S) pairs are
-// skipped with a note — see docs/ARCHITECTURE.md on the merge-stage
-// budget), reporting wall-clock speedup of sharded vs the flat rule at
-// the same (n, f) and asserting the S = 1 path is bit-identical to flat.
+// A second sweep measures the sharded topology — the one-level
+// aggregation tree with B = S children: Krum and MDA at n = 50, d = 1e4,
+// S in {1, 2, 4, 8} (inadmissible (f, S) pairs are skipped with a note —
+// see docs/ARCHITECTURE.md on the merge-stage budget), reporting
+// wall-clock speedup of sharded vs the flat rule at the same (n, f) and
+// asserting the S = 1 path is bit-identical to flat.
 //
 // A third sweep measures the FULL training step (the worker→server
 // pipeline): n honest workers sample / compute / clip / DP-noise into the
@@ -50,11 +51,12 @@
 // determinism gates — rerun bit-equality of the fast aggregate, and
 // bit-equality of the fast pairwise matrix across thread widths.  The
 // JSON records which backend the binary *selected at runtime*
-// ("avx2" / "unrolled8" / forced "avx2-fma").
+// ("avx2" / "unrolled8").
 //
 // A sixth sweep measures distance pruning (aggregation/pruned_oracle.hpp)
 // per selection GAR at d = 1e4, n up to 1000 (n = 50 only under --fast):
-// prune=off vs prune=exact vs prune=approx wall-clock, the pruned-pair
+// prune=off vs prune=exact (krum and mda_greedy only — the other rules
+// run their off path under exact) vs prune=approx wall-clock, the pruned-pair
 // fraction (1 − exact_pairs/total_pairs, deterministic per generator
 // seed), steady-state allocations in both pruned modes, exact-mode
 // bit-identity against off, and the approx error envelope
@@ -68,11 +70,13 @@
 //
 // A seventh sweep measures the hierarchical aggregation tree and the
 // framed wire format (aggregation/hierarchical.hpp, src/net/): flat vs
-// sharded S = 4 vs tree (L = 2, B = 8) per GAR at n in {50, 200, 1000}
-// (inadmissible cells — 64 leaves exceed n = 50, krum on 3-row leaves —
-// and the intractable flat-MDA cells are recorded with their reasons,
-// not hidden), the L = 1-vs-sharded bit-identity gates with and without
-// the ideal framed link, and per wire mode the encode/decode throughput,
+// sharded S = 4 (the tree at L = 1, B = 4) vs tree (L = 2, B = 8) per
+// GAR at n in {50, 200, 1000} (inadmissible cells — 64 leaves exceed
+// n = 50, krum on 3-row leaves — and the intractable flat-MDA cells are
+// recorded with their reasons, not hidden), the L = 1 tree's gates —
+// bit-identity to the pinned outputs of the retired two-level sharded
+// aggregator, and of the ideal framed link to the in-memory tree — and
+// per wire mode the encode/decode throughput,
 // bytes per row/round, codec allocation count, and the checksum gates.
 //
 // An eighth sweep measures elastic membership epochs (core/membership.hpp)
@@ -95,8 +99,8 @@
 // drift, depth-k nondeterminism, fast-mode nondeterminism or an
 // out-of-bound fast-mode deviation, prune=exact drift from off, a
 // pruned-mode steady-state allocation, a collapsed lowdim krum
-// pruned-pair fraction, an L = 1 tree diverging from the sharded rule
-// (in memory or framed), a wire codec that allocates, fails the raw64
+// pruned-pair fraction, an L = 1 tree diverging from the pinned sharded
+// outputs or the framed tree from the in-memory one, a wire codec that allocates, fails the raw64
 // byte-exact round trip, passes a corrupted frame, breaks the int8
 // error contract, a churn-off trainer that allocates at steady state,
 // a zero-probability churn epoch that perturbs the trajectory, a
@@ -105,6 +109,7 @@
 // regressions fail PRs).
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -122,7 +127,6 @@
 #include "aggregation/mda.hpp"
 #include "aggregation/pruned_oracle.hpp"
 #include "aggregation/reference_gars.hpp"
-#include "aggregation/sharded.hpp"
 #include "net/frame.hpp"
 #include "net/transport.hpp"
 #include "core/experiment.hpp"
@@ -138,6 +142,12 @@
 #include "models/linear_model.hpp"
 #include "models/optimizer.hpp"
 #include "utils/parallel.hpp"
+
+#if defined(__clang__)
+#define DPBYZ_BENCH_COMPILER __VERSION__
+#else
+#define DPBYZ_BENCH_COMPILER "gcc " __VERSION__
+#endif
 
 // ---- global allocation counter -------------------------------------------
 // Replacing the global allocation functions lets the bench *prove* the
@@ -293,6 +303,19 @@ double selection_disagreement(const std::vector<size_t>& a, const std::vector<si
   return a.empty() ? 0.0 : 1.0 - static_cast<double>(common) / static_cast<double>(a.size());
 }
 
+/// 64-bit FNV-1a over the bit patterns of `v` (the tree gates' pins).
+uint64_t bits_digest(std::span<const double> v) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double x : v) {
+    const uint64_t bits = std::bit_cast<uint64_t>(x);
+    for (int k = 0; k < 8; ++k) {
+      h ^= (bits >> (8 * k)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
 /// ||got − want||₂ / ||want||₂.
 double rel_l2_err(const Vector& got, const Vector& want) {
   double num = 0.0, den = 0.0;
@@ -361,6 +384,7 @@ struct FastRow {
 struct PruneRow {
   std::string gar, geometry;  // "lowdim" | "iid"
   size_t n, d, f;
+  bool has_exact;  // krum / mda_greedy; the exact columns are null elsewhere
   double off_s, exact_s, approx_s;
   double pruned_fraction;  // 1 − exact_pairs/total_pairs after one exact call
   size_t exact_allocs, approx_allocs;  // steady state, must be 0
@@ -402,13 +426,14 @@ struct TreeRow {
 
 /// Correctness gates of the hierarchical/wire refactor, asserted under
 /// --check per inner GAR: the L = 1 tree must be bit-identical to the
-/// sharded aggregator at the same (n, f, S = B) — in memory AND over the
-/// ideal framed link — and the framed steady state must be allocation-free.
+/// pinned output of the retired sharded aggregator at the same
+/// (n, f, S = B), the tree over the ideal framed link must equal the
+/// in-memory tree, and the framed steady state must be allocation-free.
 struct TreeGateRow {
   std::string gar;
   size_t n, f, branch;
-  bool l1_identical;         // in-memory tree == sharded, bit-for-bit
-  bool l1_framed_identical;  // ideal raw64 edges == sharded, bit-for-bit
+  bool l1_identical;         // in-memory tree == sharded pin, bit-for-bit
+  bool l1_framed_identical;  // ideal raw64 edges == in-memory tree
   size_t framed_allocs;      // steady-state allocs of one framed aggregate
 };
 
@@ -578,7 +603,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- shard sweep: the sharded pipeline vs the flat rule ----------------
+  // ---- shard sweep: the sharded topology (tree L = 1) vs the flat rule ---
   // f is fixed per GAR so flat and sharded solve the same (n, f) problem:
   // Krum takes f = 5 (admissible down to 6-row shards at f_shard = 1),
   // MDA keeps the sweep's f = 2.  The O(n²d/S) distance work is what the
@@ -610,9 +635,9 @@ int main(int argc, char** argv) {
         // Stack-constructed (optional, not make_unique): heap-allocating
         // through this TU's replaced operator new trips GCC's
         // -Wmismatched-new-delete heuristic.
-        std::optional<dpbyz::ShardedAggregator> sharded;
+        std::optional<dpbyz::HierarchicalAggregator> sharded;
         try {
-          sharded.emplace(gar, "median", n, f, S);
+          sharded.emplace(gar, "median", n, f, /*levels=*/1, /*branch=*/S);
         } catch (const std::invalid_argument& e) {
           std::printf("%-8s %4zu %7zu %4zu %3zu | skipped (inadmissible: %s)\n",
                       gar.c_str(), n, d, f, S, e.what());
@@ -637,11 +662,11 @@ int main(int argc, char** argv) {
 
         const double sharded_s =
             time_call([&] { sharded->aggregate(batch, ws); }, budget_s);
-        shard_rows.push_back({gar, n, d, f, S, sharded->shard_f(), sharded->merge_f(),
+        shard_rows.push_back({gar, n, d, f, S, sharded->child_f(), sharded->merge_f(),
                               sharded_s, flat_s, allocs, s1_identical});
         std::printf("%-8s %4zu %7zu %4zu %3zu | %6zu %6zu | %12.3f %12.3f %7.2fx | "
                     "%7zu %10s\n",
-                    gar.c_str(), n, d, f, S, sharded->shard_f(), sharded->merge_f(),
+                    gar.c_str(), n, d, f, S, sharded->child_f(), sharded->merge_f(),
                     sharded_s * 1e3, flat_s * 1e3, flat_s / sharded_s, allocs,
                     S > 1 ? "-" : (s1_identical ? "yes" : "NO"));
         std::fflush(stdout);
@@ -740,17 +765,16 @@ int main(int argc, char** argv) {
   }
 
   // ---- prune sweep: certified distance pruning under the selection GARs --
-  // d = 1e4 throughout; n climbs to 1000 for krum (the ISSUE headline:
-  // >= 3x in exact mode) and bulyan (whose theta = n − 2f winner rows
-  // must all be exactly scored, so its fraction is structurally capped
-  // near 1 − (theta/n)² — reported, not hidden).  MDA stops at n = 50:
+  // d = 1e4 throughout; n climbs to 1000 for krum (the headline: >= 3x in
+  // exact mode) and bulyan (approx only: its theta = n − 2f winner rows
+  // all need exact scores, so exact mode runs the off path).  Exact mode
+  // is measured for krum and mda_greedy, the rules that prune under it;
+  // the others report null exact columns.  MDA stops at n = 50:
   // on this near-tied lowdim geometry its branch-and-bound subset
   // search explodes past ~10 s/call already at n = 200 (the DFS, not
-  // the distance matrix, dominates — the regime mda_greedy and sharding
+  // the distance matrix, dominates — the regime mda_greedy and the tree
   // exist for), and a tracked bench should stay rerunnable.  mda_greedy
-  // and multi-krum (which must exactly score its m = n − f selected
-  // rows, capping its win structurally) stay at n <= 200 to keep the
-  // full run under budget.
+  // and multi-krum stay at n <= 200 to keep the full run under budget.
   std::vector<PruneRow> prune_rows;
   {
     const size_t d = 10000;
@@ -787,32 +811,37 @@ int main(int argc, char** argv) {
       const size_t m = cell.gar == "multi-krum" ? n - f : 0;
 
       const auto off = dpbyz::make_aggregator(cell.gar, n, f);
-      const auto exact = dpbyz::make_aggregator(cell.gar, n, f, dpbyz::PruneMode::kExact);
+      const bool has_exact = cell.gar == "krum" || cell.gar == "mda_greedy";
       const auto approx =
           dpbyz::make_aggregator(cell.gar, n, f, dpbyz::PruneMode::kApprox);
-      dpbyz::AggregatorWorkspace ws_off, ws_exact, ws_approx;
+      dpbyz::AggregatorWorkspace ws_off, ws_approx;
 
       const auto off_view = off->aggregate(batch, ws_off);
       const Vector off_out(off_view.begin(), off_view.end());
       const auto off_sel = selected_set(cell.gar, batch, ws_off, off_out, m);
       const double off_s = time_call([&] { off->aggregate(batch, ws_off); }, budget_s);
 
-      // Exact mode: warm, prove the steady state allocation-free, read
-      // the (deterministic) pruned-pair fraction off the oracle, check
-      // bit-identity, then time.
-      const auto exact_view = exact->aggregate(batch, ws_exact);
-      const Vector exact_out(exact_view.begin(), exact_view.end());
-      const bool exact_identical = exact_out == off_out;
-      const double pruned_fraction =
-          1.0 - static_cast<double>(ws_exact.oracle.exact_pairs()) /
-                    static_cast<double>(ws_exact.oracle.total_pairs());
-      g_alloc_count.store(0);
-      g_count_allocs.store(true);
-      exact->aggregate(batch, ws_exact);
-      g_count_allocs.store(false);
-      const size_t exact_allocs = g_alloc_count.load();
-      const double exact_s =
-          time_call([&] { exact->aggregate(batch, ws_exact); }, budget_s);
+      // Exact mode (the rules that prune under it): warm, prove the
+      // steady state allocation-free, read the (deterministic) pruned-pair
+      // fraction off the oracle, check bit-identity, then time.
+      bool exact_identical = true;
+      double pruned_fraction = 0.0, exact_s = 0.0;
+      size_t exact_allocs = 0;
+      if (has_exact) {
+        const auto exact =
+            dpbyz::make_aggregator(cell.gar, n, f, dpbyz::PruneMode::kExact);
+        dpbyz::AggregatorWorkspace ws_exact;
+        const auto exact_view = exact->aggregate(batch, ws_exact);
+        exact_identical = Vector(exact_view.begin(), exact_view.end()) == off_out;
+        pruned_fraction = 1.0 - static_cast<double>(ws_exact.oracle.exact_pairs()) /
+                                    static_cast<double>(ws_exact.oracle.total_pairs());
+        g_alloc_count.store(0);
+        g_count_allocs.store(true);
+        exact->aggregate(batch, ws_exact);
+        g_count_allocs.store(false);
+        exact_allocs = g_alloc_count.load();
+        exact_s = time_call([&] { exact->aggregate(batch, ws_exact); }, budget_s);
+      }
 
       // Approx mode: same drill, plus the error envelope against off.
       const auto approx_view = approx->aggregate(batch, ws_approx);
@@ -829,15 +858,22 @@ int main(int argc, char** argv) {
       const double disagreement = selection_disagreement(off_sel, approx_sel);
       const double rel_err = rel_l2_err(approx_out, off_out);
 
-      prune_rows.push_back({cell.gar, cell.geometry, n, d, f, off_s, exact_s,
-                            approx_s, pruned_fraction, exact_allocs, approx_allocs,
-                            exact_identical, disagreement, rel_err});
-      std::printf("%-10s %-6s %4zu %7zu %4zu | %10.3f %10.3f %10.3f | %5.2fx %5.2fx "
-                  "| %5.3f | %3zu %3zu | %5s | %8.4f %9.2e\n",
-                  cell.gar.c_str(), cell.geometry.c_str(), n, d, f, off_s * 1e3,
-                  exact_s * 1e3, approx_s * 1e3, off_s / exact_s, off_s / approx_s,
-                  pruned_fraction, exact_allocs, approx_allocs,
-                  exact_identical ? "yes" : "NO", disagreement, rel_err);
+      prune_rows.push_back({cell.gar, cell.geometry, n, d, f, has_exact, off_s,
+                            exact_s, approx_s, pruned_fraction, exact_allocs,
+                            approx_allocs, exact_identical, disagreement, rel_err});
+      if (has_exact)
+        std::printf("%-10s %-6s %4zu %7zu %4zu | %10.3f %10.3f %10.3f | %5.2fx %5.2fx "
+                    "| %5.3f | %3zu %3zu | %5s | %8.4f %9.2e\n",
+                    cell.gar.c_str(), cell.geometry.c_str(), n, d, f, off_s * 1e3,
+                    exact_s * 1e3, approx_s * 1e3, off_s / exact_s, off_s / approx_s,
+                    pruned_fraction, exact_allocs, approx_allocs,
+                    exact_identical ? "yes" : "NO", disagreement, rel_err);
+      else
+        std::printf("%-10s %-6s %4zu %7zu %4zu | %10.3f %10s %10.3f | %6s %5.2fx "
+                    "| %5s | %3s %3zu | %5s | %8.4f %9.2e\n",
+                    cell.gar.c_str(), cell.geometry.c_str(), n, d, f, off_s * 1e3,
+                    "-", approx_s * 1e3, "-", off_s / approx_s, "-", "-",
+                    approx_allocs, "-", disagreement, rel_err);
       std::fflush(stdout);
     }
   }
@@ -1174,9 +1210,9 @@ int main(int argc, char** argv) {
         emit(std::move(flat_row));
 
         TreeRow shard_row{gar, "sharded(S=4)", n, d, f, 0.0, 0, ""};
-        std::optional<dpbyz::ShardedAggregator> sharded;
+        std::optional<dpbyz::HierarchicalAggregator> sharded;
         try {
-          sharded.emplace(gar, "median", n, f, 4);
+          sharded.emplace(gar, "median", n, f, 1, 4);
           measure(*sharded, batch, shard_row.ms, shard_row.allocs);
         } catch (const std::invalid_argument& e) {
           shard_row.note = e.what();
@@ -1195,27 +1231,32 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Refactor gates: L = 1 tree vs sharded at (n = 48, B = S = 4), in
-    // memory and over the ideal framed raw64 link.
+    // Refactor gates at (n = 48, B = 4): the L = 1 tree must reproduce
+    // the outputs of the two-level sharded aggregator (S = 4) it replaced
+    // — pinned as digests of the output bits, recorded before that class
+    // was removed — and the tree over the ideal framed raw64 link must
+    // match the in-memory tree.
     {
       const size_t gn = 48, gd = 4096;
       const auto gradients = make_gradients(gn, gd, 42);
       const GradientBatch batch = GradientBatch::from_vectors(gradients);
       const dpbyz::net::LinkConfig ideal;  // raw64, no faults
-      std::printf("\n%-8s | %9s %12s %12s\n", "gar", "L1 ident", "framed ident",
+      std::printf("\n%-8s | %9s %12s %12s\n", "gar", "L1 = pin", "framed ident",
                   "framed allocs");
       std::printf("--------------------------------------------------\n");
-      for (const std::string gar : {"krum", "mda", "average"}) {
+      const std::pair<std::string, uint64_t> sharded_pins[] = {
+          {"krum", 0x600921a233cb7701ULL},
+          {"mda", 0xdca1f23242aa3195ULL},
+          {"average", 0x6cb1293c97ed085dULL}};
+      for (const auto& [gar, pin] : sharded_pins) {
         const size_t f = gar == "average" ? 0 : 2;
-        const dpbyz::ShardedAggregator sharded(gar, "median", gn, f, 4);
         const dpbyz::HierarchicalAggregator tree(gar, "median", gn, f, 1, 4);
         const dpbyz::HierarchicalAggregator framed(
             gar, "median", gn, f, 1, 4, 1, dpbyz::PruneMode::kOff, &ideal);
-        dpbyz::AggregatorWorkspace ws_s, ws_t, ws_f;
-        const auto sv = sharded.aggregate(batch, ws_s);
-        const Vector want(sv.begin(), sv.end());
+        dpbyz::AggregatorWorkspace ws_t, ws_f;
         const auto tv = tree.aggregate(batch, ws_t);
-        const bool l1_identical = Vector(tv.begin(), tv.end()) == want;
+        const Vector want(tv.begin(), tv.end());
+        const bool l1_identical = bits_digest(want) == pin;
         framed.aggregate(batch, ws_f);  // warm the wire buffers
         g_alloc_count.store(0);
         g_count_allocs.store(true);
@@ -1521,7 +1562,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open BENCH_gar_scaling.json for writing\n");
     return 1;
   }
-  std::fprintf(out, "{\n  \"bench\": \"gar_scaling\",\n  \"results\": [\n");
+  // Host facts next to every number: timings only compare across runs on
+  // the same core count, ISA backend and compiler.
+  std::fprintf(out,
+               "{\n  \"bench\": \"gar_scaling\",\n"
+               "  \"host\": {\"cores\": %u, \"fast_math_backend\": \"%s\", "
+               "\"compiler\": \"%s\", \"mode\": \"%s\"},\n  \"results\": [\n",
+               std::max(1u, std::thread::hardware_concurrency()),
+               dpbyz::kernels::fast_backend(), DPBYZ_BENCH_COMPILER, fast ? "fast" : "full");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
@@ -1567,20 +1615,29 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  ],\n  \"prune_sweep\": [\n");
   for (size_t i = 0; i < prune_rows.size(); ++i) {
     const PruneRow& r = prune_rows[i];
+    // Rules without a pruned exact path report null exact columns.
+    char exact_cols[256];
+    if (r.has_exact)
+      std::snprintf(exact_cols, sizeof exact_cols,
+                    "\"exact_ms\": %.6f, \"speedup_exact\": %.3f, "
+                    "\"pruned_pair_fraction\": %.4f, "
+                    "\"exact_allocs_after_warmup\": %zu, \"exact_bit_identical\": %s",
+                    r.exact_s * 1e3, r.off_s / r.exact_s, r.pruned_fraction,
+                    r.exact_allocs, r.exact_identical ? "true" : "false");
+    else
+      std::snprintf(exact_cols, sizeof exact_cols,
+                    "\"exact_ms\": null, \"speedup_exact\": null, "
+                    "\"pruned_pair_fraction\": null, "
+                    "\"exact_allocs_after_warmup\": null, \"exact_bit_identical\": null");
     std::fprintf(out,
                  "    {\"gar\": \"%s\", \"geometry\": \"%s\", \"n\": %zu, "
-                 "\"d\": %zu, \"f\": %zu, \"off_ms\": %.6f, \"exact_ms\": %.6f, "
-                 "\"approx_ms\": %.6f, \"speedup_exact\": %.3f, "
-                 "\"speedup_approx\": %.3f, \"pruned_pair_fraction\": %.4f, "
-                 "\"exact_allocs_after_warmup\": %zu, "
+                 "\"d\": %zu, \"f\": %zu, \"off_ms\": %.6f, \"approx_ms\": %.6f, "
+                 "\"speedup_approx\": %.3f, %s, "
                  "\"approx_allocs_after_warmup\": %zu, "
-                 "\"exact_bit_identical\": %s, "
                  "\"approx_selection_disagreement\": %.4f, "
                  "\"approx_aggregate_rel_err\": %.3e}%s\n",
                  r.gar.c_str(), r.geometry.c_str(), r.n, r.d, r.f, r.off_s * 1e3,
-                 r.exact_s * 1e3, r.approx_s * 1e3, r.off_s / r.exact_s,
-                 r.off_s / r.approx_s, r.pruned_fraction, r.exact_allocs,
-                 r.approx_allocs, r.exact_identical ? "true" : "false",
+                 r.approx_s * 1e3, r.off_s / r.approx_s, exact_cols, r.approx_allocs,
                  r.approx_disagreement, r.approx_rel_err,
                  i + 1 < prune_rows.size() ? "," : "");
   }
@@ -1802,7 +1859,7 @@ int main(int argc, char** argv) {
     }
     // Hierarchical/wire gates: every measured topology cell must be
     // allocation-free at steady state; the L = 1 tree must match the
-    // sharded aggregator bit-for-bit with and without the framed link;
+    // pinned sharded outputs bit-for-bit, and so must the framed link;
     // the codec must round-trip raw64 byte-exactly, reject corruption,
     // stay allocation-free, and keep int8 inside its documented bound.
     for (const TreeRow& r : tree_rows) {
@@ -1812,11 +1869,11 @@ int main(int argc, char** argv) {
     }
     for (const TreeGateRow& r : tree_gate_rows) {
       if (!r.l1_identical)
-        fail("tree L=1 " + r.gar + " diverged from sharded S=" +
-             std::to_string(r.branch));
+        fail("tree L=1 " + r.gar + " diverged from the pinned sharded S=" +
+             std::to_string(r.branch) + " output");
       if (!r.l1_framed_identical)
         fail("framed (ideal raw64) tree L=1 " + r.gar +
-             " diverged from sharded S=" + std::to_string(r.branch));
+             " diverged from the in-memory tree");
       if (r.framed_allocs != 0)
         fail("framed tree " + r.gar + ": " + std::to_string(r.framed_allocs) +
              " allocs after warmup");

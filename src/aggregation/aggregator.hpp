@@ -75,8 +75,8 @@ class Aggregator {
   ///     has warmed up at this (n, d) — measured by bench_gar_scaling's
   ///     operator-new counter, not merely asserted;
   ///   * it reads the batch through row()/flat() views only (inputs may
-  ///     be non-owning row-range views of a larger arena — the sharded
-  ///     pipeline depends on this) and keeps no reference to batch or ws
+  ///     be non-owning row-range views of a larger arena — the
+  ///     aggregation tree depends on this) and keeps no reference to batch or ws
   ///     past the call;
   ///   * output must be permutation-invariant in the batch rows and
   ///     bit-identical to the seed implementation preserved in
@@ -109,8 +109,8 @@ std::vector<std::string> aggregator_names();
 /// `prune` selects the distance-pruning mode of the selection GARs
 /// (krum, multi-krum, mda, mda_greedy, bulyan — see pruned_oracle.hpp);
 /// the other rules consume no pairwise distances and ignore it.
-/// (The two-level ShardedAggregator is constructed directly — it needs
-/// inner/merge names and a shard count; see aggregation/sharded.hpp.)
+/// (The HierarchicalAggregator tree is constructed directly — it needs
+/// inner/merge names, levels and a branch; see aggregation/hierarchical.hpp.)
 std::unique_ptr<Aggregator> make_aggregator(const std::string& name, size_t n, size_t f,
                                             PruneMode prune = PruneMode::kOff);
 

@@ -19,25 +19,6 @@ void Bulyan::select_indices_view(const GradientBatch& batch, AggregatorWorkspace
   const size_t count = batch.rows();
   const size_t theta = n() - 2 * f();
 
-  if (prune_ == PruneMode::kExact) {
-    // Pruned iterated Krum: the oracle is prepared once and its lazy
-    // exact cache persists across rounds, so a pair paid for in round t
-    // is free in every later round.  Each round's winner is bit-identical
-    // to the full-matrix round (krum_argmin_pruned), hence so is the
-    // whole selection sequence.
-    ws.oracle.prepare(batch);
-    ws.active.resize(count);
-    std::iota(ws.active.begin(), ws.active.end(), size_t{0});
-    ws.selected.clear();
-    while (ws.selected.size() < theta) {
-      const size_t winner = krum_argmin_pruned(batch, ws.oracle, ws.active, f(), ws.row,
-                                               /*sketch_rank=*/false);
-      ws.selected.push_back(ws.active[winner]);
-      ws.active.erase(ws.active.begin() + static_cast<std::ptrdiff_t>(winner));
-    }
-    return;
-  }
-
   // One distance matrix for the whole selection: every inner Krum round
   // rescores the surviving pool from it instead of recomputing O(n²d)
   // distances over copied vectors.

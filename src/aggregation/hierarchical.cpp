@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "aggregation/budget.hpp"
 #include "math/rng.hpp"
 #include "utils/errors.hpp"
 #include "utils/parallel.hpp"
@@ -11,6 +10,19 @@
 namespace dpbyz {
 
 namespace {
+
+/// Runs `make_stage` (a factory returning a stage aggregator) and, when
+/// the stage rejects its derived (count, f) pair, rethrows with `context`
+/// prefixed — so an inadmissible level deep in a tree names its own
+/// budget and how it was derived, not just the leaf rule's constraint.
+template <typename Fn>
+auto with_budget_context(const std::string& context, Fn&& make_stage) {
+  try {
+    return make_stage();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(context + ": " + e.what());
+  }
+}
 
 // Per-node channel seed: the same index-derivation schedule Rng::derive
 // uses, keyed by the child's position — every node's fault stream is a
@@ -53,9 +65,9 @@ HierarchicalAggregator::HierarchicalAggregator(
     leaves *= branch;
   }
 
-  const StageBudget budget = derive_stage_budget(f, branch);
-  child_f_ = budget.child_f;
-  merge_f_ = budget.merge_f;
+  // The worst-case stage budget (see header); f = 0 yields {0, 0}.
+  child_f_ = (f + branch - 1) / branch;
+  merge_f_ = f / (child_f_ + 1);
 
   children_.reserve(branch_);
   for (size_t b = 0; b < branch_; ++b) {
@@ -89,10 +101,10 @@ HierarchicalAggregator::HierarchicalAggregator(
   merge_ = with_budget_context(
       merge_context, [&] { return make_aggregator(merge, branch_, merge_f_, prune); });
 
-  // Same rule and rationale as ShardedAggregator::weighted_merge_: at
-  // deeper levels the test is local (this node's own n % B), and a
-  // weighted-average node composes with weighted children into the
-  // subtree-size-weighted mean.
+  // See weighted_merge(): at deeper levels the test is local (this
+  // node's own n % B), and a weighted-average node composes with
+  // weighted children into the subtree-size-weighted mean.  Even splits
+  // (B | n) keep the plain merge, where the two means coincide.
   weighted_merge_ = merge_->name() == "average" && n % branch_ != 0;
   child_ws_.resize(branch_);
   if (link != nullptr)
@@ -106,8 +118,9 @@ std::string HierarchicalAggregator::name() const {
 
 std::pair<size_t, size_t> HierarchicalAggregator::child_range(size_t b) const {
   require(b < branch_, "HierarchicalAggregator::child_range: child index out of range");
-  // The balanced contiguous split ShardedAggregator::shard_range uses —
-  // identical arithmetic is part of the L = 1 bit-identity contract.
+  // Balanced contiguous split: child b covers [b*n/B, (b+1)*n/B), so
+  // sizes differ by at most one and every row belongs to exactly one
+  // child.
   return {b * n() / branch_, (b + 1) * n() / branch_};
 }
 
@@ -165,8 +178,7 @@ void HierarchicalAggregator::aggregate_into(const GradientBatch& batch,
         " — the worst-case resilience argument no longer covers this round");
 
   if (weighted_merge_) {
-    // Subtree-size-weighted mean: out = (1/n) Σ_b n_b · agg_b, exactly
-    // the sharded uneven-average path generalized to subtree counts.
+    // Subtree-size-weighted mean: out = (1/n) Σ_b n_b · agg_b.
     vec::fill(ws.output, 0.0);
     for (size_t b = 0; b < branch_; ++b) {
       const auto [lo, hi] = child_range(b);

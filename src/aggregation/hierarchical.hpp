@@ -1,24 +1,31 @@
 // hierarchical.hpp — recursive L-level robust aggregation tree.
 //
-// The two-level ShardedAggregator caps the flat O(n²d) GAR cost at
-// O(n²d/S) + O(S²d) — enough for n in the hundreds, but its merge stage
-// is itself a GAR over S rows, and at committee sizes where even n/S
-// rows per shard is too big the fix is the same one applied again.
-// HierarchicalAggregator recurses it: a node at (n, f) splits its rows
-// into B contiguous GradientBatch views, hands each child (n_child,
-// ceil(f/B)) with L−1 levels below it, and robust-merges the B child
-// aggregates at the shared stage budget (aggregation/budget.hpp):
+// The robust GARs are O(n²d) on the pairwise-distance kernel, which caps
+// how large a single flat committee can get.  The tree breaks that wall
+// the way large-scale dissemination systems do: partition the
+// population, aggregate locally, then robust-merge the local results —
+// and recurse when even the partitions are too big.  A node at (n, f)
+// splits its rows into B contiguous GradientBatch views (no row is
+// copied), hands each child (n_child, ceil(f/B)) with L−1 levels below
+// it, and robust-merges the B child aggregates:
 //
 //   level budget   child_f = ceil(f / B),  merge_f = floor(f / (child_f + 1))
 //
 //   n rows ── B views ── … ── B^L leaf views, each a flat inner GAR
 //                └─ every internal node: merge GAR at (B, its merge_f)
 //
-// L = 1 is *structurally identical* to ShardedAggregator with S = B —
-// same split arithmetic, same budget derivation, same stage call order —
-// so its output is bit-identical (golden-pinned in
-// tests/test_hierarchical.cpp, adversarial ties and threaded included).
-// The flat path (tree_levels = 0 in ExperimentConfig) is untouched.
+// The budget is the worst case (derivation in docs/ARCHITECTURE.md,
+// "Hierarchical aggregation & wire format"): overwhelming one child
+// costs the adversary child_f + 1 of its f rows, so at most merge_f
+// children can exceed their budget, and the merge GAR absorbs them.
+// Both stages must be admissible at their derived pairs — small B with
+// f >= 2 typically fails the merge condition (median needs
+// B >= 2 merge_f + 1), the price of the worst-case guarantee.  Each
+// uncorrupted child filters at child_f over n_child rows, so the paper's
+// single-stage VN-ratio constants do not carry over: vn_threshold() is
+// NaN.  L = 1 is the two-level sharded topology (S = B shards, one
+// merge); the flat path (tree_levels = 0 in ExperimentConfig) is
+// untouched.
 //
 // Edges (optional): with a net::LinkConfig, every child aggregate
 // travels to its parent through the framed wire format and the
@@ -77,9 +84,13 @@ class HierarchicalAggregator final : public Aggregator {
   const Aggregator& child(size_t b) const { return *children_.at(b); }
   const Aggregator& merge_rule() const { return *merge_; }
 
-  /// Same semantics as ShardedAggregator::weighted_merge(): an "average"
+  /// True when the merge stage is the size-weighted average: an "average"
   /// merge over uneven child subtree sizes weights each child aggregate
-  /// by its row count, so tree(average/average) tracks the flat mean.
+  /// by its row count (out = (1/n) Σ n_b·agg_b), so tree(average/average)
+  /// tracks the flat mean for every (n, B) instead of only B | n.  Even
+  /// splits keep the plain (unweighted) merge; robust merges are always
+  /// unweighted — every child aggregate is one vote in the budget
+  /// argument.
   bool weighted_merge() const { return weighted_merge_; }
 
   /// True when edges run over the framed wire (link given).
@@ -123,8 +134,10 @@ class HierarchicalAggregator final : public Aggregator {
   /// copies).  Edges are driven serially in child order — see header.
   std::unique_ptr<net::EdgeTransport> transport_;
   mutable net::ChannelStats stats_;  // this node's edges only
-  // Same ownership story as ShardedAggregator: per-child scratch lives
-  // in the rule, so one instance must not run concurrent aggregations.
+  // Per-child scratch lives in the rule (the child count is a property
+  // of the rule, not the call site), so one instance must not run
+  // concurrent aggregations — the sequential-use rule
+  // AggregatorWorkspace already imposes.
   mutable std::vector<AggregatorWorkspace> child_ws_;  // task b owns slot b
   mutable GradientBatch child_aggregates_;             // B×d merge arena
 };

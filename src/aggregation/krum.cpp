@@ -28,25 +28,21 @@ double nearest_neighbour_sum(std::vector<double>& row, size_t len, size_t neighb
                          0.0);
 }
 
-/// Lower/upper bound on the Krum score of pool member i: the sum of the
-/// `neighbours` smallest per-pair squared-distance bounds, deflated
-/// (lower) or inflated (upper) so FP accumulation rounding cannot cross
-/// the exact-path score it brackets.  Validity: per-pair lb_sq <= the
-/// exact matrix entry, and the sum of the k smallest of a pointwise-
-/// smaller multiset is <= the sum of the k smallest of the larger one.
-double krum_score_bound(PrunedDistanceOracle& oracle, std::span<const size_t> active,
-                        size_t i, size_t neighbours, std::vector<double>& tmp,
-                        bool lower) {
+/// Certified lower bound on the Krum score of pool member i: the sum of
+/// the `neighbours` smallest per-pair squared-distance lower bounds,
+/// deflated so FP accumulation rounding cannot cross the exact-path score
+/// it brackets.  Validity: per-pair lb_sq <= the exact matrix entry, and
+/// the sum of the k smallest of a pointwise-smaller multiset is <= the
+/// sum of the k smallest of the larger one.
+double krum_score_lower_bound(PrunedDistanceOracle& oracle,
+                              std::span<const size_t> active, size_t i,
+                              size_t neighbours, std::vector<double>& tmp) {
   const size_t count = active.size();
   tmp.resize(count - 1);
   size_t k = 0;
-  for (size_t j = 0; j < count; ++j) {
-    if (j == i) continue;
-    tmp[k++] = lower ? oracle.lb_sq(active[i], active[j])
-                     : oracle.ub_sq(active[i], active[j]);
-  }
-  const double s = nearest_neighbour_sum(tmp, k, neighbours);
-  return lower ? PrunedDistanceOracle::deflate(s) : PrunedDistanceOracle::inflate(s);
+  for (size_t j = 0; j < count; ++j)
+    if (j != i) tmp[k++] = oracle.lb_sq(active[i], active[j]);
+  return PrunedDistanceOracle::deflate(nearest_neighbour_sum(tmp, k, neighbours));
 }
 
 /// Exact seed-procedure score of pool member i from the oracle's lazy
@@ -148,32 +144,26 @@ size_t Krum::select(std::span<const Vector> gradients) const {
 
 size_t krum_argmin_pruned(const GradientBatch& batch, PrunedDistanceOracle& oracle,
                           std::span<const size_t> active, size_t f,
-                          std::vector<double>& scratch_row, bool sketch_rank) {
+                          std::vector<double>& scratch_row) {
   const size_t count = active.size();
   require(count >= 2, "krum_argmin_pruned: need at least two gradients");
   const size_t neighbours = neighbourhood(count, f);
 
-  // Per-member certified score lower bound (prunes) and a rank score
-  // that orders evaluation — an estimate, never trusted for correctness.
-  // sketch_rank=true ranks by JL-sketch scores (best ordering, costs
-  // O(count²·k)); false reuses the lower bounds as the rank, which
-  // repeated callers (Bulyan's rounds) prefer.
+  // Per-member certified score lower bound (prunes) and a JL-sketch
+  // rank score that orders evaluation — an estimate, never trusted for
+  // correctness.
   auto& lb = oracle.scr_lb;
   auto& rank = oracle.scr_rank;
   auto& tmp = oracle.scr_tmp;
   lb.resize(count);
   rank.resize(count);
   for (size_t i = 0; i < count; ++i) {
-    lb[i] = krum_score_bound(oracle, active, i, neighbours, tmp, /*lower=*/true);
-    if (sketch_rank) {
-      tmp.resize(count - 1);
-      size_t k = 0;
-      for (size_t j = 0; j < count; ++j)
-        if (j != i) tmp[k++] = oracle.approx_sq(active[i], active[j]);
-      rank[i] = nearest_neighbour_sum(tmp, k, neighbours);
-    } else {
-      rank[i] = lb[i];
-    }
+    lb[i] = krum_score_lower_bound(oracle, active, i, neighbours, tmp);
+    tmp.resize(count - 1);
+    size_t k = 0;
+    for (size_t j = 0; j < count; ++j)
+      if (j != i) tmp[k++] = oracle.approx_sq(active[i], active[j]);
+    rank[i] = nearest_neighbour_sum(tmp, k, neighbours);
   }
 
   auto& order = oracle.scr_order;
@@ -207,62 +197,6 @@ size_t krum_argmin_pruned(const GradientBatch& batch, PrunedDistanceOracle& orac
   }
   check_internal(best != count, "krum_argmin_pruned: no winner");
   return best;
-}
-
-void multi_krum_select_pruned(const GradientBatch& batch, PrunedDistanceOracle& oracle,
-                              size_t f, size_t m, std::vector<size_t>& out,
-                              std::vector<double>& scratch_row) {
-  const size_t count = batch.rows();
-  require(count >= 2, "multi_krum_select_pruned: need at least two gradients");
-  require(m >= 1 && m <= count, "multi_krum_select_pruned: bad selection size");
-  const size_t neighbours = neighbourhood(count, f);
-  oracle.scr_order.resize(count);
-  std::iota(oracle.scr_order.begin(), oracle.scr_order.end(), size_t{0});
-  const std::span<const size_t> pool(oracle.scr_order.data(), count);
-
-  auto& lb = oracle.scr_lb;
-  auto& ub = oracle.scr_ub;
-  auto& tmp = oracle.scr_tmp;
-  lb.resize(count);
-  ub.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    lb[i] = krum_score_bound(oracle, pool, i, neighbours, tmp, /*lower=*/true);
-    ub[i] = krum_score_bound(oracle, pool, i, neighbours, tmp, /*lower=*/false);
-  }
-
-  // tau = m-th smallest upper bound.  Every truly-selected row has
-  // score <= (m-th smallest score) <= tau, and lb <= score, so
-  // {i : lb[i] <= tau} covers the selected set — including every
-  // boundary tie.  At least the m rows realising tau's order statistic
-  // are candidates, so the cut below is always well-defined.
-  auto& srt = oracle.scr_rank;
-  srt.assign(ub.begin(), ub.end());
-  std::nth_element(srt.begin(), srt.begin() + static_cast<std::ptrdiff_t>(m - 1),
-                   srt.end());
-  const double tau = srt[m - 1];
-
-  auto& cand = oracle.scr_cand;
-  cand.clear();
-  for (size_t i = 0; i < count; ++i)
-    if (lb[i] <= tau) cand.push_back(i);
-  check_internal(cand.size() >= m, "multi_krum_select_pruned: candidate cover too small");
-
-  // Exact seed-procedure scores for candidates only (stored over lb —
-  // the bounds are spent).  Sorting by (score, row-lex, index) and
-  // cutting at m reproduces the seed partial_sort's first-m as a value
-  // sequence: distinct (score, lex) keys order identically, and rows
-  // tied on both compare equal element-wise, so whichever copy lands in
-  // the cut contributes the same addends to the mean.
-  auto& score = lb;
-  for (size_t i : cand)
-    score[i] = krum_score_exact(oracle, pool, i, neighbours, scratch_row);
-  std::sort(cand.begin(), cand.end(), [&score, &batch](size_t a, size_t b) {
-    if (score[a] != score[b]) return score[a] < score[b];
-    if (vec::lex_less(batch.row(a), batch.row(b))) return true;
-    if (vec::lex_less(batch.row(b), batch.row(a))) return false;
-    return a < b;  // deterministic tie-break
-  });
-  out.assign(cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(m));
 }
 
 size_t Krum::score_batch(const GradientBatch& batch, AggregatorWorkspace& ws) const {
@@ -300,12 +234,6 @@ MultiKrum::MultiKrum(size_t n, size_t f, PruneMode prune) : Krum(n, f, prune) {}
 
 void MultiKrum::aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   const size_t m = n() - f();
-  if (prune() == PruneMode::kExact) {
-    ws.oracle.prepare(batch);
-    multi_krum_select_pruned(batch, ws.oracle, f(), m, ws.order, ws.row);
-    mean_rows_of_into(batch, std::span<const size_t>(ws.order.data(), m), ws.output);
-    return;
-  }
   const size_t count = score_batch(batch, ws);
   ws.order.resize(count);
   std::iota(ws.order.begin(), ws.order.end(), size_t{0});

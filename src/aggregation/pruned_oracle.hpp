@@ -2,9 +2,11 @@
 // the selection GARs (the `prune` knob; docs/ARCHITECTURE.md, "Distance
 // pruning").
 //
-// Krum, MDA and Bulyan consume pairwise distances but *select* — most of
+// Krum and mda_greedy consume pairwise distances but *select* — most of
 // the O(n²) exact d-wide distances can never influence which rows win.
-// The oracle makes that structure exploitable with three ingredients:
+// The oracle makes that structure exploitable with three ingredients
+// (prune=exact; multi-krum, mda and bulyan run their unpruned path there,
+// because they need most exact distances anyway):
 //
 //   1. CERTIFIED bounds.  From per-row norms and P = 8 pivot rows (whose
 //      exact distance rows are computed eagerly, seeding the cache) it
@@ -38,8 +40,8 @@
 //   3. A lazy symmetric exact cache: exact_sq(i, j) computes
 //      vec::dist_sq(row_i, row_j) — bit-identical to the matrix entries
 //      pairwise_dist_sq fills, in either math mode — at most once per
-//      pair, so Bulyan's shrinking-pool rounds and MDA's DFS pay each
-//      surviving pair exactly once.  exact_pairs() reports how many
+//      pair, so mda_greedy's swap passes pay each surviving pair exactly
+//      once.  exact_pairs() reports how many
 //      pairs were evaluated; 1 − exact_pairs/total_pairs is the
 //      pruned-pair fraction the bench records.
 //
@@ -116,19 +118,16 @@ class PrunedDistanceOracle {
   double lb_dist(size_t i, size_t j) const { return lb_[i * rows_ + j]; }
   double ub_dist(size_t i, size_t j) const { return ub_[i * rows_ + j]; }
 
-  /// Certified squared-distance bounds (lb² deflated / ub² inflated one
-  /// more notch so squaring rounding cannot cross the exact value).
+  /// Certified squared-distance lower bound (lb² deflated one more notch
+  /// so squaring rounding cannot cross the exact value).
   double lb_sq(size_t i, size_t j) const;
-  double ub_sq(size_t i, size_t j) const;
 
   /// JL approximate squared distance (ranking only; never certified).
   double approx_sq(size_t i, size_t j) const { return approx_[i * rows_ + j]; }
 
-  /// Deflate/inflate a nonnegative score sum so that FP accumulation
-  /// rounding cannot push a lower-bound sum above (or an upper-bound sum
-  /// below) the exact-path score it brackets.
+  /// Deflate a nonnegative score sum so that FP accumulation rounding
+  /// cannot push a lower-bound sum above the exact-path score it brackets.
   static double deflate(double x) { return x - x * 1e-10; }
-  static double inflate(double x) { return x + x * 1e-10; }
 
   /// Distinct pairs exact-evaluated since prepare() (pivot rows included).
   size_t exact_pairs() const { return exact_pairs_; }
@@ -146,11 +145,9 @@ class PrunedDistanceOracle {
   // AggregatorWorkspace members: any caller may scribble, sequential use
   // only, grow-only capacity.
   std::vector<double> scr_lb;
-  std::vector<double> scr_ub;
   std::vector<double> scr_rank;
   std::vector<double> scr_tmp;
   std::vector<size_t> scr_order;
-  std::vector<size_t> scr_cand;
 
  private:
   const GradientBatch* batch_ = nullptr;  // valid prepare() .. end of call

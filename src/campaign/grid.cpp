@@ -122,7 +122,6 @@ void apply_churn(ExperimentConfig& cfg, const std::string& value) {
 void apply_topology(ExperimentConfig& cfg, const std::string& value) {
   const auto parts = strings::split(value, ':');
   const std::string& kind = parts[0];
-  cfg.shards = 1;
   cfg.tree_levels = 0;
   cfg.tree_branch = 0;
   if (kind == "flat") {
@@ -130,8 +129,15 @@ void apply_topology(ExperimentConfig& cfg, const std::string& value) {
     return;
   }
   if (kind == "shards") {
+    // The two-level sharded topology is the one-level tree with B = S
+    // (bit-identical); S = 1 is the flat rule.
     require(parts.size() == 2, "campaign: 'shards' needs a count, e.g. shards:3");
-    cfg.shards = static_cast<size_t>(std::stoull(parts[1]));
+    const size_t shards = static_cast<size_t>(std::stoull(parts[1]));
+    require(shards >= 1, "campaign: 'shards' needs a count >= 1");
+    if (shards > 1) {
+      cfg.tree_levels = 1;
+      cfg.tree_branch = shards;
+    }
     return;
   }
   if (kind == "tree") {
@@ -142,6 +148,44 @@ void apply_topology(ExperimentConfig& cfg, const std::string& value) {
     return;
   }
   throw std::invalid_argument("campaign: unknown topology kind '" + kind + "'");
+}
+
+/// Pre-screens the round GAR at `rows` rows.  A shards:S cell runs as
+/// tree:1xS, which admits exactly the same cells, but its skip reasons
+/// keep the wording of the two-level aggregator shards:S used to build,
+/// so existing campaigns resume into byte-identical artifacts.
+void screen_round_aggregator(const ExperimentConfig& cfg, size_t rows, bool sharded) {
+  if (!sharded || cfg.tree_levels == 0) {
+    (void)make_round_aggregator(cfg, rows);
+    return;
+  }
+  const size_t shards = cfg.tree_branch, f = cfg.num_byzantine;
+  require(shards <= cfg.num_workers, "config: cannot have more shards than workers");
+  require(shards <= rows, "ShardedAggregator: more shards than rows");
+  const size_t shard_f = (f + shards - 1) / shards, merge_f = f / (shard_f + 1);
+  const std::string derived =
+      "derived from (n=" + std::to_string(rows) + ", f=" + std::to_string(f);
+  const PruneMode prune = parse_prune_mode(cfg.prune);
+  auto stage = [prune](const std::string& context, const std::string& gar, size_t n,
+                       size_t stage_f) {
+    try {
+      (void)make_aggregator(gar, n, stage_f, prune);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(context + ": " + e.what());
+    }
+  };
+  for (size_t s = 0; s < shards; ++s) {
+    const size_t size = (s + 1) * rows / shards - s * rows / shards;
+    stage("ShardedAggregator: inner stage '" + cfg.gar + "' at shard " +
+              std::to_string(s) + " (rows " + std::to_string(size) + ", f_shard " +
+              std::to_string(shard_f) + "; " + derived + ", S=" +
+              std::to_string(shards) + "))",
+          cfg.gar, size, shard_f);
+  }
+  stage("ShardedAggregator: merge stage '" + cfg.shard_merge_gar + "' (S=" +
+            std::to_string(shards) + ", f_merge " + std::to_string(merge_f) + "; " +
+            derived + "), f_shard " + std::to_string(shard_f) + ")",
+        cfg.shard_merge_gar, shards, merge_f);
 }
 
 }  // namespace
@@ -265,7 +309,13 @@ std::vector<GridCell> expand_grid(const GridSpec& spec) {
                     // runner records those as "error: ..." rows.)
                     try {
                       cfg.validate();
-                      (void)make_round_aggregator(cfg, cfg.num_workers);
+                      // shards:S has no wire edges to fault, exactly as
+                      // before it became sugar for tree:1xS.
+                      const bool sharded = topo.starts_with("shards:");
+                      if (sharded)
+                        require(cfg.wire == "off",
+                                "config: wire requires tree_levels >= 1");
+                      screen_round_aggregator(cfg, cfg.num_workers, sharded);
                       if (cfg.attack_enabled)
                         (void)make_attack(cfg.attack, cfg.attack_nu,
                                           AdaptiveSpec{cfg.gar, cfg.prune,
@@ -275,8 +325,8 @@ std::vector<GridCell> expand_grid(const GridSpec& spec) {
                           cfg.num_stragglers > 0) {
                         require(cfg.num_stragglers < cfg.num_workers,
                                 "campaign: more stragglers than workers");
-                        (void)make_round_aggregator(
-                            cfg, cfg.num_workers - cfg.num_stragglers);
+                        screen_round_aggregator(
+                            cfg, cfg.num_workers - cfg.num_stragglers, sharded);
                       }
                     } catch (const std::exception& e) {
                       cell.skip_reason = sanitize_field(e.what());

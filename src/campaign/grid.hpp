@@ -18,6 +18,8 @@
 //   participation:  "full" | "iid" | "iid:<prob>" |
 //                   "stragglers:<k>" | "stragglers:<k>x<period>"
 //   topologies:     "flat" | "shards:<S>" | "tree:<L>x<B>"
+//                   (shards:S runs as tree:1xS, or flat at S = 1, and
+//                   has no wire, so lossy channels skip it)
 //                   (also accepts "tree:<L>,<B>" on input; the canonical
 //                   form — and the one artifacts carry — uses 'x', which
 //                   keeps every field comma-free for the CSV schema)
@@ -52,7 +54,7 @@ namespace dpbyz::campaign {
 struct GridSpec {
   /// Shared scalar knobs (n, f, steps, batch, lr, pipeline depth, ...).
   /// Axis-controlled fields of `base` (gar, attack*, dp_*, participation*,
-  /// shards, tree_*, channel*, churn except churn_seed, prune, fast_math,
+  /// tree_*, channel*, churn except churn_seed, prune, fast_math,
   /// seed) are overwritten per cell.
   ExperimentConfig base;
 

@@ -83,7 +83,7 @@ std::string checkpoint_signature(const ExperimentConfig& c) {
       << ";ns=" << c.num_stragglers << ";sp=" << c.straggler_period
       << ";dp=" << c.dp_enabled << ";mech=" << c.mechanism
       << ";eps=" << bits_of(c.epsilon) << ";delta=" << bits_of(c.delta)
-      << ";gar=" << c.gar << ";prune=" << c.prune << ";shards=" << c.shards
+      << ";gar=" << c.gar << ";prune=" << c.prune
       << ";merge=" << c.shard_merge_gar << ";tl=" << c.tree_levels
       << ";tb=" << c.tree_branch << ";wire=" << c.wire << ";topk=" << c.wire_topk
       << ";chunk=" << c.wire_chunk

@@ -39,11 +39,8 @@ void ExperimentConfig::validate() const {
   }
   require(prune == "off" || prune == "exact" || prune == "approx",
           "config: prune must be off|exact|approx");
-  require(shards >= 1, "config: shards must be at least 1");
-  require(shards <= num_workers, "config: cannot have more shards than workers");
   if (tree_levels > 0) {
     require(tree_branch >= 1, "config: tree_branch must be >= 1 when tree_levels > 0");
-    require(shards == 1, "config: tree_levels and shards > 1 are mutually exclusive");
   } else {
     require(tree_branch == 0, "config: tree_branch requires tree_levels > 0");
   }
@@ -142,7 +139,6 @@ void ExperimentConfig::validate() const {
 
 std::string ExperimentConfig::label() const {
   std::string out = gar;
-  if (shards > 1) out += "+S" + std::to_string(shards);
   if (tree_levels > 0)
     out += "+tree(L" + std::to_string(tree_levels) + ",B" +
            std::to_string(tree_branch) + ")";

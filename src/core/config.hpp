@@ -77,8 +77,8 @@ struct ExperimentConfig {
   double label_skew_fraction = 0.8;  ///< majority share for "label-skew"
   /// Thread budget for one training step: honest-worker submission runs
   /// one pipeline per thread on the process-wide ThreadPool, and the
-  /// sharded aggregator (shards > 1) dispatches its shard tasks at the
-  /// same width.  1 (the default) keeps every step on the calling thread
+  /// aggregation tree (tree_levels >= 1) dispatches its top-level child
+  /// tasks at the same width.  1 (the default) keeps every step on the calling thread
   /// — the paper's serial loop, bit-identical to the seed; 0 picks the
   /// hardware concurrency.  Any value yields bit-identical results to
   /// serial (workers own disjoint arena rows and independent RNG
@@ -182,6 +182,9 @@ struct ExperimentConfig {
   ///   "exact"  — certified norm/triangle-inequality bounds skip exact
   ///              distances that provably cannot affect the selection;
   ///              selections and aggregates stay bit-identical to "off".
+  ///              Only krum and mda_greedy prune; multi-krum, mda and
+  ///              bulyan run their "off" path, where pruning measured as
+  ///              a net loss.
   ///   "approx" — Johnson–Lindenstrauss sketch distances replace the
   ///              exact matrix outright: O(n·d·k + n²·k) instead of
   ///              O(n²·d), deterministic, but selections may differ (the
@@ -189,29 +192,21 @@ struct ExperimentConfig {
   ///              BENCH_gar_scaling.json and docs/AGGREGATORS.md).
   /// Rules that consume no pairwise distances ignore the knob.
   std::string prune = "off";
-  /// Number of aggregation shards S (see docs/ARCHITECTURE.md, "Sharded
-  /// aggregation").  1 = the paper's flat path (bit-identical).  S > 1
-  /// partitions the n submissions into S contiguous row-range views,
-  /// aggregates each with `gar` at a per-shard budget of ceil(f / S),
-  /// and robust-merges the S shard aggregates with `shard_merge_gar`.
-  /// Both stages must be admissible at their derived (count, f) pairs or
-  /// the trainer's aggregator construction throws.
-  size_t shards = 1;
-  /// Second-stage GAR applied across the S shard aggregates when
-  /// shards > 1.  "median" is admissible whenever S >= 2 f_merge + 1 and
-  /// is the recommended default; "mda" is the stronger choice when its
-  /// (S, f_merge) constraints hold.  The hierarchical tree (tree_levels
-  /// >= 1) reuses this knob as its per-node merge rule.
+  /// Per-node merge GAR of the hierarchical tree (tree_levels >= 1),
+  /// applied across each node's B child aggregates.  "median" is
+  /// admissible whenever B >= 2 f_merge + 1 and is the recommended
+  /// default; "mda" is the stronger choice when its (B, f_merge)
+  /// constraints hold.
   std::string shard_merge_gar = "median";
   /// Hierarchical aggregation tree depth L (see docs/ARCHITECTURE.md,
-  /// "Hierarchical aggregation & wire format").  0 = off (the flat or
-  /// two-level sharded path, untouched).  L >= 1 builds an L-level
+  /// "Hierarchical aggregation & wire format").  0 = off (the paper's
+  /// flat path, untouched).  L >= 1 builds an L-level
   /// HierarchicalAggregator: each node splits its rows into
   /// `tree_branch` contiguous views, aggregates each with `gar` at the
   /// leaves, and merges per node with `shard_merge_gar` at the recursed
   /// worst-case budget (child_f = ceil(f/B), merge_f =
-  /// floor(f/(child_f+1)) per level).  L = 1 is bit-identical to
-  /// shards = tree_branch.  Mutually exclusive with shards > 1.
+  /// floor(f/(child_f+1)) per level).  L = 1 is the two-level sharded
+  /// topology: S = tree_branch contiguous shards, one merge.
   /// tree_branch^tree_levels must not exceed the round's row count or
   /// aggregator construction throws.
   size_t tree_levels = 0;

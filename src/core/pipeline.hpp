@@ -212,8 +212,8 @@ class RoundPipeline {
 
   /// The aggregation rule for a round of `rows` rows tolerating `f`:
   /// the first occurrence of each (n', f) constructs the configured GAR
-  /// through make_round_aggregator (sharded when config.shards > 1, the
-  /// hierarchical tree when config.tree_levels >= 1) at (n', f) —
+  /// through make_round_aggregator (the hierarchical tree when
+  /// config.tree_levels >= 1) at (n', f) —
   /// throwing std::invalid_argument when that round budget is
   /// inadmissible — and caches it.  With full participation every round
   /// reuses the single (n, f) instance.

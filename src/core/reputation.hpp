@@ -8,7 +8,7 @@
 // row's squared distance to that aggregate is exactly the quantity the
 // selection GARs already rank on (krum scores sum these distances over
 // the closest neighbours; the MDA subset minimizes their diameter; the
-// sharded/tree merge discards the outlying shard aggregates) — so
+// tree merge discards the outlying child aggregates) — so
 // "distance to the selected center, compared to the live roster's
 // median" is the universal, rule-independent surrogate for "would the
 // defense have kept this row".

@@ -67,7 +67,7 @@ class ParameterServer {
                    size_t f);
 
   /// Accumulate the wire/channel counters of every rule retired by
-  /// renegotiate() (no-op for flat/sharded topologies).  Call after the
+  /// renegotiate() (no-op for the flat topology).  Call after the
   /// last round, like RoundPipeline::add_channel_stats.
   void add_retired_channel_stats(net::ChannelStats& out) const;
 

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "aggregation/hierarchical.hpp"
-#include "aggregation/sharded.hpp"
 #include "attacks/adaptive.hpp"
 #include "core/checkpoint.hpp"
 #include "core/membership.hpp"
@@ -54,10 +53,6 @@ std::unique_ptr<Aggregator> make_round_aggregator(const ExperimentConfig& config
         config.tree_levels, config.tree_branch, config.threads, prune,
         framed ? &link : nullptr);
   }
-  if (config.shards > 1)
-    return std::make_unique<ShardedAggregator>(config.gar, config.shard_merge_gar,
-                                               rows, f,
-                                               config.shards, config.threads, prune);
   return make_aggregator(config.gar, rows, f, prune);
 }
 
@@ -150,9 +145,9 @@ RunResult Trainer::run() {
                                   : constant_lr(config_.learning_rate);
   // make_round_aggregator picks the topology: flat at the defaults (the
   // paper path is byte-for-byte the code the golden tests pin — no
-  // degenerate wrapper indirection), two-level sharded, or the
-  // hierarchical tree with its wire/channel link.  config.threads drives
-  // the shard/child dispatch width too; nesting inside
+  // degenerate wrapper indirection) or the hierarchical tree with its
+  // wire/channel link.  config.threads drives the tree's child dispatch
+  // width too; nesting inside
   // run_seeds_parallel is safe because the process-wide ThreadPool runs
   // nested jobs serially on the worker they were issued from.
   std::unique_ptr<Aggregator> gar = make_round_aggregator(config_, n);

@@ -15,8 +15,8 @@
 // The trainer is serial by default and allocation-free at steady state
 // (every per-step stage writes into reused arenas/buffers; measured by
 // bench_gar_scaling's pipeline sweep).  ExperimentConfig::threads > 1
-// runs the honest-worker pipelines — and, with shards > 1, the shard
-// dispatch — on the process-wide ThreadPool; results stay deterministic
+// runs the honest-worker pipelines — and, with tree_levels >= 1, the
+// tree's child dispatch — on the process-wide ThreadPool; results stay deterministic
 // and bit-identical to the serial run given (config, model, datasets),
 // which the test suite checks bit-for-bit.
 //
@@ -73,9 +73,8 @@ class Trainer {
 std::unique_ptr<NoiseMechanism> make_mechanism(const ExperimentConfig& config, size_t dim);
 
 /// Construct the round GAR for `rows` submissions tolerating `f`
-/// Byzantine at the config's topology: flat (default), two-level sharded
-/// (shards > 1), or the hierarchical tree with its wire/channel link
-/// (tree_levels >= 1).  The single construction path shared by the
+/// Byzantine at the config's topology: flat (default) or the
+/// hierarchical tree with its wire/channel link (tree_levels >= 1).  The single construction path shared by the
 /// trainer's full-round rule, the round engine's per-(n', f) cache and
 /// ParameterServer::renegotiate — budgets, prune mode and link wiring
 /// cannot drift between them.  Throws std::invalid_argument when any

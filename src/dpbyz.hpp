@@ -46,7 +46,6 @@
 #include "aggregation/meamed.hpp"
 #include "aggregation/median.hpp"
 #include "aggregation/phocas.hpp"
-#include "aggregation/sharded.hpp"
 #include "aggregation/trimmed_mean.hpp"
 
 // attacks — Byzantine strategies

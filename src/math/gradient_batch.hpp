@@ -18,8 +18,8 @@
 //
 // A GradientBatch can also be a *row-range view* of another batch
 // (view(lo, hi)): same row/flat/kernel surface, but read-only and
-// non-owning — the sharded aggregation layer hands each shard a
-// contiguous slice of the round's arena without copying a byte.
+// non-owning — the aggregation tree hands each child a contiguous
+// slice of the round's arena without copying a byte.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +57,7 @@ class GradientBatch {
   /// the parent's row spans (reshape beyond capacity, destruction).
   /// Views compose: view(a, b).view(c, d) slices rows [a+c, a+d) of the
   /// original arena.  Mutable access (non-const row()/flat(), set_row,
-  /// reshape) through a view throws — shard consumers are readers.
+  /// reshape) through a view throws — tree children are readers.
   GradientBatch view(size_t lo, size_t hi) const;
 
   /// True when this batch is a non-owning row-range view.

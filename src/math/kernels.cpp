@@ -19,16 +19,8 @@ std::atomic<int> g_fast_scopes{0};
 std::atomic<int> g_backend{-1};
 
 int default_backend() {
-#if defined(DPBYZ_FORCE_AVX2)
-  // CMake force-override (-DDPBYZ_FAST_MATH=ON): pin the CI legs to the
-  // AVX2 backend so their fast-mode doubles never depend on probe order.
-  // Hosts without AVX2 still get the (bit-identical) portable backend.
-  if (detail::cpu_has_avx2()) return static_cast<int>(FastBackend::kAvx2);
-  return static_cast<int>(FastBackend::kUnrolled8);
-#else
   return detail::cpu_has_avx2() ? static_cast<int>(FastBackend::kAvx2)
                                 : static_cast<int>(FastBackend::kUnrolled8);
-#endif
 }
 }  // namespace
 
@@ -58,25 +50,11 @@ FastBackend fast_backend_kind() {
 }
 
 const char* fast_backend() {
-  switch (fast_backend_kind()) {
-    case FastBackend::kAvx2:
-      return "avx2";
-    case FastBackend::kAvx2Fma:
-      return "avx2-fma";
-    default:
-      return "unrolled8";
-  }
+  return fast_backend_kind() == FastBackend::kAvx2 ? "avx2" : "unrolled8";
 }
 
 bool backend_supported(FastBackend b) {
-  switch (b) {
-    case FastBackend::kAvx2:
-      return detail::cpu_has_avx2();
-    case FastBackend::kAvx2Fma:
-      return detail::cpu_has_avx2_fma();
-    default:
-      return true;
-  }
+  return b != FastBackend::kAvx2 || detail::cpu_has_avx2();
 }
 
 void set_fast_backend(FastBackend b) {
@@ -92,11 +70,10 @@ void set_fast_backend(FastBackend b) {
 // the scalar tail.  Keeping the combine order identical across backends
 // makes the AVX2 and portable paths agree bit-for-bit — and makes every
 // run deterministic, since nothing here depends on data values,
-// alignment, or threads.  No FMA in this backend: each product/difference
-// is the same correctly-rounded double the scalar loop computes, so only
-// summation order is reassociated (the documented 2*d*eps*sum|term| bound
-// in kernels.hpp); the fused variants live in kernels_avx2.cpp behind the
-// explicit kAvx2Fma opt-in.
+// alignment, or threads.  No FMA in either backend: each product/
+// difference is the same correctly-rounded double the scalar loop
+// computes, so only summation order is reassociated (the documented
+// 2*d*eps*sum|term| bound in kernels.hpp).
 
 namespace {
 
@@ -245,8 +222,6 @@ double dist_sq_fast(const double* a, const double* b, size_t n) {
   switch (fast_backend_kind()) {
     case FastBackend::kAvx2:
       return detail::avx2_dist_sq(a, b, n);
-    case FastBackend::kAvx2Fma:
-      return detail::fma_dist_sq(a, b, n);
     default:
       return u8_dist_sq(a, b, n);
   }
@@ -256,8 +231,6 @@ double dot_fast(const double* a, const double* b, size_t n) {
   switch (fast_backend_kind()) {
     case FastBackend::kAvx2:
       return detail::avx2_dot(a, b, n);
-    case FastBackend::kAvx2Fma:
-      return detail::fma_dot(a, b, n);
     default:
       return u8_dot(a, b, n);
   }
@@ -267,20 +240,14 @@ double norm_sq_fast(const double* a, size_t n) {
   switch (fast_backend_kind()) {
     case FastBackend::kAvx2:
       return detail::avx2_norm_sq(a, n);
-    case FastBackend::kAvx2Fma:
-      return detail::fma_norm_sq(a, n);
     default:
       return u8_norm_sq(a, n);
   }
 }
 
 void axpy_fast(double* a, double s, const double* b, size_t n) {
-  // Elementwise kernels never fuse: kAvx2Fma routes to the plain AVX2
-  // body so axpy/scale stay bit-identical to the scalar loops under
-  // every backend (kernels.hpp, widened-contract note).
   switch (fast_backend_kind()) {
     case FastBackend::kAvx2:
-    case FastBackend::kAvx2Fma:
       return detail::avx2_axpy(a, s, b, n);
     default:
       return u8_axpy(a, s, b, n);
@@ -290,7 +257,6 @@ void axpy_fast(double* a, double s, const double* b, size_t n) {
 void scale_fast(double* a, double s, size_t n) {
   switch (fast_backend_kind()) {
     case FastBackend::kAvx2:
-    case FastBackend::kAvx2Fma:
       return detail::avx2_scale(a, s, n);
     default:
       return u8_scale(a, s, n);
@@ -302,8 +268,6 @@ void dist_sq2_fast(const double* a0, const double* a1, const double* b, size_t n
   switch (fast_backend_kind()) {
     case FastBackend::kAvx2:
       return detail::avx2_dist_sq2(a0, a1, b, n, out0, out1);
-    case FastBackend::kAvx2Fma:
-      return detail::fma_dist_sq2(a0, a1, b, n, out0, out1);
     default:
       return u8_dist_sq2(a0, a1, b, n, out0, out1);
   }

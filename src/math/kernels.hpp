@@ -22,32 +22,23 @@
 //     ExperimentConfig::fast_math is the user-facing knob (the trainer
 //     installs a MathModeScope for the duration of the run).
 //
-// Dispatch model (runtime ISA selection): one binary carries THREE
+// Dispatch model (runtime ISA selection): one binary carries two
 // backends behind MathMode::kFast —
 //
 //   kUnrolled8  portable eight-accumulator scalar loops (always present);
 //   kAvx2       AVX2 vector loops, same lane split and combine order, no
-//               FMA — bit-identical to kUnrolled8 on every input;
-//   kAvx2Fma    AVX2 loops whose reductions fuse each multiply-add —
-//               a distinct accuracy contract (below), never substituted
-//               silently.
+//               FMA — bit-identical to kUnrolled8 on every input.
 //
 // At startup the backend is chosen by cpuid: kAvx2 when the host supports
-// it, kUnrolled8 otherwise.  kAvx2Fma is deliberately NOT auto-selected
-// even on FMA hosts: auto-upgrading would break the "AVX2 and unrolled8
-// agree bit-for-bit" property that makes fast-mode results stable across
-// the build matrix — callers that accept the widened FMA bound opt in via
-// set_fast_backend(FastBackend::kAvx2Fma) (the bench's fused leg does).
-// The CMake option -DDPBYZ_FAST_MATH=ON remains as a force-override that
-// pins the startup choice to kAvx2 regardless of probing order, so CI
-// legs are deterministic by construction; it no longer changes codegen of
-// this TU (the ISA-specific bodies live in kernels_avx2.cpp behind
+// it, kUnrolled8 otherwise.  Because the two agree bit-for-bit, fast-mode
+// results are stable across the build matrix whichever one the probe
+// picks.  The ISA-specific bodies live in kernels_avx2.cpp behind
 // per-function target attributes and are only reachable after cpuid
-// approves them).
+// approves them, so no TU needs a global ISA flag.
 //
 // Accuracy contract (the "ULP bound" the fast golden tests enforce):
-// for kUnrolled8/kAvx2, every per-element product/difference is computed
-// exactly as in the scalar loop — only the *summation order* changes.
+// every per-element product/difference is computed exactly as in the
+// scalar loop — only the *summation order* changes.
 // For a reduction over d terms the classical reassociation bound gives
 //
 //     |fast - scalar| <= 2 * d * eps * sum_i |term_i|,   eps = 2^-53,
@@ -56,19 +47,7 @@
 // nonnegative-term reductions (dist_sq, norm_sq) sum|term| equals the
 // result itself, so the bound is a plain relative error of 2*d*eps.
 //
-// Widened FMA contract: kAvx2Fma additionally fuses each multiply-add
-// into one rounding (fl(x*y + acc) instead of fl(fl(x*y) + acc)).  The
-// fused product is MORE accurate per step, but it breaks term-for-term
-// equality with the scalar loop, so the comparison bound gains one
-// rounding per term on top of the reassociation bound:
-//
-//     |fma - scalar| <= 3 * d * eps * sum_i |term_i|,
-//
-// i.e. relative 3*d*eps for dist_sq/norm_sq.  Only the reductions
-// (dist_sq, dist_sq2, dot, norm_sq) have FMA variants; axpy/scale keep
-// the non-fused AVX2 bodies under kAvx2Fma because their bit-identity to
-// the scalar loops is load-bearing (momentum/clipping trajectories).
-// tests/test_math_kernels.cpp checks both bounds on random, adversarial
+// tests/test_math_kernels.cpp checks the bound on random, adversarial
 // (cancellation-heavy) and denormal-heavy inputs.
 //
 // Determinism contract: for a fixed (binary, backend) and a fixed input,
@@ -77,8 +56,8 @@
 // pair on exactly one thread, so fast-mode results are bit-identical
 // across every `threads` width and across reruns (enforced by the bench
 // --check gate).  kUnrolled8 and kAvx2 agree bit-for-bit, so the
-// *default* startup selection yields one fast-mode answer across the
-// whole build matrix; only an explicit kAvx2Fma opt-in changes doubles.
+// startup selection yields one fast-mode answer across the whole build
+// matrix.
 // The default scalar MathMode still promises bit-identity to the seed and
 // stays the default.
 //
@@ -123,16 +102,13 @@ bool fast_enabled();
 enum class FastBackend {
   kUnrolled8,  ///< portable 8-accumulator scalar loops
   kAvx2,       ///< AVX2, no FMA — bit-identical to kUnrolled8
-  kAvx2Fma,    ///< AVX2 + FMA reductions — widened 3*d*eps contract
 };
 
 /// Currently selected fast backend.  Resolved on first use: kAvx2 when
-/// cpuid reports AVX2 support (or unconditionally requested by the
-/// DPBYZ_FAST_MATH=ON force-override), kUnrolled8 otherwise; kAvx2Fma
-/// only ever via set_fast_backend.
+/// cpuid reports AVX2 support, kUnrolled8 otherwise.
 FastBackend fast_backend_kind();
 
-/// Name of the current fast backend: "unrolled8" / "avx2" / "avx2-fma".
+/// Name of the current fast backend: "unrolled8" / "avx2".
 /// Informational (bench/JSON provenance).
 const char* fast_backend();
 
@@ -140,7 +116,7 @@ const char* fast_backend();
 /// always supported).
 bool backend_supported(FastBackend b);
 
-/// Select the fast backend explicitly (tests, the bench's FMA leg).
+/// Select the fast backend explicitly (tests pin each one in turn).
 /// Throws std::invalid_argument when the host lacks the required ISA.
 /// Not thread-safe against concurrently executing kernels — call between
 /// runs, like MathModeScope setup.
@@ -176,8 +152,7 @@ double dot_fast(const double* a, const double* b, size_t n);
 /// sum_i a_i^2 with 8 partial accumulators.
 double norm_sq_fast(const double* a, size_t n);
 
-/// a_i += s * b_i.  Elementwise: bit-identical to the scalar loop (under
-/// every backend, including kAvx2Fma — see the widened-contract note).
+/// a_i += s * b_i.  Elementwise: bit-identical to the scalar loop.
 void axpy_fast(double* a, double s, const double* b, size_t n);
 
 /// a_i *= s.  Elementwise: bit-identical to the scalar loop.

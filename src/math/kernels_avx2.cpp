@@ -1,4 +1,4 @@
-// kernels_avx2.cpp — AVX2 and AVX2+FMA kernel backends, selected at
+// kernels_avx2.cpp — the AVX2 kernel backend, selected at
 // runtime by the dispatcher in kernels.cpp (see the dispatch model in
 // kernels.hpp).  This TU compiles WITHOUT global ISA flags: each function
 // carries a target attribute, so the binary stays runnable on pre-AVX2
@@ -8,11 +8,8 @@
 // Lane discipline (shared with the portable unrolled8 backend): term i
 // feeds accumulator i mod 8 within each 8-wide block, partials combine as
 // ((s0+s4)+(s1+s5)) + ((s2+s6)+(s3+s7)), scalar tail last.  The AVX2
-// (non-FMA) functions perform the exact same correctly-rounded multiply
-// and add the unrolled8 backend performs, so the two agree bit-for-bit.
-// The FMA functions fuse each multiply-add (one rounding instead of two),
-// which is why they live behind a distinct backend with a widened error
-// contract (kernels.hpp) — never silently substituted.
+// functions perform the exact same correctly-rounded multiply and add
+// (no FMA) the unrolled8 backend performs, so the two agree bit-for-bit.
 
 #include "math/kernels_isa.hpp"
 
@@ -23,10 +20,6 @@
 namespace dpbyz::kernels::detail {
 
 bool cpu_has_avx2() { return __builtin_cpu_supports("avx2"); }
-
-bool cpu_has_avx2_fma() {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
 
 namespace {
 
@@ -149,85 +142,6 @@ __attribute__((target("avx2"))) void avx2_dist_sq2(const double* a0, const doubl
   out1 = r1;
 }
 
-__attribute__((target("avx2,fma"))) double fma_dist_sq(const double* a, const double* b,
-                                                       size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d d0 = _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    const __m256d d1 =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i + 4), _mm256_loadu_pd(b + i + 4));
-    acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-    acc1 = _mm256_fmadd_pd(d1, d1, acc1);
-  }
-  double out = combine(acc0, acc1);
-  for (; i < n; ++i) {
-    const double diff = a[i] - b[i];
-    out += diff * diff;
-  }
-  return out;
-}
-
-__attribute__((target("avx2,fma"))) double fma_dot(const double* a, const double* b,
-                                                   size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4), _mm256_loadu_pd(b + i + 4), acc1);
-  }
-  double out = combine(acc0, acc1);
-  for (; i < n; ++i) out += a[i] * b[i];
-  return out;
-}
-
-__attribute__((target("avx2,fma"))) double fma_norm_sq(const double* a, size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d v0 = _mm256_loadu_pd(a + i);
-    const __m256d v1 = _mm256_loadu_pd(a + i + 4);
-    acc0 = _mm256_fmadd_pd(v0, v0, acc0);
-    acc1 = _mm256_fmadd_pd(v1, v1, acc1);
-  }
-  double out = combine(acc0, acc1);
-  for (; i < n; ++i) out += a[i] * a[i];
-  return out;
-}
-
-__attribute__((target("avx2,fma"))) void fma_dist_sq2(const double* a0, const double* a1,
-                                                      const double* b, size_t n,
-                                                      double& out0, double& out1) {
-  __m256d p0 = _mm256_setzero_pd(), p1 = _mm256_setzero_pd();
-  __m256d q0 = _mm256_setzero_pd(), q1 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d b0 = _mm256_loadu_pd(b + i);
-    const __m256d b1 = _mm256_loadu_pd(b + i + 4);
-    const __m256d d00 = _mm256_sub_pd(_mm256_loadu_pd(a0 + i), b0);
-    const __m256d d01 = _mm256_sub_pd(_mm256_loadu_pd(a0 + i + 4), b1);
-    const __m256d d10 = _mm256_sub_pd(_mm256_loadu_pd(a1 + i), b0);
-    const __m256d d11 = _mm256_sub_pd(_mm256_loadu_pd(a1 + i + 4), b1);
-    p0 = _mm256_fmadd_pd(d00, d00, p0);
-    p1 = _mm256_fmadd_pd(d01, d01, p1);
-    q0 = _mm256_fmadd_pd(d10, d10, q0);
-    q1 = _mm256_fmadd_pd(d11, d11, q1);
-  }
-  double r0 = combine(p0, p1);
-  double r1 = combine(q0, q1);
-  for (; i < n; ++i) {
-    const double e0 = a0[i] - b[i];
-    const double e1 = a1[i] - b[i];
-    r0 += e0 * e0;
-    r1 += e1 * e1;
-  }
-  out0 = r0;
-  out1 = r1;
-}
-
 }  // namespace dpbyz::kernels::detail
 
 #else  // non-x86: probes report false, so these bodies are unreachable.
@@ -235,7 +149,6 @@ __attribute__((target("avx2,fma"))) void fma_dist_sq2(const double* a0, const do
 namespace dpbyz::kernels::detail {
 
 bool cpu_has_avx2() { return false; }
-bool cpu_has_avx2_fma() { return false; }
 
 double avx2_dist_sq(const double*, const double*, size_t) { return 0.0; }
 double avx2_dot(const double*, const double*, size_t) { return 0.0; }
@@ -244,13 +157,6 @@ void avx2_axpy(double*, double, const double*, size_t) {}
 void avx2_scale(double*, double, size_t) {}
 void avx2_dist_sq2(const double*, const double*, const double*, size_t, double& o0,
                    double& o1) {
-  o0 = o1 = 0.0;
-}
-double fma_dist_sq(const double*, const double*, size_t) { return 0.0; }
-double fma_dot(const double*, const double*, size_t) { return 0.0; }
-double fma_norm_sq(const double*, size_t) { return 0.0; }
-void fma_dist_sq2(const double*, const double*, const double*, size_t, double& o0,
-                  double& o1) {
   o0 = o1 = 0.0;
 }
 

@@ -1,8 +1,8 @@
 // kernels_isa.hpp — internal declarations for the ISA-specific kernel
 // backends (math/kernels_avx2.cpp).  Not part of the public kernel API:
 // callers go through the dispatching entry points in math/kernels.hpp,
-// which select a backend at startup from cpuid (or the DPBYZ_FAST_MATH
-// force-override) — see the dispatch model in kernels.hpp.
+// which select a backend at startup from cpuid — see the dispatch model
+// in kernels.hpp.
 #pragma once
 
 #include <cstddef>
@@ -12,7 +12,6 @@ namespace dpbyz::kernels::detail {
 /// cpuid probes.  Always false on non-x86 targets, where the portable
 /// unrolled8 backend is the only one available.
 bool cpu_has_avx2();
-bool cpu_has_avx2_fma();
 
 // AVX2 backend (no FMA): same lane split and combine order as the
 // portable unrolled8 backend, so the two agree bit-for-bit.
@@ -23,14 +22,5 @@ void avx2_axpy(double* a, double s, const double* b, size_t n);
 void avx2_scale(double* a, double s, size_t n);
 void avx2_dist_sq2(const double* a0, const double* a1, const double* b, size_t n,
                    double& out0, double& out1);
-
-// AVX2+FMA backend: reductions fuse multiply-add (widened error contract
-// in kernels.hpp); only the reductions differ — the elementwise kernels
-// stay on the non-fused AVX2 versions to preserve their bit-identity.
-double fma_dist_sq(const double* a, const double* b, size_t n);
-double fma_dot(const double* a, const double* b, size_t n);
-double fma_norm_sq(const double* a, size_t n);
-void fma_dist_sq2(const double* a0, const double* a1, const double* b, size_t n,
-                  double& out0, double& out1);
 
 }  // namespace dpbyz::kernels::detail

@@ -9,11 +9,11 @@
 // used, so callers get bit-identical results (each index is computed
 // exactly once and written to its own slot; which thread computes it is
 // irrelevant to the output).  The default grain of 1 is right for coarse
-// tasks (one seeded training run, one shard, one worker pipeline);
+// tasks (one seeded training run, one tree child, one worker pipeline);
 // kernels with tiny per-index bodies should pass a larger grain so they
 // don't pay one atomic fetch — and one cache-line ping — per element.
 //
-// Why a pool: the trainer and the sharded aggregator call into the
+// Why a pool: the trainer and the aggregation tree call into the
 // parallel layer every training step.  Per-call std::thread spawn costs
 // both wall-clock (clone + join per step) and heap allocations (thread
 // stacks, control blocks), which violates the step path's zero-alloc

@@ -11,6 +11,7 @@
 
 #include "campaign/checkpoint.hpp"
 #include "campaign/runner.hpp"
+#include "scratch_dir.hpp"
 
 namespace dpbyz::campaign {
 namespace {
@@ -29,7 +30,7 @@ void write_file(const std::string& path, const std::string& blob) {
 }
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "dpbyz_campaign_" + name;
+  const std::string dir = testing_support::scratch_dir() + "campaign_" + name;
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -152,7 +153,15 @@ TEST(CampaignGrid, ParsesTopologyAndParticipationAxes) {
   EXPECT_EQ(cells[2].topology, "tree:2x3");  // canonicalized from "2,3"
   EXPECT_EQ(cells[2].config.tree_levels, 2u);
   EXPECT_EQ(cells[2].config.tree_branch, 3u);
-  EXPECT_EQ(cells[1].config.shards, 3u);
+  // shards:S runs as the one-level tree and keeps the sharded wording
+  // in its skip reasons (mda cannot host f_shard = 2 in 3 rows).
+  EXPECT_EQ(cells[1].topology, "shards:3");
+  EXPECT_EQ(cells[1].config.tree_levels, 1u);
+  EXPECT_EQ(cells[1].config.tree_branch, 3u);
+  EXPECT_EQ(cells[1].skip_reason.rfind(
+                "ShardedAggregator: inner stage 'mda' at shard 0 (rows 3; f_shard 2", 0),
+            0u)
+      << cells[1].skip_reason;
   EXPECT_EQ(cells[3].config.participation, "iid");
   EXPECT_DOUBLE_EQ(cells[3].config.participation_prob, 0.8);
   EXPECT_EQ(cells[6].config.participation, "stragglers");

@@ -1,17 +1,21 @@
-// Tests for the recursive HierarchicalAggregator: L = 1 bit-identity
-// with ShardedAggregator (golden, incl. adversarial ties, threading and
-// the framed-but-ideal wire), recursive budget derivation, admissibility
-// failures naming the node path, resilience under concentrated Byzantine
-// rows, the config/trainer plumbing, and the lossy-channel properties —
+// Tests for the recursive HierarchicalAggregator: L = 1 outputs pinned
+// to the retired two-level sharded aggregator's (golden, incl.
+// adversarial ties), B = 1 bit-identity with the flat rules, threading
+// and the framed-but-ideal wire, child partition and recursive budget
+// derivation, admissibility failures naming the node path, resilience
+// under concentrated Byzantine rows, the size-weighted average merge,
+// the config/trainer plumbing, and the lossy-channel properties —
 // bit-reproducible runs, stats in RunResult, and the substitution budget.
 #include "aggregation/hierarchical.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 
-#include "aggregation/sharded.hpp"
 #include "core/experiment.hpp"
 #include "core/trainer.hpp"
 #include "math/gradient_batch.hpp"
@@ -38,33 +42,81 @@ Vector aggregate_with(const Aggregator& agg, const GradientBatch& batch) {
   return Vector(view.begin(), view.end());
 }
 
-// ---- L = 1 golden: one level IS the sharded aggregator ---------------------
+/// 64-bit FNV-1a over the bit patterns of `v` — the golden pins below.
+uint64_t bits_digest(std::span<const double> v) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double x : v) {
+    const uint64_t bits = std::bit_cast<uint64_t>(x);
+    for (int k = 0; k < 8; ++k) {
+      h ^= (bits >> (8 * k)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// ---- L = 1 golden: one level is the two-level sharded topology -------------
+// The pins are digests of the outputs of the two-level ShardedAggregator
+// (S = 3) this tree replaced, recorded before its removal; the L = 1 tree
+// was golden-tested bit-identical to it on these exact inputs.
 
 TEST(HierarchicalGolden, L1BitIdenticalToShardedForEveryRule) {
   // n = 21 over B = 3 gives 7-row leaves at f_child = ceil(2/3) = 1 —
   // admissible for every registered rule incl. bulyan (4f + 3 = 7).
+  const std::map<std::string, uint64_t> sharded_pins{
+      {"average", 0x986cfb1e455883adULL},      {"krum", 0x908abd8a47719b6fULL},
+      {"multi-krum", 0x5701beb11185de87ULL},   {"mda", 0x7417d6d76ae5d98dULL},
+      {"mda_greedy", 0x7417d6d76ae5d98dULL},   {"median", 0x792e4cdfb324cd37ULL},
+      {"trimmed-mean", 0x80852b8ed0130157ULL}, {"bulyan", 0x16d31948791219b5ULL},
+      {"meamed", 0x003289abd0cd197dULL},       {"phocas", 0x01d55ea69ea75badULL},
+      {"cge", 0x7b96d16cad3af2b8ULL},          {"geometric-median", 0x1375e068ac49d56bULL}};
   const size_t n = 21, f = 2, d = 29;
   const GradientBatch batch = honest_batch(n, d, 7);
+  ASSERT_EQ(sharded_pins.size(), aggregator_names().size());
   for (const std::string& gar : aggregator_names()) {
     const HierarchicalAggregator tree(gar, "median", n, f, /*levels=*/1, /*branch=*/3);
-    const ShardedAggregator sharded(gar, "median", n, f, /*shards=*/3);
-    EXPECT_EQ(aggregate_with(tree, batch), aggregate_with(sharded, batch))
-        << "L=1 tree " << gar << " diverged from the sharded path";
+    EXPECT_EQ(bits_digest(aggregate_with(tree, batch)), sharded_pins.at(gar))
+        << "L=1 tree " << gar << " diverged from the pinned sharded output";
   }
 }
 
 TEST(HierarchicalGolden, L1BitIdenticalOnAdversarialDuplicates) {
   // Colluding adversary: f identical extreme rows, the tie-heavy shape
   // that exposes any ordering difference between the two paths.
+  const std::map<std::string, uint64_t> sharded_pins{
+      {"average", 0xc59ebcc0a51bbb0bULL},      {"krum", 0xa4682a55e10ccc74ULL},
+      {"multi-krum", 0x0d862aeadb30f300ULL},   {"mda", 0xc7a928678f66a604ULL},
+      {"mda_greedy", 0xc7a928678f66a604ULL},   {"median", 0x4beec95677959b36ULL},
+      {"trimmed-mean", 0xaf242cf8d057fe52ULL}, {"bulyan", 0xaa89096c6d7e30efULL},
+      {"meamed", 0x83d4b02546b32c4dULL},       {"phocas", 0x9d2aae9aa72db5a7ULL},
+      {"cge", 0xc622b32cc4cc0f58ULL},          {"geometric-median", 0xfcce220d2c78f1b8ULL}};
   const size_t n = 21, f = 2, d = 13;
   GradientBatch batch = honest_batch(n, d, 9);
   for (size_t i = n - f; i < n; ++i) {
     for (size_t c = 0; c < d; ++c) batch.row(i)[c] = 1e3;
   }
+  ASSERT_EQ(sharded_pins.size(), aggregator_names().size());
   for (const std::string& gar : aggregator_names()) {
     const HierarchicalAggregator tree(gar, "median", n, f, 1, 3);
-    const ShardedAggregator sharded(gar, "median", n, f, 3);
-    EXPECT_EQ(aggregate_with(tree, batch), aggregate_with(sharded, batch)) << gar;
+    EXPECT_EQ(bits_digest(aggregate_with(tree, batch)), sharded_pins.at(gar)) << gar;
+  }
+}
+
+TEST(HierarchicalGolden, B1BitIdenticalToFlat) {
+  // One child is the whole batch and the median of one row is that row:
+  // the degenerate tree must reproduce the flat rule exactly, on random
+  // and on tie-heavy adversarial inputs.
+  const size_t n = 11, f = 2;
+  GradientBatch random = honest_batch(n, 33, 7);
+  GradientBatch duplicates = honest_batch(n, 17, 9);
+  for (size_t i = n - f; i < n; ++i) {
+    for (size_t c = 0; c < 17; ++c) duplicates.row(i)[c] = 1e3;
+  }
+  for (const std::string& gar : aggregator_names()) {
+    const HierarchicalAggregator tree(gar, "median", n, f, /*levels=*/1, /*branch=*/1);
+    const auto flat = make_aggregator(gar, n, f);
+    EXPECT_EQ(aggregate_with(tree, random), aggregate_with(*flat, random)) << gar;
+    EXPECT_EQ(aggregate_with(tree, duplicates), aggregate_with(*flat, duplicates)) << gar;
   }
 }
 
@@ -88,7 +140,7 @@ TEST(HierarchicalGolden, ThreadedDispatchMatchesSerialBitForBit) {
 TEST(HierarchicalGolden, IdealFramedLinkStaysBitIdentical) {
   // raw64 frames over a fault-free channel: every edge encodes, ships
   // and reassembles byte-exactly, so the framed tree must equal the
-  // in-memory tree (and hence the sharded path) bit for bit.
+  // in-memory tree (and hence the sharded pins above) bit for bit.
   const size_t n = 21, f = 2, d = 23;
   const GradientBatch batch = honest_batch(n, d, 15);
   const net::LinkConfig link;  // raw64, no faults
@@ -150,6 +202,50 @@ TEST(Hierarchical, BudgetRecursesTheStageBoundPerLevel) {
   EXPECT_EQ(sub->child(0).f(), 1u);
 }
 
+TEST(Hierarchical, OneLevelSplitsUnevenRowsAndBudgetsTheWorstCase) {
+  // n = 13 over B = 4 gives child sizes 3/3/3/4: contiguous, in order,
+  // never empty, sizes within one.
+  const HierarchicalAggregator uneven("median", "median", 13, 1, 1, 4);
+  size_t expected_lo = 0, min_size = 13, max_size = 0;
+  for (size_t b = 0; b < uneven.branch(); ++b) {
+    const auto [lo, hi] = uneven.child_range(b);
+    EXPECT_EQ(lo, expected_lo);
+    EXPECT_LT(lo, hi);
+    min_size = std::min(min_size, hi - lo);
+    max_size = std::max(max_size, hi - lo);
+    expected_lo = hi;
+  }
+  EXPECT_EQ(expected_lo, 13u);
+  EXPECT_LE(max_size - min_size, 1u);
+
+  // f = 5 over B = 4: each child provisions ceil(5/4) = 2; overwhelming a
+  // child costs 3 of the adversary's 5 rows, so at most 1 child falls.
+  const HierarchicalAggregator tree("median", "median", 20, 5, 1, 4);
+  EXPECT_EQ(tree.child_f(), 2u);
+  EXPECT_EQ(tree.merge_f(), 1u);
+  EXPECT_EQ(tree.child(0).f(), 2u);
+  EXPECT_EQ(tree.merge_rule().n(), 4u);
+  EXPECT_EQ(tree.merge_rule().f(), 1u);
+  EXPECT_EQ(tree.name(), "tree(median/median,L=1,B=4)");
+
+  // The worst-case bound floor(f / (child_f + 1)) at other (f, B).
+  EXPECT_EQ(HierarchicalAggregator("average", "average", 12, 6, 1, 6).merge_f(), 3u);
+  EXPECT_EQ(HierarchicalAggregator("average", "average", 12, 2, 1, 4).merge_f(), 1u);
+  // f = 0 propagates zeros through both stages.
+  const HierarchicalAggregator clean("average", "median", 8, 0, 1, 4);
+  EXPECT_EQ(clean.child_f(), 0u);
+  EXPECT_EQ(clean.merge_f(), 0u);
+}
+
+TEST(Hierarchical, InadmissibleMergeStageThrows) {
+  // f = 2 over B = 2 gives child_f = 1, merge_f = 1, and median needs
+  // B >= 2 merge_f + 1 = 3 — the documented worst-case price of small
+  // B, not a bug.  The same f over B = 3 is fine.
+  EXPECT_THROW(HierarchicalAggregator("median", "median", 12, 2, 1, 2),
+               std::invalid_argument);
+  EXPECT_NO_THROW(HierarchicalAggregator("median", "median", 12, 2, 1, 3));
+}
+
 TEST(Hierarchical, InadmissibleLevelNamesTheNodePathAndBudget)
 {
   // n = 12, f = 2, L = 2, B = 2: the root's children are (6, 1) trees
@@ -209,6 +305,105 @@ TEST(HierarchicalResilience, UpperMergeAbsorbsAnOverwhelmedLeaf) {
   }
 }
 
+TEST(HierarchicalResilience, MergeAbsorbsAFullyCorruptedChild) {
+  // n = 16, L = 1, B = 4, f = 2 with BOTH Byzantine rows in child 0: the
+  // child has 4 rows, 2 of them poisoned, which exceeds its f_child = 1
+  // budget — its median (average of the two middle values) is provably
+  // dragged out of the honest range.  The merge median over the 4 child
+  // aggregates at f_merge = 1 must absorb that corrupted value.
+  const size_t n = 16, d = 8, f = 2;
+  GradientBatch batch = honest_batch(n, d, 19);
+  for (size_t i = 0; i < f; ++i) {
+    for (size_t c = 0; c < d; ++c) batch.row(i)[c] = 1e6;
+  }
+  Vector lo(d, 1e18), hi(d, -1e18);
+  for (size_t i = f; i < n; ++i) {
+    for (size_t c = 0; c < d; ++c) {
+      lo[c] = std::min(lo[c], batch.row(i)[c]);
+      hi[c] = std::max(hi[c], batch.row(i)[c]);
+    }
+  }
+
+  const HierarchicalAggregator tree("median", "median", n, f, 1, 4);
+  ASSERT_EQ(tree.child_f(), 1u);
+  ASSERT_EQ(tree.merge_f(), 1u);
+  const auto [lo0, hi0] = tree.child_range(0);
+  const Vector child0 = aggregate_with(tree.child(0), batch.view(lo0, hi0));
+  EXPECT_GT(child0[0], hi[0]) << "child 0 should have escaped the honest envelope";
+
+  const Vector out = aggregate_with(tree, batch);
+  for (size_t c = 0; c < d; ++c) {
+    ASSERT_GE(out[c], lo[c]) << "coordinate " << c;
+    ASSERT_LE(out[c], hi[c]) << "coordinate " << c;
+  }
+}
+
+TEST(HierarchicalResilience, ByzantineRowsConcentratedOrSpreadStayInsideTheEnvelope) {
+  // n = 24, L = 1, B = 4, f = 2: f_child = 1, f_merge = 1.  Concentrated:
+  // both Byzantine rows in child 0, exceeding its budget, for three
+  // leaf rules.  Spread: one row in child 0 and one in child 2, each
+  // within budget.  Either way the output stays in the honest envelope.
+  const size_t n = 24, d = 16, f = 2;
+  auto expect_inside = [&](const GradientBatch& batch, const Vector& out,
+                           std::initializer_list<size_t> byz, const char* what) {
+    for (size_t c = 0; c < d; ++c) {
+      double lo = 1e18, hi = -1e18;
+      for (size_t i = 0; i < n; ++i) {
+        if (std::find(byz.begin(), byz.end(), i) != byz.end()) continue;
+        lo = std::min(lo, batch.row(i)[c]);
+        hi = std::max(hi, batch.row(i)[c]);
+      }
+      ASSERT_GE(out[c], lo) << what << " coordinate " << c;
+      ASSERT_LE(out[c], hi) << what << " coordinate " << c;
+    }
+  };
+
+  GradientBatch concentrated = honest_batch(n, d, 21);
+  for (size_t i = 0; i < f; ++i) {
+    for (size_t c = 0; c < d; ++c) concentrated.row(i)[c] = 1e6;
+  }
+  for (const char* inner : {"krum", "median", "mda"}) {
+    const HierarchicalAggregator tree(inner, "median", n, f, 1, 4);
+    expect_inside(concentrated, aggregate_with(tree, concentrated), {0, 1}, inner);
+  }
+
+  GradientBatch spread = honest_batch(n, d, 22);
+  for (const size_t i : {3, 14}) {  // child 0 holds rows 0-5, child 2 rows 12-17
+    for (size_t c = 0; c < d; ++c) spread.row(i)[c] = -1e6;
+  }
+  const HierarchicalAggregator tree("median", "median", n, f, 1, 4);
+  expect_inside(spread, aggregate_with(tree, spread), {3, 14}, "spread");
+}
+
+TEST(HierarchicalWeightedMerge, ExactlyRepresentableInputsAreBitEqualToFlat) {
+  // Child-constant rows with power-of-two-friendly values make every
+  // intermediate exact, so the weighted merge must equal the flat
+  // average bit for bit — and expose an equal-weight merge, whose result
+  // (the mean of child means) differs in the first decimal.
+  const size_t n = 5, d = 3;
+  GradientBatch batch(n, d);
+  for (size_t c = 0; c < d; ++c) {
+    for (size_t i = 0; i < 2; ++i) batch.row(i)[c] = 1.0;  // child 0: rows 0-1
+    for (size_t i = 2; i < n; ++i) batch.row(i)[c] = 0.0;  // child 1: rows 2-4
+  }
+  const HierarchicalAggregator tree("average", "average", n, 0, 1, 2);
+  EXPECT_TRUE(tree.weighted_merge());
+  const Vector got = aggregate_with(tree, batch);
+  const auto flat = make_aggregator("average", n, 0);
+  EXPECT_EQ(got, aggregate_with(*flat, batch));  // (2*1 + 3*0)/5 = 0.4
+  EXPECT_EQ(got[0], 0.4);
+  EXPECT_NE(got[0], 0.5);  // the equal-weight (1 + 0)/2
+}
+
+TEST(HierarchicalWeightedMerge, ThreadedDispatchStaysBitIdentical) {
+  const size_t n = 22, d = 32;
+  const GradientBatch batch = honest_batch(n, d, 41);
+  const HierarchicalAggregator serial("average", "average", n, 0, 1, 4, /*threads=*/1);
+  const HierarchicalAggregator threaded("average", "average", n, 0, 1, 4, /*threads=*/4);
+  EXPECT_TRUE(serial.weighted_merge());
+  EXPECT_EQ(aggregate_with(serial, batch), aggregate_with(threaded, batch));
+}
+
 TEST(HierarchicalWeightedMerge, UnevenSubtreesTrackTheFlatAverage) {
   // n = 10 over L = 2, B = 3: root children of 3/3/4 rows, the last
   // with uneven leaves of its own.  The subtree-size weighting composes
@@ -227,6 +422,8 @@ TEST(HierarchicalWeightedMerge, UnevenSubtreesTrackTheFlatAverage) {
 TEST(HierarchicalWeightedMerge, EvenSplitsKeepThePlainMergePath) {
   const HierarchicalAggregator even("average", "average", 12, 0, 1, 3);
   EXPECT_FALSE(even.weighted_merge());
+  const HierarchicalAggregator single("average", "average", 12, 0, 1, 1);
+  EXPECT_FALSE(single.weighted_merge());
   // Robust merges are never weighted, uneven subtrees or not.
   const HierarchicalAggregator robust("median", "median", 13, 1, 1, 4);
   EXPECT_FALSE(robust.weighted_merge());
@@ -241,10 +438,6 @@ TEST(HierarchicalConfig, ValidateAndLabelCoverTheTreeKnobs) {
   c.tree_branch = 2;
   EXPECT_NO_THROW(c.validate());
   EXPECT_NE(c.label().find("+tree(L2,B2)"), std::string::npos);
-
-  c.shards = 3;  // mutually exclusive with the tree
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-  c.shards = 1;
 
   c.wire = "nope";
   EXPECT_THROW(c.validate(), std::invalid_argument);
@@ -279,8 +472,9 @@ TEST(HierarchicalConfig, ValidateAndLabelCoverTheTreeKnobs) {
 
 TEST(HierarchicalConfig, TrainerTreeL1MatchesShardedRunExactly) {
   // The trainer-level restatement of the L = 1 golden: a tree with
-  // (L = 1, B = 3) must reproduce the shards = 3 run bit for bit — same
-  // topology, same budgets, all randomness seed-derived.
+  // (L = 1, B = 3) must reproduce the pinned run of the retired
+  // shards = 3 knob bit for bit — same topology, same budgets, all
+  // randomness seed-derived.
   BlobsConfig bc;
   bc.num_samples = 200;
   bc.num_features = 6;
@@ -301,13 +495,12 @@ TEST(HierarchicalConfig, TrainerTreeL1MatchesShardedRunExactly) {
   ExperimentConfig tree = config;
   tree.tree_levels = 1;
   tree.tree_branch = 3;
-  ExperimentConfig sharded = config;
-  sharded.shards = 3;
 
   const RunResult tree_run = Trainer(tree, model, data, data).run();
-  const RunResult sharded_run = Trainer(sharded, model, data, data).run();
-  EXPECT_EQ(tree_run.final_parameters, sharded_run.final_parameters);
-  EXPECT_EQ(tree_run.train_loss, sharded_run.train_loss);
+  ASSERT_EQ(tree_run.final_parameters.size(), 7u);
+  ASSERT_EQ(tree_run.train_loss.size(), 25u);
+  EXPECT_EQ(bits_digest(tree_run.final_parameters), 0xe142541a589c909cULL);
+  EXPECT_EQ(bits_digest(tree_run.train_loss), 0x3d3b8b354fd56f5dULL);
   EXPECT_TRUE(std::isfinite(tree_run.final_train_loss));
   // No wire configured: the channel counters stay all-zero.
   EXPECT_TRUE(tree_run.channel == net::ChannelStats{});

@@ -250,11 +250,9 @@ class BackendScope {
 
 TEST(MathKernels, RuntimeBackendIsResolvedAndNamed) {
   // One binary, backend picked by cpuid at startup: the resolved kind is
-  // one the host supports, never the opt-in-only FMA backend, and the
-  // provenance string matches the kind.
+  // one the host supports, and the provenance string matches the kind.
   const kernels::FastBackend kind = kernels::fast_backend_kind();
   EXPECT_TRUE(kernels::backend_supported(kind));
-  EXPECT_NE(kind, kernels::FastBackend::kAvx2Fma);
   EXPECT_TRUE(kernels::backend_supported(kernels::FastBackend::kUnrolled8));
   const std::string name = kernels::fast_backend();
   if (kind == kernels::FastBackend::kUnrolled8) {
@@ -267,8 +265,7 @@ TEST(MathKernels, RuntimeBackendIsResolvedAndNamed) {
 TEST(MathKernels, SetFastBackendSelectsOrThrows) {
   const kernels::FastBackend prev = kernels::fast_backend_kind();
   for (kernels::FastBackend b :
-       {kernels::FastBackend::kUnrolled8, kernels::FastBackend::kAvx2,
-        kernels::FastBackend::kAvx2Fma}) {
+       {kernels::FastBackend::kUnrolled8, kernels::FastBackend::kAvx2}) {
     if (kernels::backend_supported(b)) {
       kernels::set_fast_backend(b);
       EXPECT_EQ(kernels::fast_backend_kind(), b);
@@ -324,8 +321,7 @@ TEST(MathKernels, DualRowScalarKernelBitIdenticalToScalarDistSq) {
 
 TEST(MathKernels, DualRowFastKernelBitIdenticalPerOutputOnEveryBackend) {
   for (kernels::FastBackend backend :
-       {kernels::FastBackend::kUnrolled8, kernels::FastBackend::kAvx2,
-        kernels::FastBackend::kAvx2Fma}) {
+       {kernels::FastBackend::kUnrolled8, kernels::FastBackend::kAvx2}) {
     if (!kernels::backend_supported(backend)) continue;
     BackendScope scope(backend);
     for (size_t d : {1u, 7u, 8u, 9u, 16u, 64u, 1000u, 1003u, 4097u}) {
@@ -345,64 +341,6 @@ TEST(MathKernels, DualRowFastKernelBitIdenticalPerOutputOnEveryBackend) {
       EXPECT_EQ(out0, kernels::dist_sq_fast(aa.data(), b.data(), d));
       EXPECT_EQ(out1, kernels::dist_sq_fast(ab.data(), b.data(), d));
     }
-  }
-}
-
-// ---- FMA variants (widened 3*d*eps contract, opt-in only) ------------------
-
-double fma_bound(size_t d, double term_mag_sum) {
-  return 3.0 * static_cast<double>(d) * kMachineEps * term_mag_sum;
-}
-
-TEST(MathKernels, FmaReductionsWithinWidenedBound) {
-  if (!kernels::backend_supported(kernels::FastBackend::kAvx2Fma))
-    GTEST_SKIP() << "host has no FMA";
-  BackendScope scope(kernels::FastBackend::kAvx2Fma);
-  for (size_t d : {8u, 9u, 64u, 1000u, 4097u}) {
-    const Vector a = random_vector(d, 1700 + d);
-    const Vector b = random_vector(d, 1800 + d);
-    const double dist_scalar = vec::dist_sq(a, b);
-    const double dot_scalar = vec::dot(a, b);
-    const double norm_scalar = vec::norm_sq(a);
-    double abs_dot_terms = 0.0;
-    for (size_t i = 0; i < d; ++i) abs_dot_terms += std::abs(a[i] * b[i]);
-    EXPECT_LE(std::abs(kernels::dist_sq_fast(a.data(), b.data(), d) - dist_scalar),
-              fma_bound(d, dist_scalar));
-    EXPECT_LE(std::abs(kernels::norm_sq_fast(a.data(), d) - norm_scalar),
-              fma_bound(d, norm_scalar));
-    EXPECT_LE(std::abs(kernels::dot_fast(a.data(), b.data(), d) - dot_scalar),
-              fma_bound(d, abs_dot_terms));
-    // Adversarial cancellation under the widened bound.
-    const auto [aa, ab] = adversarial_pair(d, 1900 + d);
-    const double adv_scalar = vec::dist_sq(aa, ab);
-    EXPECT_LE(std::abs(kernels::dist_sq_fast(aa.data(), ab.data(), d) - adv_scalar),
-              fma_bound(d, adv_scalar));
-    // Deterministic: the fused kernels are still pure functions.
-    const double first = kernels::dist_sq_fast(a.data(), b.data(), d);
-    for (int r = 0; r < 5; ++r)
-      ASSERT_EQ(kernels::dist_sq_fast(a.data(), b.data(), d), first);
-  }
-}
-
-TEST(MathKernels, ElementwiseKernelsStayUnfusedUnderFmaBackend) {
-  if (!kernels::backend_supported(kernels::FastBackend::kAvx2Fma))
-    GTEST_SKIP() << "host has no FMA";
-  BackendScope scope(kernels::FastBackend::kAvx2Fma);
-  // axpy/scale keep the non-fused bodies under kAvx2Fma: bit-identity to
-  // the scalar loops is load-bearing (momentum/clipping trajectories).
-  for (size_t d : {8u, 1000u, 1003u}) {
-    const Vector base = random_vector(d, 2000 + d);
-    const Vector other = random_vector(d, 2100 + d);
-    Vector scalar_axpy = base;
-    vec::axpy_inplace(scalar_axpy, 1.5, other);
-    Vector fast_axpy = base;
-    kernels::axpy_fast(fast_axpy.data(), 1.5, other.data(), d);
-    EXPECT_EQ(scalar_axpy, fast_axpy);
-    Vector scalar_scale = base;
-    vec::scale_inplace(scalar_scale, -0.37);
-    Vector fast_scale = base;
-    kernels::scale_fast(fast_scale.data(), -0.37, d);
-    EXPECT_EQ(scalar_scale, fast_scale);
   }
 }
 

@@ -108,8 +108,9 @@ TEST(Membership, QuarantineIsTimeGatedAndTerminalStatesAbsorb) {
       if (ev.kind == ChurnEvent::Kind::kJoin) quarantined_since[ev.worker] = ev.epoch;
       // With reputation off, admission is purely time-based: never
       // before quarantine_epochs full epochs of auditing.
-      if (ev.kind == ChurnEvent::Kind::kAdmit)
+      if (ev.kind == ChurnEvent::Kind::kAdmit) {
         EXPECT_GE(ev.epoch - quarantined_since[ev.worker], c.quarantine_epochs);
+      }
     }
   }
   // Terminal states absorb: no event may name a worker that already

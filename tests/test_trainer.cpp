@@ -222,13 +222,15 @@ TEST(Trainer, ThreadedSubmissionBitIdenticalToSerial) {
 }
 
 TEST(Trainer, ThreadedShardedTrainerBitIdenticalToSerial) {
-  // threads drives both honest submission and the shard dispatch.
+  // threads drives both honest submission and the one-level tree's
+  // child dispatch (the sharded topology).
   SmallTask task;
   auto c = fast_config();
   c.num_workers = 12;
   c.num_byzantine = 2;
   c.gar = "median";
-  c.shards = 3;
+  c.tree_levels = 1;
+  c.tree_branch = 3;
   const RunResult serial = Trainer(c, task.model, task.train, task.test).run();
   c.threads = 3;
   const RunResult threaded = Trainer(c, task.model, task.train, task.test).run();

@@ -16,6 +16,7 @@
 #include "core/checkpoint.hpp"
 #include "core/experiment.hpp"
 #include "core/trainer.hpp"
+#include "scratch_dir.hpp"
 
 namespace dpbyz {
 namespace {
@@ -48,7 +49,7 @@ ExperimentConfig ckpt_config(const std::string& path) {
 }
 
 std::string temp_ckpt(const std::string& name) {
-  const std::string path = testing::TempDir() + "dpbyz_" + name + ".ckpt";
+  const std::string path = testing_support::scratch_dir() + name + ".ckpt";
   std::remove(path.c_str());
   return path;
 }

@@ -2,9 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <stdexcept>
 
+#include "scratch_dir.hpp"
 #include "utils/csv.hpp"
 #include "utils/flags.hpp"
 #include "utils/stopwatch.hpp"
@@ -42,7 +42,7 @@ TEST(Strings, Join) {
 }
 
 TEST(Csv, WriteThenReadRoundTrips) {
-  const std::string path = std::filesystem::temp_directory_path() / "dpbyz_csv_test.csv";
+  const std::string path = testing_support::scratch_dir() + "csv_test.csv";
   {
     csv::Writer w(path, {"a", "b"});
     w.row({1.0, 2.5});
@@ -58,7 +58,7 @@ TEST(Csv, WriteThenReadRoundTrips) {
 }
 
 TEST(Csv, ArityMismatchThrows) {
-  const std::string path = std::filesystem::temp_directory_path() / "dpbyz_csv_test2.csv";
+  const std::string path = testing_support::scratch_dir() + "csv_test2.csv";
   csv::Writer w(path, {"a", "b"});
   EXPECT_THROW(w.row({1.0}), std::invalid_argument);
   w.close();

@@ -8,7 +8,7 @@
 // produces byte-identical artifacts (see src/campaign/runner.hpp).
 //
 // Examples:
-//   dpbyz_campaign --gars=mda,krum --attacks=none,little,adaptive_alie \
+//   dpbyz_campaign --gars=mda,krum --attacks=none,little,adaptive_alie
 //       --eps=0,0.2 --steps=300 --seeds=3 --out=bench_out/campaign
 //   dpbyz_campaign --gars=krum --attacks=little --eps=0 --dry-run
 //   dpbyz_campaign ... --max-cells=2        # budgeted slice (CI resume leg)
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: dpbyz_campaign [--gars=a,b] [--attacks=none,little:1.5,adaptive_alie]\n"
           "  [--eps=0,0.2] [--participation=full,iid:0.9,stragglers:2x3]\n"
-          "  [--topologies=flat,shards:3,tree:2x3]\n"
+          "  [--topologies=flat,shards:3,tree:2x3]   (shards:S runs as tree:1xS)\n"
           "  [--channels=off,lossy:0.05x0.01x0.1] [--churn=off,epoch:50x0.5x0.1]\n"
           "  [--churn-seed=S] [--prune=off,exact] [--fast-math=0,1]\n"
           "  [--seeds=N] [--data-seed=S] [--steps=T] [--batch=b] [--workers=n]\n"
