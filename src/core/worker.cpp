@@ -38,8 +38,7 @@ void HonestWorker::submit_into(const Vector& w, std::span<double> out) {
   sampler_.next_into(batch_size_, sample_rng_, batch_);
   // Loss is evaluated on the same batch the gradient is computed on —
   // this is the per-step training loss series the paper plots.
-  last_batch_loss_ = model_.batch_loss(w, train_, batch_);
-  model_.batch_gradient_into(w, train_, batch_, last_clean_gradient_);
+  last_batch_loss_ = model_.batch_loss_gradient_into(w, train_, batch_, last_clean_gradient_);
   if (clip_) clip_l2_inplace(last_clean_gradient_, clip_norm_);
   if (momentum_ > 0.0) {
     // Worker-side exponential averaging over clipped gradients.  Note the

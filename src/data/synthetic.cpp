@@ -31,22 +31,28 @@ Dataset make_phishing_like(const PhishingLikeConfig& cfg, uint64_t seed) {
   check_internal(dir_norm_sq > 0.0, "make_phishing_like: degenerate direction");
   vec::scale_inplace(direction, 1.0 / std::sqrt(dir_norm_sq));
 
+  // Latent class means shift * direction, shift = +/- separation / 2.
+  Vector positive_mean(d), negative_mean(d);
+  for (size_t j = 0; j < d; ++j) {
+    positive_mean[j] = (0.5 * cfg.class_separation) * direction[j];
+    negative_mean[j] = (-0.5 * cfg.class_separation) * direction[j];
+  }
+
   Matrix x(cfg.num_samples, d);
   Vector y(cfg.num_samples);
   for (size_t i = 0; i < cfg.num_samples; ++i) {
     const bool positive = sampling.bernoulli(cfg.positive_fraction);
-    const double shift = (positive ? 0.5 : -0.5) * cfg.class_separation;
     y[i] = positive ? 1.0 : 0.0;
     auto row = x.row(i);
-    for (size_t j = 0; j < d; ++j) {
-      const double latent = shift * direction[j] + sampling.normal(0.0, cfg.noise_sigma);
+    sampling.add_normal(positive ? positive_mean : negative_mean, cfg.noise_sigma, row);
+    for (double& latent : row) {
       // Quantize to the {0, 0.5, 1} levels of the LIBSVM phishing encoding.
       if (latent < -0.43)
-        row[j] = 0.0;
+        latent = 0.0;
       else if (latent > 0.43)
-        row[j] = 1.0;
+        latent = 1.0;
       else
-        row[j] = 0.5;
+        latent = 0.5;
     }
   }
   return Dataset(std::move(x), std::move(y));
@@ -69,11 +75,7 @@ GaussianMeanData make_gaussian_mean(const GaussianMeanConfig& cfg, uint64_t seed
   // i.e. total gradient-noise variance sigma^2 as in the paper's proof.
   const double coord_sigma = cfg.sigma / std::sqrt(static_cast<double>(cfg.dim));
   Matrix x(cfg.num_samples, cfg.dim);
-  for (size_t i = 0; i < cfg.num_samples; ++i) {
-    auto row = x.row(i);
-    for (size_t j = 0; j < cfg.dim; ++j)
-      row[j] = mean[j] + sample_rng.normal(0.0, coord_sigma);
-  }
+  for (size_t i = 0; i < cfg.num_samples; ++i) sample_rng.add_normal(mean, coord_sigma, x.row(i));
   return {Dataset(std::move(x), Vector{}), std::move(mean)};
 }
 
@@ -88,15 +90,16 @@ Dataset make_blobs(const BlobsConfig& cfg, uint64_t seed) {
   check_internal(n > 0.0, "make_blobs: degenerate center");
   vec::scale_inplace(center, cfg.separation / (2.0 * n));
 
+  // The two blob means, +center and -center.
+  Vector negative_center(cfg.num_features);
+  for (size_t j = 0; j < cfg.num_features; ++j) negative_center[j] = -center[j];
+
   Matrix x(cfg.num_samples, cfg.num_features);
   Vector y(cfg.num_samples);
   for (size_t i = 0; i < cfg.num_samples; ++i) {
     const bool positive = sample_rng.bernoulli(0.5);
     y[i] = positive ? 1.0 : 0.0;
-    const double sign = positive ? 1.0 : -1.0;
-    auto row = x.row(i);
-    for (size_t j = 0; j < cfg.num_features; ++j)
-      row[j] = sign * center[j] + sample_rng.normal(0.0, cfg.sigma);
+    sample_rng.add_normal(positive ? center : negative_center, cfg.sigma, x.row(i));
   }
   return Dataset(std::move(x), std::move(y));
 }

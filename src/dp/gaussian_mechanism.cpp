@@ -36,8 +36,7 @@ void GaussianMechanism::perturb_into(std::span<const double> gradient, Rng& rng,
                                      std::span<double> out) const {
   require(out.size() == gradient.size(),
           "GaussianMechanism::perturb_into: dimension mismatch");
-  for (size_t i = 0; i < gradient.size(); ++i)
-    out[i] = gradient[i] + rng.normal(0.0, s_);
+  rng.add_normal(gradient, s_, out);
 }
 
 std::string GaussianMechanism::describe() const {

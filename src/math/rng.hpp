@@ -9,17 +9,62 @@
 // identical run — configs stay comparable pointwise.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
-#include <random>
+#include <span>
 #include <string>
 
 #include "math/vector_ops.hpp"
 
 namespace dpbyz {
 
-/// Deterministic RNG wrapper around std::mt19937_64 with hierarchical
-/// seed derivation.
+/// The 64-bit Mersenne Twister, output-for-output identical to
+/// std::mt19937_64: the same seeding, twist and tempering, and the same
+/// decimal text from operator<< / operator>> (312 words, then the index),
+/// so checkpoints written with either engine load into the other.  Unlike
+/// the std engine its state is visible: Rng::add_normal's kernel tempers
+/// the untwisted words of the current block in bulk and then advances
+/// `index` by exactly the words it consumed.
+struct Mt64 {
+  using result_type = uint64_t;
+  static constexpr size_t kStateWords = 312;
+
+  explicit Mt64(uint64_t seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (index >= kStateWords) twist();
+    return temper(state[index++]);
+  }
+
+  /// The output transform applied to one state word.
+  static uint64_t temper(uint64_t z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  /// Regenerate all kStateWords words and reset the index to 0.
+  void twist();
+
+  bool operator==(const Mt64&) const = default;
+
+  uint64_t state[kStateWords];
+  /// Next word to hand out; kStateWords means "twist first".
+  size_t index;
+};
+
+/// std::mt19937_64's text format.  Reading an index above kStateWords
+/// (which the block kernel would walk past the state array with) sets
+/// failbit, like a truncated state does.
+std::ostream& operator<<(std::ostream& os, const Mt64& engine);
+std::istream& operator>>(std::istream& is, Mt64& engine);
+
+/// Deterministic RNG over Mt64 with hierarchical seed derivation.
 class Rng {
  public:
   /// Construct from a raw 64-bit seed.
@@ -66,6 +111,13 @@ class Rng {
   /// attack forges rows in place through this).
   void normal_fill(std::span<double> out, double stddev);
 
+  /// out[i] = base[i] + normal(0, stddev) for every i, bit for bit and
+  /// engine word for engine word the same as that per-coordinate loop
+  /// (one fresh polar-method draw per coordinate, the pair's second
+  /// normal discarded), but computed by a block kernel: the DP Gaussian
+  /// mechanism and the dataset generators.  `out` may alias `base`.
+  void add_normal(std::span<const double> base, double stddev, std::span<double> out);
+
   /// Vector of iid Laplace(0, scale) entries.
   Vector laplace_vector(size_t d, double scale);
 
@@ -73,22 +125,53 @@ class Rng {
   std::vector<size_t> permutation(size_t n);
 
   /// The underlying engine, for std <random> distributions in user code.
-  std::mt19937_64& engine() { return engine_; }
+  Mt64& engine() { return engine_; }
 
   uint64_t seed() const { return seed_; }
 
   /// Checkpoint round trip.  An Rng's observable state is exactly
   /// (seed_, engine_): every distribution is constructed fresh per draw,
-  /// so serialising the engine via its operator<< (a portable decimal
-  /// rendering of the Mersenne state, mandated by the standard) restores
-  /// the stream draw-for-draw.
+  /// so serialising the engine via its operator<< (the standard's decimal
+  /// rendering of the Mersenne state) restores the stream draw-for-draw.
+  /// load() throws "Rng: corrupt checkpoint state" on a wrong tag, a
+  /// truncated state or an out-of-range index, and leaves *this unchanged.
   void save(std::ostream& os) const;
   void load(std::istream& is);
 
  private:
   uint64_t seed_;
-  std::mt19937_64 engine_;
+  Mt64 engine_;
 };
+
+namespace detail {
+
+/// std::generate_canonical<double, 53> of one engine word, bit for bit:
+/// (double(u >> 32) * 2^32 + double(u & 0xffffffff)) * 2^-64, clamped to
+/// the largest double below 1.  The two halves convert exactly through
+/// the 2^52 exponent trick, their sum rounds once (the same rounding as
+/// double(u)) and the power-of-two scale is exact.  The clamp works on
+/// the bit pattern: the value is at most 1.0, 1.0 is the only one whose
+/// exponent field reaches 0x3ff, and the largest double below 1 is its
+/// bit pattern minus one.  Only integer and IEEE add/mul operations, and
+/// no compare, so the kernel's loop over a block of words vectorizes.
+inline double canonical_from_word(uint64_t u) {
+  constexpr uint64_t kTwo52Bits = 0x4330000000000000ULL;
+  const double hi = std::bit_cast<double>((u >> 32) | kTwo52Bits) - 0x1p52;
+  const double lo = std::bit_cast<double>((u & 0xffffffffULL) | kTwo52Bits) - 0x1p52;
+  const uint64_t bits = std::bit_cast<uint64_t>((hi * 0x1p32 + lo) * 0x1p-64);
+  return std::bit_cast<double>(bits - (((bits >> 52) + 1) >> 10));
+}
+
+/// The two compilations of Rng::add_normal's kernel: the baseline ISA and
+/// AVX2 without FMA.  Rng::add_normal picks one by cpuid; both are
+/// exposed so tests can hold each to the per-coordinate loop.  On non-x86
+/// builds the AVX2 entry is the portable one.
+void add_normal_portable(Mt64& engine, std::span<const double> base, double stddev,
+                         std::span<double> out);
+void add_normal_avx2(Mt64& engine, std::span<const double> base, double stddev,
+                     std::span<double> out);
+
+}  // namespace detail
 
 /// splitmix64 mixing function (public-domain constant schedule); used for
 /// seed derivation so nearby seeds produce decorrelated streams.

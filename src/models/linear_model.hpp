@@ -35,6 +35,11 @@ class LinearModel final : public Model {
                            std::span<double> out) const override;
   double batch_loss(const Vector& w, const Dataset& data,
                     std::span<const size_t> batch) const override;
+  /// One pass: each sample's score z = w.x is computed once and feeds
+  /// both its loss term and its gradient term.
+  double batch_loss_gradient_into(const Vector& w, const Dataset& data,
+                                  std::span<const size_t> batch,
+                                  std::span<double> out) const override;
   double accuracy(const Vector& w, const Dataset& data) const override;
 
   /// Raw score z = w[0..f).x + w[f] for one sample.
@@ -44,6 +49,14 @@ class LinearModel final : public Model {
   double predict(const Vector& w, std::span<const double> x) const;
 
  private:
+  /// The shared pass behind batch_loss, batch_gradient_into and
+  /// batch_loss_gradient_into: returns the summed loss (when kLoss) and
+  /// accumulates the summed gradient into g (when kGrad), both in batch
+  /// order.
+  template <bool kLoss, bool kGrad>
+  double accumulate(const Vector& w, const Dataset& data, std::span<const size_t> batch,
+                    std::span<double> g) const;
+
   size_t num_features_;
   LinearLoss loss_;
 };

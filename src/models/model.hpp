@@ -43,6 +43,15 @@ class Model {
   virtual double batch_loss(const Vector& w, const Dataset& data,
                             std::span<const size_t> batch) const = 0;
 
+  /// batch_gradient_into and batch_loss in one call, returning the loss —
+  /// the worker's per-step pair.  Both results must be bit-identical to
+  /// the two separate calls.  The default makes exactly those calls;
+  /// models whose loss and gradient share per-sample work override it
+  /// with one pass.
+  virtual double batch_loss_gradient_into(const Vector& w, const Dataset& data,
+                                          std::span<const size_t> batch,
+                                          std::span<double> out) const;
+
   /// Mean loss over the entire dataset.
   double full_loss(const Vector& w, const Dataset& data) const;
 

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -20,6 +19,8 @@
 #include "core/trainer.hpp"
 #include "math/gradient_batch.hpp"
 #include "math/rng.hpp"
+
+#include "bits_digest.hpp"
 
 namespace dpbyz {
 namespace {
@@ -42,18 +43,7 @@ Vector aggregate_with(const Aggregator& agg, const GradientBatch& batch) {
   return Vector(view.begin(), view.end());
 }
 
-/// 64-bit FNV-1a over the bit patterns of `v` — the golden pins below.
-uint64_t bits_digest(std::span<const double> v) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const double x : v) {
-    const uint64_t bits = std::bit_cast<uint64_t>(x);
-    for (int k = 0; k < 8; ++k) {
-      h ^= (bits >> (8 * k)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
-}
+using testing_support::bits_digest;
 
 // ---- L = 1 golden: one level is the two-level sharded topology -------------
 // The pins are digests of the outputs of the two-level ShardedAggregator
@@ -622,6 +612,36 @@ TEST(HierarchicalChannel, Int8EdgesStayWithinTheQuantizationContract) {
   const double bound = max_child_inf / 254.0 + 1e-15;
   for (size_t c = 0; c < d; ++c)
     EXPECT_LE(std::abs(got[c] - want[c]), bound) << "coordinate " << c;
+}
+
+TEST(HierarchicalChannel, DpRunThroughAnInt8TreeReproducesThePinnedTheta) {
+  // d = 1001 with DP noise on every honest row, aggregated through
+  // tree(2, 8) over int8 edges: pins the noise stream, the quantizer and
+  // the tree merge together, at the dp_tree bench's shape.
+  BlobsConfig bc;
+  bc.num_samples = 120;
+  bc.num_features = 1000;
+  const Dataset data = make_blobs(bc, 21);
+  LinearModel model(1000, LinearLoss::kMseOnSigmoid);
+
+  ExperimentConfig config;
+  config.num_workers = 128;
+  config.num_byzantine = 0;
+  config.gar = "median";
+  config.shard_merge_gar = "median";
+  config.tree_levels = 2;
+  config.tree_branch = 8;
+  config.wire = "int8";
+  config.dp_enabled = true;
+  config.epsilon = 0.2;
+  config.batch_size = 10;
+  config.steps = 10;
+  config.eval_every = 10;
+
+  const RunResult run = Trainer(config, model, data, data).run();
+  ASSERT_EQ(run.final_parameters.size(), 1001u);
+  EXPECT_EQ(bits_digest(run.final_parameters), 0xf49d6ee5d24b8306ULL);
+  EXPECT_EQ(bits_digest(run.train_loss), 0xb8d104d2ee4cd490ULL);
 }
 
 }  // namespace

@@ -7,7 +7,10 @@
 #include "data/synthetic.hpp"
 #include "models/clipping.hpp"
 #include "models/linear_model.hpp"
+#include "models/mlp_model.hpp"
 #include "models/quadratic_model.hpp"
+
+#include "bits_digest.hpp"
 
 namespace dpbyz {
 namespace {
@@ -200,6 +203,99 @@ TEST(BatchGradientInto, RejectsWrongOutputDimension) {
   Vector wrong(m.dim() + 1);
   EXPECT_THROW(m.batch_gradient_into(Vector(m.dim(), 0.0), d, batch, wrong),
                std::invalid_argument);
+}
+
+// ---- one-pass loss + gradient ----------------------------------------------
+
+using testing_support::same_bits;
+
+/// Batches of 1..9 rows (every remainder of the four-sample blocks), with
+/// a repeated row, over a 43-row blob dataset (a partial last block for
+/// accuracy) with negative and zero weights.
+struct FusedCase {
+  Dataset data;
+  Vector w;
+  std::vector<std::vector<size_t>> batches;
+};
+
+FusedCase fused_case(size_t features) {
+  BlobsConfig cfg;
+  cfg.num_samples = 43;
+  cfg.num_features = features;
+  FusedCase c{make_blobs(cfg, 17), Vector(features + 1), {}};
+  for (size_t j = 0; j <= features; ++j)
+    c.w[j] = (j % 3 == 0) ? 0.0 : 0.37 * std::sin(static_cast<double>(j) + 1.0);
+  for (size_t b = 1; b <= 9; ++b) {
+    std::vector<size_t> batch;
+    for (size_t k = 0; k < b; ++k) batch.push_back((7 * k + b) % cfg.num_samples);
+    if (b > 2) batch[b - 1] = batch[0];
+    c.batches.push_back(batch);
+  }
+  return c;
+}
+
+TEST(BatchLossGradient, LinearOnePassEqualsSeparateCallsForEveryLoss) {
+  const FusedCase c = fused_case(13);
+  for (LinearLoss loss :
+       {LinearLoss::kMseOnSigmoid, LinearLoss::kLeastSquares, LinearLoss::kLogistic}) {
+    const LinearModel m(13, loss);
+    for (const auto& batch : c.batches) {
+      Vector fused(m.dim(), 99.0);
+      const double fused_loss = m.batch_loss_gradient_into(c.w, c.data, batch, fused);
+      EXPECT_TRUE(same_bits(fused_loss, m.batch_loss(c.w, c.data, batch)))
+          << to_string(loss) << " b = " << batch.size();
+      EXPECT_TRUE(same_bits(fused, m.batch_gradient(c.w, c.data, batch)))
+          << to_string(loss) << " b = " << batch.size();
+    }
+  }
+}
+
+TEST(BatchLossGradient, LinearPassesKeepThePerSampleChains) {
+  // The four-wide score blocks must reproduce the per-sample formulas
+  // built on score(): one chain per sample, loss and gradient terms added
+  // in batch order.
+  const FusedCase c = fused_case(13);
+  const LinearModel m(13, LinearLoss::kMseOnSigmoid);
+  for (const auto& batch : c.batches) {
+    double loss = 0.0;
+    Vector grad(m.dim(), 0.0);
+    for (size_t i : batch) {
+      const double p = sigmoid(m.score(c.w, c.data.x(i)));
+      const double y = c.data.y(i);
+      loss += (p - y) * (p - y);
+      const double dz = 2.0 * (p - y) * p * (1.0 - p);
+      for (size_t j = 0; j < 13; ++j) grad[j] += dz * c.data.x(i)[j];
+      grad[13] += dz;
+    }
+    const double b = static_cast<double>(batch.size());
+    for (double& g : grad) g *= 1.0 / b;
+    Vector fused(m.dim());
+    EXPECT_TRUE(same_bits(m.batch_loss_gradient_into(c.w, c.data, batch, fused), loss / b));
+    EXPECT_TRUE(same_bits(fused, grad)) << "b = " << batch.size();
+  }
+  size_t correct = 0;
+  for (size_t i = 0; i < c.data.size(); ++i)
+    correct += (m.score(c.w, c.data.x(i)) > 0.0) == (c.data.y(i) > 0.5);
+  EXPECT_EQ(m.accuracy(c.w, c.data),
+            static_cast<double>(correct) / static_cast<double>(c.data.size()));
+}
+
+TEST(BatchLossGradient, DefaultPathEqualsSeparateCallsForMlpAndQuadratic) {
+  const FusedCase c = fused_case(5);
+  const MlpModel mlp(5, 4, 3);
+  const Vector mlp_w = mlp.initial_parameters();
+  const QuadraticModel quad(5, Vector(5, 0.25));
+  const Vector quad_w{0.5, -1.0, 0.0, 2.0, -0.125};
+  for (const auto& batch : c.batches) {
+    Vector fused(mlp.dim(), 99.0);
+    EXPECT_TRUE(same_bits(mlp.batch_loss_gradient_into(mlp_w, c.data, batch, fused),
+                          mlp.batch_loss(mlp_w, c.data, batch)));
+    EXPECT_TRUE(same_bits(fused, mlp.batch_gradient(mlp_w, c.data, batch)));
+    Vector qfused(quad.dim(), 99.0);
+    EXPECT_TRUE(same_bits(quad.batch_loss_gradient_into(quad_w, c.data, batch, qfused),
+                          quad.batch_loss(quad_w, c.data, batch)));
+    EXPECT_TRUE(same_bits(qfused, quad.batch_gradient(quad_w, c.data, batch)));
+  }
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include "math/statistics.hpp"
 
+#include "bits_digest.hpp"
+
 namespace dpbyz {
 namespace {
 
@@ -120,6 +122,42 @@ TEST(Generators, RejectEmptyShapes) {
   BlobsConfig b;
   b.num_features = 0;
   EXPECT_THROW(make_blobs(b, 1), std::invalid_argument);
+}
+
+// ---- golden pins: every generator's output bits at two seeds --------------
+// Digests of the features, then the labels (or the mean), recorded before
+// the generators moved onto Rng::add_normal.
+
+using testing_support::bits_digest;
+
+uint64_t dataset_digest(const Dataset& d) {
+  return bits_digest(d.labels(), bits_digest(d.features().data()));
+}
+
+TEST(SyntheticGolden, BlobsReproduceThePinnedBits) {
+  BlobsConfig cfg;
+  cfg.num_samples = 37;
+  cfg.num_features = 11;
+  EXPECT_EQ(dataset_digest(make_blobs(cfg, 3)), 0x65f0f28664e9a153ULL);
+  EXPECT_EQ(dataset_digest(make_blobs(cfg, 2024)), 0x41ddcbe4245ae33bULL);
+}
+
+TEST(SyntheticGolden, PhishingLikeReproducesThePinnedBits) {
+  PhishingLikeConfig cfg;
+  cfg.num_samples = 41;
+  cfg.num_features = 23;
+  EXPECT_EQ(dataset_digest(make_phishing_like(cfg, 3)), 0x06361bf968a971e5ULL);
+  EXPECT_EQ(dataset_digest(make_phishing_like(cfg, 2024)), 0x7d84af057dd2ec38ULL);
+}
+
+TEST(SyntheticGolden, GaussianMeanReproducesThePinnedBits) {
+  GaussianMeanConfig cfg;
+  cfg.num_samples = 29;
+  cfg.dim = 17;
+  const GaussianMeanData a = make_gaussian_mean(cfg, 3);
+  const GaussianMeanData b = make_gaussian_mean(cfg, 2024);
+  EXPECT_EQ(bits_digest(a.mean, bits_digest(a.data.features().data())), 0x79d36f0d3dd15363ULL);
+  EXPECT_EQ(bits_digest(b.mean, bits_digest(b.data.features().data())), 0xb1a10e5a29955334ULL);
 }
 
 }  // namespace
