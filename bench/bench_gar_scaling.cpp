@@ -53,20 +53,15 @@
 // JSON records which backend the binary *selected at runtime*
 // ("avx2" / "unrolled8").
 //
-// A sixth sweep measures distance pruning (aggregation/pruned_oracle.hpp)
+// A sixth sweep measures sketch distances (prune=approx, math/sketch.hpp)
 // per selection GAR at d = 1e4, n up to 1000 (n = 50 only under --fast):
-// prune=off vs prune=exact (krum and mda_greedy only — the other rules
-// run their off path under exact) vs prune=approx wall-clock, the pruned-pair
-// fraction (1 − exact_pairs/total_pairs, deterministic per generator
-// seed), steady-state allocations in both pruned modes, exact-mode
-// bit-identity against off, and the approx error envelope
-// (selection-disagreement fraction and aggregate relative L2 error vs
-// off) that docs/AGGREGATORS.md points at.  Geometry decides the win,
-// so the sweep measures both shapes honestly: the "lowdim" generator
-// (committee on a 1-D latent line through R^d plus tiny jitter — the
-// dominant-gradient-direction shape the bounds resolve) and an "iid"
-// isotropic control row whose near-zero fraction and sub-1 speedup are
-// the documented graceful-degradation case, not a regression.
+// prune=off vs prune=approx wall-clock, steady-state allocations in
+// approx mode, and the approx error envelope (selection-disagreement
+// fraction and aggregate relative L2 error vs off) that
+// docs/AGGREGATORS.md points at, on two geometries: "lowdim" (committee
+// on a 1-D latent line through R^d plus tiny jitter, the low-rank
+// extreme) and "trained" (honest minibatch gradients from
+// HonestWorker::submit_into, the rows a krum Trainer run aggregates).
 //
 // A seventh sweep measures the hierarchical aggregation tree and the
 // framed wire format (aggregation/hierarchical.hpp, src/net/): flat vs
@@ -97,9 +92,8 @@
 // 300), --check (exit nonzero on any correctness/allocation regression:
 // non-identical outputs, nonzero steady-state allocs, engine depth-0
 // drift, depth-k nondeterminism, fast-mode nondeterminism or an
-// out-of-bound fast-mode deviation, prune=exact drift from off, a
-// pruned-mode steady-state allocation, a collapsed lowdim krum
-// pruned-pair fraction, an L = 1 tree diverging from the pinned sharded
+// out-of-bound fast-mode deviation, a prune=approx steady-state
+// allocation, an L = 1 tree diverging from the pinned sharded
 // outputs or the framed tree from the in-memory one, a wire codec that allocates, fails the raw64
 // byte-exact round trip, passes a corrupted frame, breaks the int8
 // error contract, a churn-off trainer that allocates at steady state,
@@ -125,7 +119,6 @@
 #include "aggregation/aggregator.hpp"
 #include "aggregation/hierarchical.hpp"
 #include "aggregation/mda.hpp"
-#include "aggregation/pruned_oracle.hpp"
 #include "aggregation/reference_gars.hpp"
 #include "net/frame.hpp"
 #include "net/transport.hpp"
@@ -135,6 +128,7 @@
 #include "core/worker.hpp"
 #include "data/synthetic.hpp"
 #include "dp/gaussian_mechanism.hpp"
+#include "dp/mechanism.hpp"
 #include "math/gradient_batch.hpp"
 #include "math/kernels.hpp"
 #include "math/rng.hpp"
@@ -228,10 +222,7 @@ size_t pick_f(const std::string& gar, size_t n) {
 /// live on a 1-D latent line through R^d (z ~ N(0, 1) along a fixed unit
 /// direction) plus tiny isotropic jitter (sigma = 1e-4, so the batch is
 /// *near* rank-1, not degenerate), and the f Byzantine rows sit far out
-/// along the same line (z = 50 + i).  This is the dominant-gradient-
-/// direction shape the certified bounds resolve — the pivot distances
-/// recover |z_i − z_j| almost exactly, so nearly every candidate is
-/// eliminated without a d-wide kernel call.  Byzantine rows come last so
+/// along the same line (z = 50 + i).  Byzantine rows come last so
 /// MDA's in-index-order branch-and-bound meets the honest subset first
 /// (row order never changes any GAR's output, only DFS wall-clock).
 std::vector<Vector> make_lowdim_gradients(size_t n, size_t f, size_t d, uint64_t seed) {
@@ -247,6 +238,29 @@ std::vector<Vector> make_lowdim_gradients(size_t n, size_t f, size_t d, uint64_t
     Vector v = rng.normal_vector(d, 1e-4);
     for (size_t c = 0; c < d; ++c) v[c] += z * dir[c];
     g.push_back(std::move(v));
+  }
+  return g;
+}
+
+/// The rows a krum Trainer run aggregates at the bench/e2e krum_exact_n200
+/// shape: n honest minibatch gradients (b = 10, DP off, clipped at the
+/// config default) from HonestWorker::submit_into on two-blob data with
+/// d features, at the model's initial parameters.  Full-rank and
+/// noise-dominated, unlike lowdim.
+std::vector<Vector> make_trained_gradients(size_t n, size_t d, uint64_t seed) {
+  dpbyz::BlobsConfig shape;
+  shape.num_samples = 256;
+  shape.num_features = d;
+  const dpbyz::Dataset data = dpbyz::make_blobs(shape, seed);
+  const dpbyz::LinearModel model(d, dpbyz::LinearLoss::kMseOnSigmoid);
+  const dpbyz::NoNoise none;
+  const Vector theta = model.initial_parameters();
+  Rng root(seed);
+  std::vector<Vector> g(n, Vector(model.dim()));
+  for (size_t i = 0; i < n; ++i) {
+    dpbyz::HonestWorker worker(model, data, 10, dpbyz::ExperimentConfig{}.clip_norm, none,
+                               root.derive("worker-" + std::to_string(i)));
+    worker.submit_into(theta, g[i]);
   }
   return g;
 }
@@ -382,15 +396,12 @@ struct FastRow {
 };
 
 struct PruneRow {
-  std::string gar, geometry;  // "lowdim" | "iid"
+  std::string gar, geometry;  // "lowdim" | "trained"
   size_t n, d, f;
-  bool has_exact;  // krum / mda_greedy; the exact columns are null elsewhere
-  double off_s, exact_s, approx_s;
-  double pruned_fraction;  // 1 − exact_pairs/total_pairs after one exact call
-  size_t exact_allocs, approx_allocs;  // steady state, must be 0
-  bool exact_identical;                // exact aggregate == off aggregate
-  double approx_disagreement;          // selected-index fraction differing from off
-  double approx_rel_err;               // L2 rel err of approx aggregate vs off
+  double off_s, approx_s;
+  size_t approx_allocs;        // steady state, must be 0
+  double approx_disagreement;  // selected-index fraction differing from off
+  double approx_rel_err;       // L2 rel err of approx aggregate vs off
 };
 
 struct DepthRow {
@@ -764,23 +775,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- prune sweep: certified distance pruning under the selection GARs --
-  // d = 1e4 throughout; n climbs to 1000 for krum (the headline: >= 3x in
-  // exact mode) and bulyan (approx only: its theta = n − 2f winner rows
-  // all need exact scores, so exact mode runs the off path).  Exact mode
-  // is measured for krum and mda_greedy, the rules that prune under it;
-  // the others report null exact columns.  MDA stops at n = 50:
-  // on this near-tied lowdim geometry its branch-and-bound subset
-  // search explodes past ~10 s/call already at n = 200 (the DFS, not
-  // the distance matrix, dominates — the regime mda_greedy and the tree
-  // exist for), and a tracked bench should stay rerunnable.  mda_greedy
-  // and multi-krum stay at n <= 200 to keep the full run under budget.
+  // ---- prune sweep: sketch distances under the selection GARs ------------
+  // d = 1e4 throughout; n climbs to 1000 for krum and bulyan.  MDA stops
+  // at n = 50: on this near-tied lowdim geometry its branch-and-bound
+  // subset search explodes past ~10 s/call already at n = 200 (the DFS,
+  // not the distance matrix, dominates — the regime mda_greedy and the
+  // tree exist for), and a tracked bench should stay rerunnable.
+  // mda_greedy and multi-krum stay at n <= 200 to keep the full run under
+  // budget.  The trained row is krum at n = 200, f = 20 in both modes.
   std::vector<PruneRow> prune_rows;
   {
     const size_t d = 10000;
     struct PruneCell {
       std::string gar, geometry;
-      size_t n;
+      size_t n, f;
     };
     std::vector<PruneCell> cells;
     for (const std::string gar :
@@ -789,29 +797,26 @@ int main(int argc, char** argv) {
         if (fast && n > 50) continue;
         if (gar == "mda" && n > 50) continue;
         if (n == 1000 && gar != "krum" && gar != "bulyan") continue;
-        cells.push_back({gar, "lowdim", n});
+        cells.push_back({gar, "lowdim", n, pick_prune_f(gar, n)});
       }
     }
-    cells.push_back({"krum", "iid", fast ? size_t{50} : size_t{200}});
+    cells.push_back({"krum", "trained", 200, 20});
 
-    std::printf("\n%-10s %-6s %4s %7s %4s | %10s %10s %10s | %6s %6s | %5s | %3s %3s | %5s | %8s %9s\n",
-                "gar", "geom", "n", "d", "f", "off (ms)", "exact(ms)", "apprx(ms)",
-                "spd_ex", "spd_ap", "frac", "aEx", "aAp", "ident", "disagree",
-                "relerr");
+    std::printf("\n%-10s %-7s %4s %7s %4s | %10s %10s | %6s | %3s | %8s %9s\n", "gar",
+                "geom", "n", "d", "f", "off (ms)", "apprx(ms)", "spd_ap", "aAp",
+                "disagree", "relerr");
     std::printf(
         "--------------------------------------------------------------------------"
-        "--------------------------------------------------------\n");
+        "-----------------\n");
     for (const PruneCell& cell : cells) {
-      const size_t n = cell.n;
-      const size_t f = pick_prune_f(cell.gar, n);
-      const auto gradients = cell.geometry == "iid"
-                                 ? make_gradients(n, d, 42)
+      const size_t n = cell.n, f = cell.f;
+      const auto gradients = cell.geometry == "trained"
+                                 ? make_trained_gradients(n, d, 42)
                                  : make_lowdim_gradients(n, f, d, 42);
       const GradientBatch batch = GradientBatch::from_vectors(gradients);
       const size_t m = cell.gar == "multi-krum" ? n - f : 0;
 
       const auto off = dpbyz::make_aggregator(cell.gar, n, f);
-      const bool has_exact = cell.gar == "krum" || cell.gar == "mda_greedy";
       const auto approx =
           dpbyz::make_aggregator(cell.gar, n, f, dpbyz::PruneMode::kApprox);
       dpbyz::AggregatorWorkspace ws_off, ws_approx;
@@ -821,29 +826,8 @@ int main(int argc, char** argv) {
       const auto off_sel = selected_set(cell.gar, batch, ws_off, off_out, m);
       const double off_s = time_call([&] { off->aggregate(batch, ws_off); }, budget_s);
 
-      // Exact mode (the rules that prune under it): warm, prove the
-      // steady state allocation-free, read the (deterministic) pruned-pair
-      // fraction off the oracle, check bit-identity, then time.
-      bool exact_identical = true;
-      double pruned_fraction = 0.0, exact_s = 0.0;
-      size_t exact_allocs = 0;
-      if (has_exact) {
-        const auto exact =
-            dpbyz::make_aggregator(cell.gar, n, f, dpbyz::PruneMode::kExact);
-        dpbyz::AggregatorWorkspace ws_exact;
-        const auto exact_view = exact->aggregate(batch, ws_exact);
-        exact_identical = Vector(exact_view.begin(), exact_view.end()) == off_out;
-        pruned_fraction = 1.0 - static_cast<double>(ws_exact.oracle.exact_pairs()) /
-                                    static_cast<double>(ws_exact.oracle.total_pairs());
-        g_alloc_count.store(0);
-        g_count_allocs.store(true);
-        exact->aggregate(batch, ws_exact);
-        g_count_allocs.store(false);
-        exact_allocs = g_alloc_count.load();
-        exact_s = time_call([&] { exact->aggregate(batch, ws_exact); }, budget_s);
-      }
-
-      // Approx mode: same drill, plus the error envelope against off.
+      // Approx mode: warm, prove the steady state allocation-free, time,
+      // and measure the error envelope against off.
       const auto approx_view = approx->aggregate(batch, ws_approx);
       const Vector approx_out(approx_view.begin(), approx_view.end());
       const auto approx_sel = selected_set(cell.gar, batch, ws_approx, approx_out, m);
@@ -858,22 +842,11 @@ int main(int argc, char** argv) {
       const double disagreement = selection_disagreement(off_sel, approx_sel);
       const double rel_err = rel_l2_err(approx_out, off_out);
 
-      prune_rows.push_back({cell.gar, cell.geometry, n, d, f, has_exact, off_s,
-                            exact_s, approx_s, pruned_fraction, exact_allocs,
-                            approx_allocs, exact_identical, disagreement, rel_err});
-      if (has_exact)
-        std::printf("%-10s %-6s %4zu %7zu %4zu | %10.3f %10.3f %10.3f | %5.2fx %5.2fx "
-                    "| %5.3f | %3zu %3zu | %5s | %8.4f %9.2e\n",
-                    cell.gar.c_str(), cell.geometry.c_str(), n, d, f, off_s * 1e3,
-                    exact_s * 1e3, approx_s * 1e3, off_s / exact_s, off_s / approx_s,
-                    pruned_fraction, exact_allocs, approx_allocs,
-                    exact_identical ? "yes" : "NO", disagreement, rel_err);
-      else
-        std::printf("%-10s %-6s %4zu %7zu %4zu | %10.3f %10s %10.3f | %6s %5.2fx "
-                    "| %5s | %3s %3zu | %5s | %8.4f %9.2e\n",
-                    cell.gar.c_str(), cell.geometry.c_str(), n, d, f, off_s * 1e3,
-                    "-", approx_s * 1e3, "-", off_s / approx_s, "-", "-",
-                    approx_allocs, "-", disagreement, rel_err);
+      prune_rows.push_back({cell.gar, cell.geometry, n, batch.dim(), f, off_s, approx_s,
+                            approx_allocs, disagreement, rel_err});
+      std::printf("%-10s %-7s %4zu %7zu %4zu | %10.3f %10.3f | %5.2fx | %3zu | %8.4f %9.2e\n",
+                  cell.gar.c_str(), cell.geometry.c_str(), n, batch.dim(), f, off_s * 1e3,
+                  approx_s * 1e3, off_s / approx_s, approx_allocs, disagreement, rel_err);
       std::fflush(stdout);
     }
   }
@@ -1615,29 +1588,15 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  ],\n  \"prune_sweep\": [\n");
   for (size_t i = 0; i < prune_rows.size(); ++i) {
     const PruneRow& r = prune_rows[i];
-    // Rules without a pruned exact path report null exact columns.
-    char exact_cols[256];
-    if (r.has_exact)
-      std::snprintf(exact_cols, sizeof exact_cols,
-                    "\"exact_ms\": %.6f, \"speedup_exact\": %.3f, "
-                    "\"pruned_pair_fraction\": %.4f, "
-                    "\"exact_allocs_after_warmup\": %zu, \"exact_bit_identical\": %s",
-                    r.exact_s * 1e3, r.off_s / r.exact_s, r.pruned_fraction,
-                    r.exact_allocs, r.exact_identical ? "true" : "false");
-    else
-      std::snprintf(exact_cols, sizeof exact_cols,
-                    "\"exact_ms\": null, \"speedup_exact\": null, "
-                    "\"pruned_pair_fraction\": null, "
-                    "\"exact_allocs_after_warmup\": null, \"exact_bit_identical\": null");
     std::fprintf(out,
                  "    {\"gar\": \"%s\", \"geometry\": \"%s\", \"n\": %zu, "
                  "\"d\": %zu, \"f\": %zu, \"off_ms\": %.6f, \"approx_ms\": %.6f, "
-                 "\"speedup_approx\": %.3f, %s, "
+                 "\"speedup_approx\": %.3f, "
                  "\"approx_allocs_after_warmup\": %zu, "
                  "\"approx_selection_disagreement\": %.4f, "
                  "\"approx_aggregate_rel_err\": %.3e}%s\n",
                  r.gar.c_str(), r.geometry.c_str(), r.n, r.d, r.f, r.off_s * 1e3,
-                 r.approx_s * 1e3, r.off_s / r.approx_s, exact_cols, r.approx_allocs,
+                 r.approx_s * 1e3, r.off_s / r.approx_s, r.approx_allocs,
                  r.approx_disagreement, r.approx_rel_err,
                  i + 1 < prune_rows.size() ? "," : "");
   }
@@ -1812,26 +1771,13 @@ int main(int argc, char** argv) {
         fail("fast-math " + r.gar + " d=" + std::to_string(r.d) + ": " +
              std::to_string(r.fast_allocs) + " allocs after warmup");
     }
-    // Pruning gates: exact mode must stay invisible (bit-identical,
-    // allocation-free in both pruned modes), and the lowdim krum rows
-    // must actually prune — the pair count is deterministic per
-    // (generator seed, geometry), so a collapsed fraction means a bound
-    // or visit-order regression, not machine noise.  No wall-clock gate:
-    // speedups are committed in the JSON, not asserted in CI.
+    // Approx gate: the sketch path stays allocation-free at steady
+    // state.  No wall-clock gate: speedups are committed in the JSON,
+    // not asserted in CI.
     for (const PruneRow& r : prune_rows) {
-      if (!r.exact_identical)
-        fail("prune=exact " + r.gar + " n=" + std::to_string(r.n) + " (" +
-             r.geometry + ") diverged from prune=off");
-      if (r.exact_allocs != 0)
-        fail("prune=exact " + r.gar + " n=" + std::to_string(r.n) + ": " +
-             std::to_string(r.exact_allocs) + " allocs after warmup");
       if (r.approx_allocs != 0)
-        fail("prune=approx " + r.gar + " n=" + std::to_string(r.n) + ": " +
-             std::to_string(r.approx_allocs) + " allocs after warmup");
-      if (r.geometry == "lowdim" && r.gar == "krum" && r.pruned_fraction < 0.5)
-        fail("prune=exact krum n=" + std::to_string(r.n) +
-             ": pruned-pair fraction " + std::to_string(r.pruned_fraction) +
-             " collapsed below 0.5 on low-intrinsic-dimension data");
+        fail("prune=approx " + r.gar + " n=" + std::to_string(r.n) + " (" + r.geometry +
+             "): " + std::to_string(r.approx_allocs) + " allocs after warmup");
     }
     for (const PipelineRow& r : pipeline_rows) {
       if (r.allocs_per_step != 0.0)

@@ -65,6 +65,26 @@ void Aggregator::validate_inputs(std::span<const Vector> gradients) const {
   }
 }
 
+PruneMode parse_prune_mode(const std::string& s) {
+  if (s == "off" || s == "exact") return PruneMode::kOff;
+  if (s == "approx") return PruneMode::kApprox;
+  throw std::invalid_argument("prune must be off|exact|approx, got '" + s + "'");
+}
+
+const char* prune_mode_name(PruneMode mode) {
+  return mode == PruneMode::kApprox ? "approx" : "off";
+}
+
+void fill_dist_sq(const GradientBatch& batch, PruneMode prune, AggregatorWorkspace& ws) {
+  ws.dist_sq.resize(batch.rows() * batch.rows());
+  if (prune == PruneMode::kApprox) {
+    ws.sketch.compute(batch);
+    ws.sketch.fill_dist_sq(ws.dist_sq);
+  } else {
+    pairwise_dist_sq(batch, ws.dist_sq);
+  }
+}
+
 std::vector<std::string> aggregator_names() {
   return {"average", "krum",       "multi-krum", "mda", "mda_greedy",
           "median",  "trimmed-mean", "bulyan",   "meamed", "phocas",

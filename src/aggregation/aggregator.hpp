@@ -98,6 +98,25 @@ class Aggregator {
   size_t f_;
 };
 
+/// The ExperimentConfig::prune knob, parsed: where the selection GARs
+/// (krum, multi-krum, mda, mda_greedy, bulyan) get pairwise distances.
+enum class PruneMode {
+  kOff,     ///< exact pairwise_dist_sq matrix (default; golden-pinned)
+  kApprox,  ///< JL sketch distances replace it (measured envelope)
+};
+
+/// Parse "off" / "approx"; "exact" is accepted as a spelling of "off".
+/// Throws std::invalid_argument otherwise.
+PruneMode parse_prune_mode(const std::string& s);
+
+/// Canonical name of a mode ("off" / "approx").
+const char* prune_mode_name(PruneMode mode);
+
+/// The selection GARs' one source of pairwise distances: fill ws.dist_sq
+/// (n×n, row-major) with exact squared distances under kOff, or with
+/// ws.sketch's JL estimates under kApprox.
+void fill_dist_sq(const GradientBatch& batch, PruneMode prune, AggregatorWorkspace& ws);
+
 /// Names accepted by make_aggregator.
 std::vector<std::string> aggregator_names();
 
@@ -106,8 +125,7 @@ std::vector<std::string> aggregator_names();
 /// "cge", "geometric-median"} — the list aggregator_names() returns, catalogued
 /// with budgets/complexities/citations in docs/AGGREGATORS.md.  Throws
 /// std::invalid_argument for unknown names or inadmissible (n, f).
-/// `prune` selects the distance-pruning mode of the selection GARs
-/// (krum, multi-krum, mda, mda_greedy, bulyan — see pruned_oracle.hpp);
+/// `prune` selects where the selection GARs get distances (fill_dist_sq);
 /// the other rules consume no pairwise distances and ignore it.
 /// (The HierarchicalAggregator tree is constructed directly — it needs
 /// inner/merge names, levels and a branch; see aggregation/hierarchical.hpp.)

@@ -22,12 +22,7 @@ void Bulyan::select_indices_view(const GradientBatch& batch, AggregatorWorkspace
   // One distance matrix for the whole selection: every inner Krum round
   // rescores the surviving pool from it instead of recomputing O(n²d)
   // distances over copied vectors.
-  ws.dist_sq.resize(count * count);
-  if (prune_ == PruneMode::kApprox) {
-    ws.oracle.fill_approx(batch, ws.dist_sq);
-  } else {
-    pairwise_dist_sq(batch, ws.dist_sq);
-  }
+  fill_dist_sq(batch, prune_, ws);
 
   ws.active.resize(count);
   std::iota(ws.active.begin(), ws.active.end(), size_t{0});

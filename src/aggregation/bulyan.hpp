@@ -15,9 +15,6 @@
 // The hot path computes the pairwise distance matrix ONCE and rescores the
 // shrinking pool from it — O(n²d + θn²) instead of the seed's θ recomputed
 // O(n²d) matrices — which makes Bulyan's cost essentially one Krum.
-// prune=exact runs that same path: its theta = n - 2f winners all need
-// exact scores, so certified pruning cost more than it skipped
-// (0.44–0.63× of the unpruned wall-clock in the bench's prune sweep).
 #pragma once
 
 #include "aggregation/aggregator.hpp"

@@ -1,7 +1,6 @@
 #include "aggregation/krum.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "aggregation/kf_table.hpp"
@@ -26,37 +25,6 @@ double nearest_neighbour_sum(std::vector<double>& row, size_t len, size_t neighb
                    row.begin() + static_cast<std::ptrdiff_t>(len));
   return std::accumulate(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(neighbours),
                          0.0);
-}
-
-/// Certified lower bound on the Krum score of pool member i: the sum of
-/// the `neighbours` smallest per-pair squared-distance lower bounds,
-/// deflated so FP accumulation rounding cannot cross the exact-path score
-/// it brackets.  Validity: per-pair lb_sq <= the exact matrix entry, and
-/// the sum of the k smallest of a pointwise-smaller multiset is <= the
-/// sum of the k smallest of the larger one.
-double krum_score_lower_bound(PrunedDistanceOracle& oracle,
-                              std::span<const size_t> active, size_t i,
-                              size_t neighbours, std::vector<double>& tmp) {
-  const size_t count = active.size();
-  tmp.resize(count - 1);
-  size_t k = 0;
-  for (size_t j = 0; j < count; ++j)
-    if (j != i) tmp[k++] = oracle.lb_sq(active[i], active[j]);
-  return PrunedDistanceOracle::deflate(nearest_neighbour_sum(tmp, k, neighbours));
-}
-
-/// Exact seed-procedure score of pool member i from the oracle's lazy
-/// cache: the pool-ordered exact-distance row fed through the same
-/// nth_element + accumulate as krum_scores_from_matrix, so the resulting
-/// double is bit-identical to the full-matrix path.
-double krum_score_exact(PrunedDistanceOracle& oracle, std::span<const size_t> active,
-                        size_t i, size_t neighbours, std::vector<double>& scratch_row) {
-  const size_t count = active.size();
-  scratch_row.resize(count - 1);
-  size_t k = 0;
-  for (size_t j = 0; j < count; ++j)
-    if (j != i) scratch_row[k++] = oracle.exact_sq(active[i], active[j]);
-  return nearest_neighbour_sum(scratch_row, k, neighbours);
 }
 
 }  // namespace
@@ -142,71 +110,9 @@ size_t Krum::select(std::span<const Vector> gradients) const {
   return krum_argmin(gradients, scores(gradients));
 }
 
-size_t krum_argmin_pruned(const GradientBatch& batch, PrunedDistanceOracle& oracle,
-                          std::span<const size_t> active, size_t f,
-                          std::vector<double>& scratch_row) {
-  const size_t count = active.size();
-  require(count >= 2, "krum_argmin_pruned: need at least two gradients");
-  const size_t neighbours = neighbourhood(count, f);
-
-  // Per-member certified score lower bound (prunes) and a JL-sketch
-  // rank score that orders evaluation — an estimate, never trusted for
-  // correctness.
-  auto& lb = oracle.scr_lb;
-  auto& rank = oracle.scr_rank;
-  auto& tmp = oracle.scr_tmp;
-  lb.resize(count);
-  rank.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    lb[i] = krum_score_lower_bound(oracle, active, i, neighbours, tmp);
-    tmp.resize(count - 1);
-    size_t k = 0;
-    for (size_t j = 0; j < count; ++j)
-      if (j != i) tmp[k++] = oracle.approx_sq(active[i], active[j]);
-    rank[i] = nearest_neighbour_sum(tmp, k, neighbours);
-  }
-
-  auto& order = oracle.scr_order;
-  order.resize(count);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&rank](size_t a, size_t b) {
-    if (rank[a] != rank[b]) return rank[a] < rank[b];
-    return a < b;  // deterministic tie-break
-  });
-
-  // Visit by rank; a member whose certified lower bound exceeds the
-  // incumbent exact score can never win (a *tied* lower bound still gets
-  // evaluated: it could tie exactly and win on lex/position).  The winner
-  // is the min under (score, row-lex, pool position) — exactly what the
-  // seed's first-min scan over pool positions keeps.
-  double best_score = std::numeric_limits<double>::infinity();
-  size_t best = count;
-  for (size_t pos : order) {
-    if (lb[pos] > best_score) continue;
-    const double s = krum_score_exact(oracle, active, pos, neighbours, scratch_row);
-    if (best == count || s < best_score) {
-      best = pos;
-      best_score = s;
-      continue;
-    }
-    if (s == best_score) {
-      const auto rp = batch.row(active[pos]);
-      const auto rb = batch.row(active[best]);
-      if (vec::lex_less(rp, rb) || (!vec::lex_less(rb, rp) && pos < best)) best = pos;
-    }
-  }
-  check_internal(best != count, "krum_argmin_pruned: no winner");
-  return best;
-}
-
 size_t Krum::score_batch(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   const size_t count = batch.rows();
-  ws.dist_sq.resize(count * count);
-  if (prune_ == PruneMode::kApprox) {
-    ws.oracle.fill_approx(batch, ws.dist_sq);
-  } else {
-    pairwise_dist_sq(batch, ws.dist_sq);
-  }
+  fill_dist_sq(batch, prune_, ws);
   ws.active.resize(count);
   std::iota(ws.active.begin(), ws.active.end(), size_t{0});
   ws.scores.resize(count);
@@ -215,14 +121,6 @@ size_t Krum::score_batch(const GradientBatch& batch, AggregatorWorkspace& ws) co
 }
 
 void Krum::aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const {
-  if (prune_ == PruneMode::kExact) {
-    ws.oracle.prepare(batch);
-    ws.active.resize(batch.rows());
-    std::iota(ws.active.begin(), ws.active.end(), size_t{0});
-    const size_t best = krum_argmin_pruned(batch, ws.oracle, ws.active, f(), ws.row);
-    vec::copy(batch.row(best), ws.output);
-    return;
-  }
   score_batch(batch, ws);
   const size_t best = krum_argmin_view(batch, ws.active, ws.scores);
   vec::copy(batch.row(best), ws.output);

@@ -52,20 +52,6 @@ void krum_scores_from_matrix(std::span<const double> dist_sq, size_t stride,
 size_t krum_argmin_view(const GradientBatch& batch, std::span<const size_t> active,
                         std::span<const double> scores);
 
-/// Pruned Krum winner over a candidate pool (prune=exact hot path).
-/// `oracle` must be prepared on `batch`.  Certified score lower bounds
-/// skip pool members that provably cannot win; survivors are re-scored by
-/// the exact seed procedure (full pool-ordered exact-distance row through
-/// the same nth_element + accumulate), so the returned position — min
-/// under (score, row-lex, pool position) — is bit-identical to
-/// krum_scores_from_matrix + krum_argmin_view on the full matrix.
-/// Candidates are visited in JL-rank order so the incumbent score drops
-/// fast and the bounds prune hard.  O(pool²) bound work + O(pool²·k)
-/// rank work + O(d) per surviving exact pair (cached in the oracle).
-size_t krum_argmin_pruned(const GradientBatch& batch, PrunedDistanceOracle& oracle,
-                          std::span<const size_t> active, size_t f,
-                          std::vector<double>& scratch_row);
-
 class Krum : public Aggregator {
  public:
   Krum(size_t n, size_t f, PruneMode prune = PruneMode::kOff);
@@ -85,8 +71,8 @@ class Krum : public Aggregator {
 
   /// Fill ws.dist_sq / ws.active / ws.scores for the full batch and
   /// return the number of gradients (shared by Krum and Multi-Krum).
-  /// Under prune=approx the matrix entries are JL sketch distances
-  /// instead of exact ones; everything downstream is unchanged.
+  /// The matrix comes from fill_dist_sq, so under prune=approx its
+  /// entries are JL sketch distances; everything downstream is unchanged.
   size_t score_batch(const GradientBatch& batch, AggregatorWorkspace& ws) const;
 
  private:
@@ -94,9 +80,6 @@ class Krum : public Aggregator {
 };
 
 /// Multi-Krum: average of the m = n - f smallest-score gradients.
-/// prune=exact runs the unpruned path: every selected row needs an exact
-/// score, so certified pruning cost more than it skipped (0.31–0.55× of
-/// the unpruned wall-clock in the bench's prune sweep).
 class MultiKrum final : public Krum {
  public:
   MultiKrum(size_t n, size_t f, PruneMode prune = PruneMode::kOff);

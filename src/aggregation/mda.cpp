@@ -79,12 +79,7 @@ struct SubsetSearch {
 
 void Mda::select_subset_view(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   const size_t count = batch.rows();
-  ws.dist_sq.resize(count * count);
-  if (prune_ == PruneMode::kApprox) {
-    ws.oracle.fill_approx(batch, ws.dist_sq);
-  } else {
-    pairwise_dist_sq(batch, ws.dist_sq);
-  }
+  fill_dist_sq(batch, prune_, ws);
   // Square-root in place: the search must compare the exact doubles the
   // seed implementation compared (see SubsetSearch).  MDA owns the
   // matrix for the rest of this call, so clobbering it is fine.
@@ -119,38 +114,6 @@ MdaGreedy::MdaGreedy(size_t n, size_t f, PruneMode prune)
   require(n >= 2 * f + 1, "MdaGreedy: requires n >= 2f + 1");
 }
 
-namespace {
-
-/// Exact max of dist over the pairs of `subset`, excluding the member at
-/// position `skip` (subset.size() = exclude nobody), computed as a
-/// certified bounded max: pass one takes the max of the lower bounds,
-/// pass two exact-evaluates only the pairs whose upper bound reaches that
-/// max.  Any skipped pair q has dist(q) <= ub(q) < maxlb <= true max, so
-/// the returned double is exactly the full scan's max.
-double bounded_subset_diameter(PrunedDistanceOracle& oracle,
-                               std::span<const size_t> subset, size_t skip) {
-  double maxlb = 0.0;
-  for (size_t a = 0; a < subset.size(); ++a) {
-    if (a == skip) continue;
-    for (size_t b = a + 1; b < subset.size(); ++b) {
-      if (b == skip) continue;
-      maxlb = std::max(maxlb, oracle.lb_dist(subset[a], subset[b]));
-    }
-  }
-  double diameter = 0.0;
-  for (size_t a = 0; a < subset.size(); ++a) {
-    if (a == skip) continue;
-    for (size_t b = a + 1; b < subset.size(); ++b) {
-      if (b == skip) continue;
-      if (oracle.ub_dist(subset[a], subset[b]) < maxlb) continue;
-      diameter = std::max(diameter, oracle.exact_dist(subset[a], subset[b]));
-    }
-  }
-  return diameter;
-}
-
-}  // namespace
-
 double MdaGreedy::subset_diameter(std::span<const double> dist, size_t n,
                                   std::span<const size_t> subset) {
   double diameter = 0.0;
@@ -162,20 +125,11 @@ double MdaGreedy::subset_diameter(std::span<const double> dist, size_t n,
 
 void MdaGreedy::select_subset_view(const GradientBatch& batch,
                                    AggregatorWorkspace& ws) const {
-  if (prune_ == PruneMode::kExact) {
-    select_subset_pruned(batch, ws);
-    return;
-  }
   const size_t count = batch.rows();
   const size_t d = batch.dim();
   const size_t target = count - f();
 
-  ws.dist_sq.resize(count * count);
-  if (prune_ == PruneMode::kApprox) {
-    ws.oracle.fill_approx(batch, ws.dist_sq);
-  } else {
-    pairwise_dist_sq(batch, ws.dist_sq);
-  }
+  fill_dist_sq(batch, prune_, ws);
   for (double& x : ws.dist_sq) x = std::sqrt(x);
 
   // Seed: distance of every row to the coordinate-wise median, computed
@@ -230,86 +184,6 @@ void MdaGreedy::select_subset_view(const GradientBatch& batch,
         for (size_t a = 0; a < ws.selected.size(); ++a) {
           if (a == ri) continue;
           cand = std::max(cand, dist[o * count + ws.selected[a]]);
-          if (cand >= best_diameter) break;  // cannot beat the incumbent
-        }
-        if (cand < best_diameter) {
-          best_diameter = cand;
-          best_r = r;
-          best_o = o;
-        }
-      }
-    }
-    if (best_r == count) break;  // local minimum
-    ws.active[best_r] = 0;
-    ws.active[best_o] = 1;
-    for (size_t& s : ws.selected)
-      if (s == best_r) s = best_o;
-    diameter = best_diameter;
-  }
-
-  std::sort(ws.selected.begin(), ws.selected.end());
-  check_internal(ws.selected.size() == target, "MdaGreedy: subset search failed");
-}
-
-void MdaGreedy::select_subset_pruned(const GradientBatch& batch,
-                                     AggregatorWorkspace& ws) const {
-  const size_t count = batch.rows();
-  const size_t d = batch.dim();
-  const size_t target = count - f();
-  ws.oracle.prepare(batch);
-  PrunedDistanceOracle& oracle = ws.oracle;
-
-  // Seed subset: identical to the unpruned path (no distance matrix is
-  // involved in the median-distance ordering).
-  ws.scores.assign(count, 0.0);
-  ws.column.resize(count);
-  for (size_t c = 0; c < d; ++c) {
-    for (size_t i = 0; i < count; ++i) ws.column[i] = batch.row(i)[c];
-    const double med = stats::median_inplace(ws.column);
-    for (size_t i = 0; i < count; ++i) {
-      const double diff = batch.row(i)[c] - med;
-      ws.scores[i] += diff * diff;
-    }
-  }
-  ws.order.resize(count);
-  for (size_t i = 0; i < count; ++i) ws.order[i] = i;
-  std::sort(ws.order.begin(), ws.order.end(), [&](size_t a, size_t b) {
-    if (ws.scores[a] != ws.scores[b]) return ws.scores[a] < ws.scores[b];
-    return a < b;  // deterministic tie-break
-  });
-  ws.selected.assign(ws.order.begin(), ws.order.begin() + static_cast<std::ptrdiff_t>(target));
-
-  ws.active.assign(count, 0);
-  for (size_t i : ws.selected) ws.active[i] = 1;
-
-  double diameter = bounded_subset_diameter(oracle, ws.selected, ws.selected.size());
-
-  // Same steepest-descent swap loop as the seed, with two certified
-  // shortcuts: diam(S \ {r}) is a bounded max (exact double, pairs with
-  // small upper bounds skipped), and each admittee is prefiltered by the
-  // lower-bounded candidate diameter — if even that reaches the
-  // incumbent, the seed's exact evaluation would have rejected the swap
-  // at the same threshold.  Every comparison the seed makes is made here
-  // on the same doubles, so the accepted swap sequence is identical.
-  for (size_t pass = 0; pass < 4 * count; ++pass) {
-    double best_diameter = diameter;
-    size_t best_r = count, best_o = count;
-    for (size_t ri = 0; ri < ws.selected.size(); ++ri) {
-      const size_t r = ws.selected[ri];
-      const double without = bounded_subset_diameter(oracle, ws.selected, ri);
-      for (size_t o = 0; o < count; ++o) {
-        if (ws.active[o]) continue;
-        double cand_lb = without;
-        for (size_t a = 0; a < ws.selected.size(); ++a) {
-          if (a == ri) continue;
-          cand_lb = std::max(cand_lb, oracle.lb_dist(o, ws.selected[a]));
-          if (cand_lb >= best_diameter) break;
-        }
-        if (cand_lb >= best_diameter) continue;  // certified reject
-        double cand = without;
-        for (size_t a = 0; a < ws.selected.size(); ++a) {
-          if (a == ri) continue;
-          cand = std::max(cand, oracle.exact_dist(o, ws.selected[a]));
           if (cand >= best_diameter) break;  // cannot beat the incumbent
         }
         if (cand < best_diameter) {

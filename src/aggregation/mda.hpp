@@ -20,10 +20,7 @@
 // square-roots it in place, and runs the branch-and-bound on the exact
 // true-distance doubles the seed implementation compared (comparing
 // squared values instead would diverge on the rare ties that sqrt
-// rounding creates).  prune=exact runs that same path: the subset search,
-// not the distance matrix, dominates its cost, so certified pruning did
-// not pay for itself (0.27× of the unpruned wall-clock in the bench's
-// prune sweep).
+// rounding creates).
 #pragma once
 
 #include "aggregation/aggregator.hpp"
@@ -99,12 +96,6 @@ class MdaGreedy final : public Aggregator {
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
 
  private:
-  /// prune=exact local search: identical swap decisions and subset, with
-  /// every diameter computed as a certified bounded max over the oracle
-  /// (exact distances only for pairs whose upper bound reaches the
-  /// incumbent lower bound).
-  void select_subset_pruned(const GradientBatch& batch, AggregatorWorkspace& ws) const;
-
   PruneMode prune_;
 };
 

@@ -24,7 +24,7 @@
 #include <utility>
 #include <vector>
 
-#include "aggregation/pruned_oracle.hpp"
+#include "math/sketch.hpp"
 #include "math/vector_ops.hpp"
 
 namespace dpbyz {
@@ -52,11 +52,10 @@ struct AggregatorWorkspace {
   Vector output;
   /// Length-d vector scratch (Weiszfeld numerator).
   Vector scratch_d;
-  /// Distance bounds + lazy exact cache for the pruned selection paths
-  /// (prune=exact / prune=approx).  Its buffers are sized by
-  /// oracle.prepare(), NOT by reserve() below, so prune=off aggregations
-  /// never pay the oracle's O(n²) memory.
-  PrunedDistanceOracle oracle;
+  /// JL sketch behind prune=approx distances (see fill_dist_sq in
+  /// aggregator.hpp).  Its buffers are sized by sketch.compute(), NOT by
+  /// reserve() below, so prune=off aggregations never pay for them.
+  BatchSketch sketch;
 
   /// Grow every buffer's capacity to what an (n, d) aggregation can need.
   /// Never shrinks; calling again with smaller extents is a no-op.

@@ -1,7 +1,9 @@
 #include "core/config.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
+#include "aggregation/aggregator.hpp"
 #include "utils/errors.hpp"
 #include "utils/strings.hpp"
 
@@ -37,8 +39,11 @@ void ExperimentConfig::validate() const {
       require(epsilon > 0, "config: epsilon must be positive");
     }
   }
-  require(prune == "off" || prune == "exact" || prune == "approx",
-          "config: prune must be off|exact|approx");
+  try {
+    parse_prune_mode(prune);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("config: ") + e.what());
+  }
   if (tree_levels > 0) {
     require(tree_branch >= 1, "config: tree_branch must be >= 1 when tree_levels > 0");
   } else {

@@ -177,14 +177,10 @@ struct ExperimentConfig {
   std::string gar = "mda";
   /// Distance pruning for the selection GARs (krum, multi-krum, mda,
   /// mda_greedy, bulyan — see docs/ARCHITECTURE.md, "Distance pruning").
-  ///   "off"    — today's full O(n²·d) pairwise matrix (default;
+  ///   "off"    — the full O(n²·d) exact pairwise matrix (default;
   ///              byte-for-byte the golden-pinned code path).
-  ///   "exact"  — certified norm/triangle-inequality bounds skip exact
-  ///              distances that provably cannot affect the selection;
-  ///              selections and aggregates stay bit-identical to "off".
-  ///              Only krum and mda_greedy prune; multi-krum, mda and
-  ///              bulyan run their "off" path, where pruning measured as
-  ///              a net loss.
+  ///   "exact"  — a spelling of "off", kept so existing configs parse;
+  ///              label() and checkpoints still record it as typed.
   ///   "approx" — Johnson–Lindenstrauss sketch distances replace the
   ///              exact matrix outright: O(n·d·k + n²·k) instead of
   ///              O(n²·d), deterministic, but selections may differ (the

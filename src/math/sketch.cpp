@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "math/rng.hpp"
-#include "math/vector_ops.hpp"
 #include "utils/errors.hpp"
 
 namespace dpbyz {
@@ -18,8 +17,6 @@ void BatchSketch::compute(const GradientBatch& batch) {
   const size_t d = batch.dim();
   require(d > 0, "BatchSketch::compute: zero-dimensional rows");
   rows_ = n;
-  norm_sq_.resize(n);
-  norm_.resize(n);
   proj_.resize(n * kDim);
   sign_table_.resize(d * kDim);
 
@@ -33,8 +30,6 @@ void BatchSketch::compute(const GradientBatch& batch) {
   const double scale = 1.0 / std::sqrt(static_cast<double>(kDim));
   for (size_t i = 0; i < n; ++i) {
     const auto row = batch.row(i);
-    norm_sq_[i] = vec::norm_sq(row);
-    norm_[i] = std::sqrt(norm_sq_[i]);
     double* out = proj_.data() + i * kDim;
     for (size_t l = 0; l < kDim; ++l) out[l] = 0.0;
     const double* signs = sign_table_.data();
@@ -59,6 +54,16 @@ double BatchSketch::approx_dist_sq(size_t i, size_t j) const {
     acc += diff * diff;
   }
   return acc;
+}
+
+void BatchSketch::fill_dist_sq(std::span<double> out) const {
+  const size_t n = rows_;
+  require(out.size() == n * n, "BatchSketch::fill_dist_sq: output must be rows*rows");
+  for (size_t i = 0; i < n; ++i) {
+    out[i * n + i] = 0.0;
+    for (size_t j = i + 1; j < n; ++j)
+      out[i * n + j] = out[j * n + i] = approx_dist_sq(i, j);
+  }
 }
 
 }  // namespace dpbyz

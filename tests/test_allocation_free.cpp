@@ -105,24 +105,12 @@ TEST(AllocationFree, SteadyStateStepWithoutDpAndAverage) {
   EXPECT_EQ(steady_state_allocs("average", mech), 0u);
 }
 
-TEST(AllocationFree, SteadyStatePruneExactIsAllocationFree) {
-  // The pruned selection path (oracle prepare + bound sweeps + lazy exact
-  // cache) must reach the same zero-alloc steady state: all oracle
-  // buffers are grow-only and sized by prepare() on first use.
-  const NoNoise mech;
-  EXPECT_EQ(steady_state_allocs("krum", mech, 3, 2, PruneMode::kExact), 0u);
-  EXPECT_EQ(steady_state_allocs("multi-krum", mech, 3, 2, PruneMode::kExact), 0u);
-  EXPECT_EQ(steady_state_allocs("mda", mech, 3, 2, PruneMode::kExact), 0u);
-  EXPECT_EQ(steady_state_allocs("mda_greedy", mech, 3, 2, PruneMode::kExact), 0u);
-  EXPECT_EQ(steady_state_allocs("bulyan", mech, 3, 2, PruneMode::kExact), 0u);
-}
-
 TEST(AllocationFree, SteadyStatePruneApproxIsAllocationFree) {
   // The sketch path (sign table, projections, approx matrix fill) is
-  // likewise grow-only after the first round.
+  // grow-only after the first round, under every selection rule.
   const NoNoise mech;
-  EXPECT_EQ(steady_state_allocs("krum", mech, 3, 2, PruneMode::kApprox), 0u);
-  EXPECT_EQ(steady_state_allocs("mda", mech, 3, 2, PruneMode::kApprox), 0u);
+  for (const char* gar : {"krum", "multi-krum", "mda", "mda_greedy", "bulyan"})
+    EXPECT_EQ(steady_state_allocs(gar, mech, 3, 2, PruneMode::kApprox), 0u) << gar;
 }
 
 TEST(AllocationFree, WorkerMomentumPathIsAllocationFreeToo) {

@@ -1,40 +1,39 @@
-// Tests for the distance-pruning layer (aggregation/pruned_oracle.hpp):
+// Tests for the prune knob (aggregation/aggregator.hpp, math/sketch.hpp):
 //
-//   * bound validity: the oracle's certified lower/upper bounds bracket
-//     the exact distances vec::dist_sq produces — on random inputs AND
-//     the FP-adversarial families (cancellation-heavy rows, duplicate
-//     rows, huge-norm rows) where naive triangle bounds overshoot by
-//     rounding;
-//   * prune=exact bit-identity: every selection GAR aggregates to the
-//     exact same doubles as prune=off, on random, adversarial-tie and
-//     tree-composition inputs, in scalar and fast math modes;
-//   * prune=approx: deterministic, and on well-separated committees the
-//     sketch ranking agrees with the exact selection;
-//   * config plumbing: parse/label/validate for the prune knob;
-//   * thread-width determinism of the pruned trainer path (the suite
+//   * the JL sketch: its distance fill is symmetric, deterministic and
+//     within a loose envelope of the exact distances, and its projection
+//     matches the documented hash;
+//   * prune=approx: deterministic, pinned to recorded output bits, and on
+//     well-separated committees the sketch ranking agrees with the exact
+//     selection;
+//   * config plumbing: parse/label/validate for the prune knob, and
+//     "exact" as a spelling of "off";
+//   * thread-width determinism of the approx trainer path (the suite
 //     name carries the MathKernelsThreaded prefix so the TSAN CI job
 //     picks it up).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "aggregation/aggregator.hpp"
-#include "aggregation/bulyan.hpp"
-#include "aggregation/krum.hpp"
-#include "aggregation/mda.hpp"
-#include "aggregation/pruned_oracle.hpp"
 #include "aggregation/hierarchical.hpp"
 #include "core/config.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
 #include "math/gradient_batch.hpp"
-#include "math/kernels.hpp"
 #include "math/rng.hpp"
+#include "math/sketch.hpp"
 #include "models/linear_model.hpp"
+
+#include "bits_digest.hpp"
 
 namespace dpbyz {
 namespace {
+
+using testing_support::bits_digest;
 
 std::vector<Vector> random_rows(size_t n, size_t d, uint64_t seed, double sigma = 1.0) {
   Rng rng(seed);
@@ -44,104 +43,26 @@ std::vector<Vector> random_rows(size_t n, size_t d, uint64_t seed, double sigma 
   return g;
 }
 
-/// Cancellation-heavy rows: large alternating components shared by every
-/// row, with O(1) per-row perturbations.  Norms are ~1e10·sqrt(d) while
-/// pairwise distances are ~sqrt(d) — the regime where computed norms
-/// carry absolute rounding far larger than naive triangle bounds allow.
-std::vector<Vector> cancellation_rows(size_t n, size_t d, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Vector> g;
-  g.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Vector v(d);
-    for (size_t c = 0; c < d; ++c)
-      v[c] = (c % 2 == 0 ? 1.0 : -1.0) * 1e10 + rng.normal(0.0, 1.0);
-    g.push_back(std::move(v));
-  }
+/// Honest cluster + f identical forged rows (exact score ties).
+std::vector<Vector> adversarial_tied(size_t n, size_t f, size_t d, uint64_t seed) {
+  auto g = random_rows(n - f, d, seed);
+  Vector forged = g[0];
+  for (double& x : forged) x *= 1.001;
+  for (size_t i = 0; i < f; ++i) g.push_back(forged);
+  // Duplicate two honest rows on top, so honest-vs-honest also ties.
+  if (n - f >= 3) g[1] = g[2];
   return g;
 }
 
-/// Duplicate-heavy rows: distinct base rows, each repeated, so many
-/// exact distances are identically zero (the reverse-triangle bound must
-/// not go above zero there, even by one ULP).
-std::vector<Vector> duplicate_rows(size_t n, size_t d, uint64_t seed) {
-  auto base = random_rows((n + 1) / 2, d, seed);
-  std::vector<Vector> g;
-  g.reserve(n);
-  for (size_t i = 0; i < n; ++i) g.push_back(base[i % base.size()]);
-  return g;
-}
-
-/// Huge-norm rows: magnitudes ~1e150 at small d, so squared norms and
-/// squared bound values press against the double range without
-/// overflowing — any unguarded inf/NaN in the bound arithmetic shows.
-std::vector<Vector> huge_norm_rows(size_t n, size_t d, uint64_t seed) {
-  auto g = random_rows(n, d, seed);
-  for (auto& v : g)
-    for (double& x : v) x *= 1e150;
-  return g;
-}
-
-void expect_bounds_bracket_exact(const std::vector<Vector>& rows, const char* label) {
-  const GradientBatch batch = GradientBatch::from_vectors(rows);
-  PrunedDistanceOracle oracle;
-  oracle.prepare(batch);
-  const size_t n = batch.rows();
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      const double exact_sq = i == j ? 0.0 : vec::dist_sq(batch.row(i), batch.row(j));
-      const double exact_d = std::sqrt(exact_sq);
-      EXPECT_LE(oracle.lb_dist(i, j), exact_d)
-          << label << ": lb_dist above exact at (" << i << ", " << j << ")";
-      EXPECT_GE(oracle.ub_dist(i, j), exact_d)
-          << label << ": ub_dist below exact at (" << i << ", " << j << ")";
-      EXPECT_LE(oracle.lb_sq(i, j), exact_sq)
-          << label << ": lb_sq above exact at (" << i << ", " << j << ")";
-      EXPECT_LE(oracle.lb_dist(i, j), oracle.ub_dist(i, j));
-    }
-  }
-  // The lazy cache must agree with vec::dist_sq bit for bit.
-  for (size_t i = 0; i < n; ++i)
-    for (size_t j = i + 1; j < n; ++j) {
-      const double want = vec::dist_sq(batch.row(i), batch.row(j));
-      EXPECT_EQ(oracle.exact_sq(i, j), want);
-      EXPECT_EQ(oracle.exact_sq(j, i), want);  // symmetric cache
-      EXPECT_EQ(oracle.exact_dist(i, j), std::sqrt(want));
-    }
-}
-
-TEST(PrunedOracle, BoundsBracketExactOnRandomRows) {
-  expect_bounds_bracket_exact(random_rows(17, 33, 1), "random");
-  expect_bounds_bracket_exact(random_rows(30, 9, 2, 50.0), "random-wide");
-}
-
-TEST(PrunedOracle, BoundsBracketExactOnCancellationHeavyRows) {
-  expect_bounds_bracket_exact(cancellation_rows(15, 64, 3), "cancellation");
-}
-
-TEST(PrunedOracle, BoundsBracketExactOnDuplicateRows) {
-  expect_bounds_bracket_exact(duplicate_rows(16, 21, 4), "duplicates");
-}
-
-TEST(PrunedOracle, BoundsBracketExactOnHugeNormRows) {
-  expect_bounds_bracket_exact(huge_norm_rows(12, 4, 5), "huge-norm");
-}
-
-TEST(PrunedOracle, BoundsBracketExactInFastMathMode) {
-  // Fast mode changes the exact doubles (reassociated reductions); the
-  // slack must still cover the fast kernels' rounding.
-  kernels::MathModeScope scope(kernels::MathMode::kFast);
-  expect_bounds_bracket_exact(random_rows(17, 1031, 6), "fast-random");
-  expect_bounds_bracket_exact(cancellation_rows(12, 1000, 7), "fast-cancellation");
-}
-
-TEST(PrunedOracle, ApproxMatrixIsSymmetricDeterministicAndUnbiasedish) {
+TEST(BatchSketch, DistanceFillIsSymmetricDeterministicAndUnbiasedish) {
   const auto rows = random_rows(13, 257, 8);
   const GradientBatch batch = GradientBatch::from_vectors(rows);
-  PrunedDistanceOracle oracle;
+  BatchSketch sketch;
   std::vector<double> a(13 * 13), b(13 * 13);
-  oracle.fill_approx(batch, a);
-  oracle.fill_approx(batch, b);
+  sketch.compute(batch);
+  sketch.fill_dist_sq(a);
+  sketch.compute(batch);
+  sketch.fill_dist_sq(b);
   EXPECT_EQ(a, b);  // pure function of the input bytes
   for (size_t i = 0; i < 13; ++i) {
     EXPECT_EQ(a[i * 13 + i], 0.0);
@@ -158,7 +79,7 @@ TEST(PrunedOracle, ApproxMatrixIsSymmetricDeterministicAndUnbiasedish) {
     }
 }
 
-TEST(PrunedOracle, SketchSignTableMatchesHashDefinition) {
+TEST(BatchSketch, SignTableMatchesHashDefinition) {
   const auto rows = random_rows(3, 5, 9);
   const GradientBatch batch = GradientBatch::from_vectors(rows);
   BatchSketch sketch;
@@ -170,142 +91,6 @@ TEST(PrunedOracle, SketchSignTableMatchesHashDefinition) {
     for (size_t c = 0; c < 5; ++c) acc += batch.row(0)[c] * BatchSketch::sign(c, l);
     EXPECT_EQ(sketch.projected(0)[l], acc * scale);
   }
-}
-
-// ---- prune=exact bit-identity ----------------------------------------------
-
-/// Honest cluster + f identical forged rows (exact score ties).
-std::vector<Vector> adversarial_tied(size_t n, size_t f, size_t d, uint64_t seed) {
-  auto g = random_rows(n - f, d, seed);
-  Vector forged = g[0];
-  for (double& x : forged) x *= 1.001;
-  for (size_t i = 0; i < f; ++i) g.push_back(forged);
-  // Duplicate two honest rows on top, so honest-vs-honest also ties.
-  if (n - f >= 3) g[1] = g[2];
-  return g;
-}
-
-struct PruneCase {
-  const char* gar;
-  size_t n, f;
-};
-
-class PruneExactBitIdentical : public ::testing::TestWithParam<PruneCase> {};
-
-void expect_exact_matches_off(const std::string& name, size_t n, size_t f,
-                              const std::vector<Vector>& inputs, const char* label) {
-  const GradientBatch batch = GradientBatch::from_vectors(inputs);
-  const auto off = make_aggregator(name, n, f, PruneMode::kOff);
-  const auto exact = make_aggregator(name, n, f, PruneMode::kExact);
-  AggregatorWorkspace ws_off, ws_exact;
-  const auto off_view = off->aggregate(batch, ws_off);
-  const Vector want(off_view.begin(), off_view.end());
-  const auto exact_view = exact->aggregate(batch, ws_exact);
-  const Vector got(exact_view.begin(), exact_view.end());
-  EXPECT_EQ(got, want) << name << " prune=exact diverges from prune=off on " << label
-                       << " (n=" << n << ", f=" << f << ")";
-  // Workspace reuse across calls must stay stateless (the oracle carries
-  // no cross-call invariants).
-  const auto again = exact->aggregate(batch, ws_exact);
-  EXPECT_EQ(Vector(again.begin(), again.end()), want) << name << " reuse on " << label;
-}
-
-TEST_P(PruneExactBitIdentical, OnSeededRandomInputs) {
-  const auto& p = GetParam();
-  for (uint64_t seed : {11u, 12u, 13u})
-    expect_exact_matches_off(p.gar, p.n, p.f, random_rows(p.n, 19, seed), "random");
-}
-
-TEST_P(PruneExactBitIdentical, OnAdversarialTies) {
-  const auto& p = GetParam();
-  for (uint64_t seed : {14u, 15u})
-    expect_exact_matches_off(p.gar, p.n, p.f, adversarial_tied(p.n, p.f, 7, seed),
-                             "adversarial-tied");
-}
-
-TEST_P(PruneExactBitIdentical, OnCancellationHeavyInputs) {
-  const auto& p = GetParam();
-  expect_exact_matches_off(p.gar, p.n, p.f, cancellation_rows(p.n, 23, 16),
-                           "cancellation");
-}
-
-TEST_P(PruneExactBitIdentical, InFastMathMode) {
-  const auto& p = GetParam();
-  kernels::MathModeScope scope(kernels::MathMode::kFast);
-  expect_exact_matches_off(p.gar, p.n, p.f, random_rows(p.n, 301, 17), "fast-random");
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSelectionGars, PruneExactBitIdentical,
-                         ::testing::Values(PruneCase{"krum", 11, 3},
-                                           PruneCase{"krum", 25, 5},
-                                           PruneCase{"multi-krum", 11, 3},
-                                           PruneCase{"multi-krum", 25, 5},
-                                           PruneCase{"mda", 11, 3},
-                                           PruneCase{"mda", 14, 4},
-                                           PruneCase{"mda_greedy", 11, 3},
-                                           PruneCase{"mda_greedy", 25, 8},
-                                           PruneCase{"bulyan", 11, 2},
-                                           PruneCase{"bulyan", 25, 5}));
-
-TEST(PruneExact, SelectionHelpersMatchUnpruned) {
-  const auto inputs = adversarial_tied(25, 5, 9, 18);
-  EXPECT_EQ(Mda(25, 5, PruneMode::kExact).select_subset(inputs),
-            Mda(25, 5).select_subset(inputs));
-  EXPECT_EQ(Bulyan(25, 5, PruneMode::kExact).select_indices(inputs),
-            Bulyan(25, 5).select_indices(inputs));
-}
-
-TEST(PruneExact, ActuallyPrunesOnLowIntrinsicDimensionData) {
-  // Sanity that the machinery earns its keep.  Certified triangle bounds
-  // only resolve pairs when the data has low intrinsic dimension (for an
-  // iid Gaussian cloud, |d(i,p) - d(j,p)| is a vanishing fraction of
-  // d(i,j) and every candidate must be evaluated exactly — the honest
-  // worst case).  Collinear rows are the favourable extreme: with pivots
-  // beyond the segment the bound is exact up to slack, so after the
-  // JL-rank-first candidate sets the score to beat, every other
-  // candidate is certified away.  The bench's structured generator
-  // reproduces this geometry at scale.
-  const size_t n = 60, f = 10, d = 128;
-  Rng rng(19);
-  Vector dir = rng.normal_vector(d, 1.0);
-  vec::scale_inplace(dir, 1.0 / std::sqrt(vec::norm_sq(dir)));
-  std::vector<Vector> rows;
-  for (size_t i = 0; i < n; ++i) {
-    // Honest rows spread along [0, 0.98]; Byzantine rows far down the
-    // same line (still collinear, so their bounds are tight too).
-    const double z = i < n - f ? 0.02 * static_cast<double>(i)
-                               : 100.0 + static_cast<double>(i);
-    Vector v = dir;
-    vec::scale_inplace(v, z);
-    rows.push_back(std::move(v));
-  }
-  const GradientBatch batch = GradientBatch::from_vectors(rows);
-  const Krum off(n, f, PruneMode::kOff);
-  const Krum exact(n, f, PruneMode::kExact);
-  AggregatorWorkspace ws_off, ws_exact;
-  const auto off_view = off.aggregate(batch, ws_off);
-  const Vector want(off_view.begin(), off_view.end());
-  const auto exact_view = exact.aggregate(batch, ws_exact);
-  EXPECT_EQ(Vector(exact_view.begin(), exact_view.end()), want);
-  EXPECT_LT(ws_exact.oracle.exact_pairs(), ws_exact.oracle.total_pairs() / 2)
-      << "pruning resolved fewer than half the pairs on an easy instance";
-}
-
-TEST(PruneExact, ShardedCompositionBitIdentical) {
-  // One-level tree (the sharded topology): each child prunes within its
-  // own rows, and every inner selection is bit-identical, so the
-  // composition is too.
-  const size_t n = 33, f = 2, shards = 3;
-  const auto inputs = adversarial_tied(n, f, 13, 20);
-  const GradientBatch batch = GradientBatch::from_vectors(inputs);
-  const HierarchicalAggregator off("krum", "median", n, f, 1, shards, 1, PruneMode::kOff);
-  const HierarchicalAggregator exact("krum", "median", n, f, 1, shards, 1,
-                                     PruneMode::kExact);
-  AggregatorWorkspace ws_off, ws_exact;
-  const auto off_view = off.aggregate(batch, ws_off);
-  const Vector want(off_view.begin(), off_view.end());
-  const auto exact_view = exact.aggregate(batch, ws_exact);
-  EXPECT_EQ(Vector(exact_view.begin(), exact_view.end()), want);
 }
 
 // ---- prune=approx -----------------------------------------------------------
@@ -392,16 +177,61 @@ TEST(PruneApprox, ExcludesByzantineOnWellSeparatedCommittees) {
   }
 }
 
+// The approx path's output bits, pinned so that any rework of the sketch
+// or of where the GARs read their distances must reproduce them exactly.
+TEST(PruneApprox, SelectionAggregatesReproduceThePinnedBits) {
+  const std::map<std::string, uint64_t> pins = {
+      {"krum", 0x550f7c5007ec3c03ULL},       {"multi-krum", 0x94e925ee86d8b40dULL},
+      {"mda", 0xd965aa1d21f2bf2eULL},        {"mda_greedy", 0x82287c25139423aeULL},
+      {"bulyan", 0x7c4b7d5329e93fceULL}};
+  const GradientBatch batch = GradientBatch::from_vectors(random_rows(15, 257, 25));
+  for (const auto& [name, pin] : pins) {
+    const auto agg = make_aggregator(name, 15, 3, PruneMode::kApprox);
+    AggregatorWorkspace ws;
+    EXPECT_EQ(bits_digest(agg->aggregate(batch, ws)), pin) << name;
+  }
+}
+
+TEST(PruneApprox, ShardedKrumReproducesThePinnedBits) {
+  // One-level tree: each child sketches and selects within its own rows.
+  const GradientBatch batch = GradientBatch::from_vectors(adversarial_tied(33, 2, 129, 26));
+  const HierarchicalAggregator tree("krum", "median", 33, 2, 1, 3, 1, PruneMode::kApprox);
+  AggregatorWorkspace ws;
+  EXPECT_EQ(bits_digest(tree.aggregate(batch, ws)), 0x5195e3cd05d5c7fbULL);
+}
+
+TEST(PruneApprox, TrainerReproducesThePinnedTheta) {
+  BlobsConfig bc;
+  bc.num_samples = 80;
+  bc.num_features = 12;
+  bc.separation = 4.0;
+  const Dataset data = make_blobs(bc, 23);
+  const LinearModel model(12, LinearLoss::kMseOnSigmoid);
+
+  ExperimentConfig c;
+  c.num_workers = 11;
+  c.num_byzantine = 2;
+  c.gar = "krum";
+  c.prune = "approx";
+  c.steps = 6;
+  c.eval_every = 6;
+  c.batch_size = 5;
+  const RunResult run = Trainer(c, model, data, data).run();
+  EXPECT_EQ(bits_digest(run.final_parameters), 0x5f0585f13917ec05ULL);
+  EXPECT_EQ(bits_digest(run.train_loss), 0xe16ea6a0d5ed1b2aULL);
+}
+
 // ---- config plumbing --------------------------------------------------------
 
 TEST(PruneConfig, ParseAndNameRoundTrip) {
   EXPECT_EQ(parse_prune_mode("off"), PruneMode::kOff);
-  EXPECT_EQ(parse_prune_mode("exact"), PruneMode::kExact);
+  EXPECT_EQ(parse_prune_mode("exact"), PruneMode::kOff);  // a spelling of off
   EXPECT_EQ(parse_prune_mode("approx"), PruneMode::kApprox);
   EXPECT_THROW(parse_prune_mode("fast"), std::invalid_argument);
   EXPECT_STREQ(prune_mode_name(PruneMode::kOff), "off");
-  EXPECT_STREQ(prune_mode_name(PruneMode::kExact), "exact");
   EXPECT_STREQ(prune_mode_name(PruneMode::kApprox), "approx");
+  for (const PruneMode mode : {PruneMode::kOff, PruneMode::kApprox})
+    EXPECT_EQ(parse_prune_mode(prune_mode_name(mode)), mode);
 }
 
 TEST(PruneConfig, ValidateAndLabelCarryTheKnob) {
@@ -409,8 +239,18 @@ TEST(PruneConfig, ValidateAndLabelCarryTheKnob) {
   c.prune = "exact";
   c.validate();
   EXPECT_NE(c.label().find("+prune(exact)"), std::string::npos);
+  c.prune = "approx";
+  c.validate();
+  EXPECT_NE(c.label().find("+prune(approx)"), std::string::npos);
   c.prune = "banana";
-  EXPECT_THROW(c.validate(), std::invalid_argument);
+  try {
+    c.validate();
+    ADD_FAILURE() << "validate() accepted prune = banana";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("config: prune", 0), 0u) << what;
+    EXPECT_NE(what.find("banana"), std::string::npos) << what;
+  }
   c.prune = "off";
   c.validate();
   EXPECT_EQ(c.label().find("+prune"), std::string::npos);
@@ -441,7 +281,7 @@ TEST(PruneConfig, TrainerPruneExactMatchesOff) {
 
 // ---- thread-width determinism (runs under the TSAN CI job) ------------------
 
-TEST(MathKernelsThreadedPruning, TrainerPruneExactBitIdenticalAcrossThreadWidths) {
+TEST(MathKernelsThreadedPruning, TrainerPruneApproxBitIdenticalAcrossThreadWidths) {
   BlobsConfig bc;
   bc.num_samples = 60;
   bc.num_features = 10;
@@ -456,7 +296,7 @@ TEST(MathKernelsThreadedPruning, TrainerPruneExactBitIdenticalAcrossThreadWidths
   c.tree_levels = 1;  // per-child workspaces aggregate concurrently at T>1
   c.tree_branch = 2;
   c.shard_merge_gar = "average";
-  c.prune = "exact";
+  c.prune = "approx";  // each child's sketch runs concurrently at T>1
   c.steps = 5;
   c.eval_every = 5;
   c.batch_size = 5;

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
           "  [--eps=0,0.2] [--participation=full,iid:0.9,stragglers:2x3]\n"
           "  [--topologies=flat,shards:3,tree:2x3]   (shards:S runs as tree:1xS)\n"
           "  [--channels=off,lossy:0.05x0.01x0.1] [--churn=off,epoch:50x0.5x0.1]\n"
-          "  [--churn-seed=S] [--prune=off,exact] [--fast-math=0,1]\n"
+          "  [--churn-seed=S] [--prune=off,approx] [--fast-math=0,1]\n"
           "  [--seeds=N] [--data-seed=S] [--steps=T] [--batch=b] [--workers=n]\n"
           "  [--byzantine=f] [--depth=k] [--observes=clean|wire]\n"
           "  [--adapt-probes=P] [--adapt-budget=B]\n"
