@@ -47,11 +47,11 @@
 // per GAR at n = 50, d = 1e4 and at the large-d point d = 1e5 (skipped
 // under --fast): wall-clock of the scalar (default, bit-identical) mode
 // vs MathMode::kFast, the max relative output deviation against the
-// scalar aggregate, steady-state allocations in fast mode, and two
+// scalar aggregate, steady-state allocations in fast mode, and three
 // determinism gates — rerun bit-equality of the fast aggregate, and
-// bit-equality of the fast pairwise matrix across thread widths.  The
-// JSON records which backend the binary *selected at runtime*
-// ("avx2" / "unrolled8").
+// bit-equality of the pairwise matrix across thread widths in each
+// mode.  The JSON records which backend the binary *selected at
+// runtime* ("avx2" / "unrolled8").
 //
 // A sixth sweep measures sketch distances (prune=approx, math/sketch.hpp)
 // per selection GAR at d = 1e4, n up to 1000 (n = 50 only under --fast):
@@ -91,7 +91,8 @@
 // tree cells), --budget-ms M (per-measurement time budget, default
 // 300), --check (exit nonzero on any correctness/allocation regression:
 // non-identical outputs, nonzero steady-state allocs, engine depth-0
-// drift, depth-k nondeterminism, fast-mode nondeterminism or an
+// drift, depth-k nondeterminism, a pairwise matrix that drifts across
+// thread widths in either math mode, fast-mode nondeterminism or an
 // out-of-bound fast-mode deviation, a prune=approx steady-state
 // allocation, an L = 1 tree diverging from the pinned sharded
 // outputs or the framed tree from the in-memory one, a wire codec that allocates, fails the raw64
@@ -693,30 +694,38 @@ int main(int argc, char** argv) {
   // documented reassociation bound.
   std::vector<FastRow> fast_rows;
   bool fast_pairwise_threads_identical = true;
+  bool scalar_pairwise_threads_identical = true;
   {
     const size_t n = 50;
     std::vector<size_t> fast_ds{10000};
     if (!fast) fast_ds.push_back(100000);  // the large-d point
 
-    // Thread-width determinism of the fast pairwise kernel, probed at an
-    // extent that actually clears the parallel-dispatch threshold:
-    // 1225 * 16384 = 20.1M pair-coordinates > 2^24, so the threads = 4
-    // call genuinely runs on the ThreadPool (the sweep's d = 1e4 point
-    // does not — 12.25M — and would compare the serial branch against
-    // itself).  Runs under --fast too: this is the CI smoke's only
-    // threaded-fast-mode gate.
+    // Thread-width determinism of the pairwise kernel in both modes,
+    // probed at an extent that actually clears the parallel-dispatch
+    // threshold: 1225 * 16384 = 20.1M pair-coordinates > 2^24, so the
+    // threads = 4 call genuinely runs on the ThreadPool (the sweep's
+    // d = 1e4 point does not — 12.25M — and would compare the serial
+    // branch against itself).  Runs under --fast too: these are the CI
+    // smoke's only threaded-pairwise gates.
     {
       const size_t probe_d = 16384;
       const auto probe_gradients = make_gradients(n, probe_d, 42);
       const GradientBatch probe = GradientBatch::from_vectors(probe_gradients);
-      const dpbyz::kernels::MathModeScope scope(dpbyz::kernels::MathMode::kFast);
-      std::vector<double> pw_serial(n * n), pw_threaded(n * n);
-      dpbyz::pairwise_dist_sq(probe, pw_serial, 1);
-      dpbyz::pairwise_dist_sq(probe, pw_threaded, 4);
-      fast_pairwise_threads_identical = pw_serial == pw_threaded;
+      auto threads_identical = [&](dpbyz::kernels::MathMode mode) {
+        const dpbyz::kernels::MathModeScope scope(mode);
+        std::vector<double> pw_serial(n * n), pw_threaded(n * n);
+        dpbyz::pairwise_dist_sq(probe, pw_serial, 1);
+        dpbyz::pairwise_dist_sq(probe, pw_threaded, 4);
+        return pw_serial == pw_threaded;
+      };
+      scalar_pairwise_threads_identical =
+          threads_identical(dpbyz::kernels::MathMode::kScalar);
+      fast_pairwise_threads_identical = threads_identical(dpbyz::kernels::MathMode::kFast);
     }
-    std::printf("\nfast-math backend: %s  (threaded pairwise bit-identical: %s)\n",
+    std::printf("\nfast-math backend: %s  (threaded pairwise bit-identical: scalar %s, "
+                "fast %s)\n",
                 dpbyz::kernels::fast_backend(),
+                scalar_pairwise_threads_identical ? "yes" : "NO",
                 fast_pairwise_threads_identical ? "yes" : "NO");
     std::printf("%-8s %4s %7s %4s | %12s %12s %8s | %10s %7s %6s\n", "gar", "n",
                 "d", "f", "scalar (ms)", "fast (ms)", "speedup", "max relerr",
@@ -1569,9 +1578,11 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "  ],\n  \"fast_math_backend\": \"%s\",\n"
+               "  \"scalar_pairwise_threads_identical\": %s,\n"
                "  \"fast_pairwise_threads_identical\": %s,\n"
                "  \"fast_math_sweep\": [\n",
                dpbyz::kernels::fast_backend(),
+               scalar_pairwise_threads_identical ? "true" : "false",
                fast_pairwise_threads_identical ? "true" : "false");
   for (size_t i = 0; i < fast_rows.size(); ++i) {
     const FastRow& r = fast_rows[i];
@@ -1757,6 +1768,8 @@ int main(int argc, char** argv) {
     // The fast-mode accuracy contract (kernels.hpp): selections agree on
     // generic inputs, so end-to-end deviation stays far inside 1e-8.
     constexpr double kFastRelErrBound = 1e-8;
+    if (!scalar_pairwise_threads_identical)
+      fail("default-mode pairwise kernel drifts across thread widths");
     if (!fast_pairwise_threads_identical)
       fail("fast-math pairwise kernel drifts across thread widths");
     for (const FastRow& r : fast_rows) {

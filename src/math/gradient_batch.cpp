@@ -139,94 +139,69 @@ void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
   if (n == 0) return;
   require(d > 0, "pairwise_dist_sq: zero-dimensional rows");
 
-  for (size_t i = 0; i < n; ++i) out[i * n + i] = 0.0;
+  // Each task owns a disjoint set of matrix entries, so tasks run on any
+  // thread in any order, and each pair is computed by exactly one thread:
+  // the matrix is bit-identical across `threads` widths in either mode.
+  // Mode is sampled once per call so every pair uses one implementation.
+  const bool fast = kernels::fast_enabled();
+  const double* rows = batch.row(0).data();
+  double* m = out.data();
 
-  // Tile the (i, j) pair loop so a block of j-rows stays cache-resident
-  // while the i-rows stream past it; each unordered pair belongs to
-  // exactly one tile (the one containing j), so tiles are independent.
+  // Scalar mode: block b owns the lane rows [i0, i1).  One pair per lane
+  // of kernels::pairwise_block_scalar fills their columns of the lower
+  // triangle (m[j*n + i], j > i); the block then mirrors them into its
+  // own rows and zeroes its diagonal, overwriting the kernel's scratch.
+  constexpr size_t kBlock = kernels::kPairLanes;
+  auto scalar_block = [&](size_t b) {
+    const size_t i0 = b * kBlock;
+    const size_t i1 = std::min(n, i0 + kBlock);
+    kernels::pairwise_block_scalar(rows, n, d, i0, m);
+    for (size_t j = i0 + 1; j < n; ++j)
+      for (size_t i = i0; i < std::min(i1, j); ++i) m[i * n + j] = m[j * n + i];
+    for (size_t i = i0; i < i1; ++i) m[i * n + i] = 0.0;
+  };
+
+  // Fast mode: tile t owns the pairs (i, j), i < j, whose j falls in its
+  // 256 KiB block of source rows, which stays cache-resident while the
+  // i-rows stream past two at a time through dist_sq2_fast (per output
+  // equal to dist_sq_fast).  At j == i + 1 the second output lands on
+  // the diagonal, which the tile zeroes last.
   constexpr size_t kTileBytes = 256 * 1024;
   const size_t rows_per_tile = std::max<size_t>(1, kTileBytes / (sizeof(double) * d));
-  const size_t num_tiles = (n + rows_per_tile - 1) / rows_per_tile;
-
-  // Mode is sampled once per call so every pair in this matrix uses one
-  // implementation; each pair is computed by exactly one thread, so the
-  // result is bit-identical across thread widths in either mode.
-  //
-  // The inner loop is blocked two destination rows (i, i+1) deep: each
-  // streamed source row j is read once for both, halving the dominant
-  // memory traffic.  The dual kernels are bit-identical per output to
-  // their single-row counterparts (kernels.hpp), so blocking changes
-  // wall-clock only, never a double.
-  const bool fast = kernels::fast_enabled();
-  auto do_tile = [&](size_t tile) {
-    const size_t jb = tile * rows_per_tile;
+  auto fast_tile = [&](size_t t) {
+    const size_t jb = t * rows_per_tile;
     const size_t je = std::min(n, jb + rows_per_tile);
-    size_t i = 0;
-    for (; i + 1 < je; i += 2) {
-      const double* ri0 = batch.row(i).data();
-      const double* ri1 = batch.row(i + 1).data();
-      // The (i, i+1) pair itself belongs to the tile containing i+1.
-      if (i + 1 >= jb) {
-        double acc;
-        if (fast) {
-          acc = kernels::dist_sq_fast(ri0, ri1, d);
-        } else {
-          acc = 0.0;
-          for (size_t k = 0; k < d; ++k) {
-            const double diff = ri0[k] - ri1[k];
-            acc += diff * diff;
-          }
-        }
-        out[i * n + (i + 1)] = acc;
-        out[(i + 1) * n + i] = acc;
-      }
-      for (size_t j = std::max(i + 2, jb); j < je; ++j) {
-        const double* rj = batch.row(j).data();
-        double acc0, acc1;
-        if (fast) {
-          kernels::dist_sq2_fast(ri0, ri1, rj, d, acc0, acc1);
-        } else {
-          kernels::dist_sq2_scalar(ri0, ri1, rj, d, acc0, acc1);
-        }
-        out[i * n + j] = acc0;
-        out[j * n + i] = acc0;
-        out[(i + 1) * n + j] = acc1;
-        out[j * n + (i + 1)] = acc1;
-      }
-    }
-    if (i < je) {  // odd trailing destination row
-      const double* ri = batch.row(i).data();
+    for (size_t i = 0; i + 1 < je; i += 2) {
       for (size_t j = std::max(i + 1, jb); j < je; ++j) {
-        const double* rj = batch.row(j).data();
-        double acc;
-        if (fast) {
-          acc = kernels::dist_sq_fast(ri, rj, d);
-        } else {
-          acc = 0.0;
-          for (size_t k = 0; k < d; ++k) {
-            const double diff = ri[k] - rj[k];
-            acc += diff * diff;
-          }
-        }
-        out[i * n + j] = acc;
-        out[j * n + i] = acc;
+        double acc0, acc1;
+        kernels::dist_sq2_fast(rows + i * d, rows + (i + 1) * d, rows + j * d, d, acc0,
+                               acc1);
+        m[i * n + j] = m[j * n + i] = acc0;
+        m[(i + 1) * n + j] = m[j * n + i + 1] = acc1;
       }
     }
-    return 0;
+    for (size_t j = jb; j < je; ++j) m[j * n + j] = 0.0;
   };
 
   if (threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     threads = hw > 0 ? hw : 1;
   }
-  // Thread spawn (and parallel_map's result buffer) only pays off for
-  // heavy matrices; the serial path is allocation-free.
+  // Pool dispatch is allocation-free, but only pays off for heavy
+  // matrices.
   constexpr size_t kParallelMinWork = size_t{1} << 24;  // pair-coordinates
-  const size_t total_work = n * (n - 1) / 2 * d;
-  if (threads <= 1 || num_tiles <= 1 || total_work < kParallelMinWork) {
-    for (size_t t = 0; t < num_tiles; ++t) do_tile(t);
+  const bool serial = threads <= 1 || n * (n - 1) / 2 * d < kParallelMinWork;
+  auto dispatch = [&](size_t tasks, auto& task) {
+    if (serial) {
+      for (size_t t = 0; t < tasks; ++t) task(t);
+    } else {
+      ThreadPool::shared().run(tasks, task, threads);
+    }
+  };
+  if (fast) {
+    dispatch((n + rows_per_tile - 1) / rows_per_tile, fast_tile);
   } else {
-    parallel_map(num_tiles, do_tile, threads);
+    dispatch((n + kBlock - 1) / kBlock, scalar_block);
   }
 }
 

@@ -134,16 +134,15 @@ void median_rows_into(const GradientBatch& batch, std::vector<double>& column_sc
 /// Symmetric pairwise squared-distance kernel shared by Krum, MDA and
 /// Bulyan: fills the rows*rows row-major matrix `out` with
 /// out[i*rows + j] = ||row_i - row_j||², diagonal 0.  Each unordered pair
-/// is computed once; per-pair accumulation runs a single forward pass over
-/// the coordinates, so every entry is bit-identical to vec::dist_sq on the
-/// same rows.  The pair loop is tiled over row blocks for cache reuse and
-/// dispatched through parallel_map (coarse grain, on the process-wide
-/// ThreadPool) when the work is large enough to amortise dispatch;
-/// `threads` = 0 picks the hardware concurrency, 1 (the default) forces
-/// serial.  The serial path is allocation-free, which is why the GAR hot
-/// path uses it — threaded dispatch is an explicit opt-in for callers
-/// that own the thread budget (parallel_map's result vector allocates,
-/// and a nested call inside run_seeds_parallel runs serially anyway).
+/// is computed once; in the default math mode each pair is one SIMD lane
+/// of kernels::pairwise_block_scalar, a single forward pass over the
+/// coordinates, so every entry is bit-identical to vec::dist_sq on the
+/// same rows.  Work is split into blocks of kernels::kPairLanes rows,
+/// dispatched on the process-wide ThreadPool when the matrix is large
+/// enough to amortise the fork-join; `threads` = 0 picks the hardware
+/// concurrency, 1 (the default) forces serial.  Every width computes each
+/// pair on one thread (bit-identical results) and allocates nothing; a
+/// call nested inside another pool job runs serially.
 void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
                       size_t threads = 1);
 

@@ -1,4 +1,5 @@
-// kernels.hpp — opt-in fast-math implementations of the hot reductions.
+// kernels.hpp — the hot reductions' kernels: the default-mode pairwise
+// block and the opt-in fast-math implementations.
 //
 // The GAR hot path is dominated by a handful of span reductions:
 // pairwise ||a - b||² (Krum scoring, MDA diameter, Bulyan rescoring),
@@ -9,7 +10,19 @@
 // dependency chain caps them at one add per FP-add latency — a fraction
 // of what the machine can retire.
 //
-// This layer provides the opt-in fast path:
+// The default pairwise matrix lifts that cap without changing a bit, by
+// running many pairs at once, one pair per lane (pairwise_block_scalar).
+// A block of kPairLanes = 8 lane rows (two 4-lane vectors) is held against
+// 4 source rows, with one broadcast per source row per coordinate,
+// so eight independent accumulator vectors are in flight.  The matrix is
+// bit-identical to vec::dist_sq because each lane is one pair's ascending
+// single-accumulator sum acc += (a[k] - b[k]) * (a[k] - b[k]),
+// k = 0..d-1, which is the scalar loop itself; SIMD and scalar sub, mul
+// and add are the same correctly-rounded IEEE operations, lane by lane;
+// and no FMA is used, so every product is rounded before it is added.
+// Which lane, block or thread holds a pair cannot change its bits.
+//
+// The fast path is opt-in:
 //
 //   * `*_fast` kernels break each reduction into kLanes = 8 independent
 //     accumulators plus a scalar tail, then combine the partials
@@ -23,18 +36,20 @@
 //     installs a MathModeScope for the duration of the run).
 //
 // Dispatch model (runtime ISA selection): one binary carries two
-// backends behind MathMode::kFast —
+// backends, for the fast kernels and for the default pairwise block —
 //
-//   kUnrolled8  portable eight-accumulator scalar loops (always present);
-//   kAvx2       AVX2 vector loops, same lane split and combine order, no
-//               FMA — bit-identical to kUnrolled8 on every input.
+//   kUnrolled8  portable scalar loops (always present): eight fast-mode
+//               accumulators, or one accumulator per pair;
+//   kAvx2       AVX2 vector loops, same lane split and combine order (or
+//               block shape), no FMA — bit-identical to kUnrolled8 on
+//               every input.
 //
 // At startup the backend is chosen by cpuid: kAvx2 when the host supports
-// it, kUnrolled8 otherwise.  Because the two agree bit-for-bit, fast-mode
-// results are stable across the build matrix whichever one the probe
-// picks.  The ISA-specific bodies live in kernels_avx2.cpp behind
-// per-function target attributes and are only reachable after cpuid
-// approves them, so no TU needs a global ISA flag.
+// it, kUnrolled8 otherwise.  Because the two agree bit-for-bit, results
+// are stable across the build matrix whichever one the probe picks.  The
+// ISA-specific bodies live in kernels_avx2.cpp behind per-function target
+// attributes and are only reachable after cpuid approves them, so no TU
+// needs a global ISA flag.
 //
 // Accuracy contract (the "ULP bound" the fast golden tests enforce):
 // every per-element product/difference is computed exactly as in the
@@ -98,9 +113,10 @@ MathMode mode();
 /// True iff the fast path is currently selected.
 bool fast_enabled();
 
-/// The implementation behind MathMode::kFast (see the dispatch model).
+/// The implementation behind MathMode::kFast and pairwise_block_scalar
+/// (see the dispatch model).
 enum class FastBackend {
-  kUnrolled8,  ///< portable 8-accumulator scalar loops
+  kUnrolled8,  ///< portable scalar loops
   kAvx2,       ///< AVX2, no FMA — bit-identical to kUnrolled8
 };
 
@@ -166,11 +182,23 @@ void scale_fast(double* a, double s, size_t n);
 void dist_sq2_fast(const double* a0, const double* a1, const double* b, size_t n,
                    double& out0, double& out1);
 
-/// Dual-destination scalar dist_sq: per output, a single-accumulator
-/// forward loop bit-identical to vec::dist_sq's scalar path.  Lives here
-/// (not vector_ops) so pairwise_dist_sq's scalar branch can block its
-/// inner loop without touching the golden scalar semantics.
-void dist_sq2_scalar(const double* a0, const double* a1, const double* b, size_t n,
-                     double& out0, double& out1);
+// ---- default-mode pairwise kernel -----------------------------------------
+
+/// Lane rows per block of pairwise_block_scalar.
+inline constexpr size_t kPairLanes = 8;
+
+/// One lane block of the default-mode pairwise matrix.  For the n x d
+/// row-major matrix `rows` and the lane rows i in [i0, min(i0 + kPairLanes,
+/// n)), writes out[j*n + i] = ||row_i - row_j||² for every j > i (the
+/// lower triangle of the n x n `out`, columns of this block only).  Each
+/// value is bit-identical to vec::dist_sq's scalar loop (see the header).
+/// Entries out[j*n + i] with i >= j inside the block's own square
+/// [i0, i0 + kPairLanes)² receive scratch values; pairwise_dist_sq
+/// overwrites them when it mirrors the block and zeroes its diagonal.
+/// Nothing outside those columns is touched, so blocks are independent.
+/// Routes to the backend fast_backend_kind() names; both bodies give the
+/// same bits, so the choice moves wall-clock only.
+void pairwise_block_scalar(const double* rows, size_t n, size_t d, size_t i0,
+                           double* out);
 
 }  // namespace dpbyz::kernels

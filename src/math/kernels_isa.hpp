@@ -7,6 +7,8 @@
 
 #include <cstddef>
 
+#include "math/kernels.hpp"
+
 namespace dpbyz::kernels::detail {
 
 /// cpuid probes.  Always false on non-x86 targets, where the portable
@@ -22,5 +24,15 @@ void avx2_axpy(double* a, double s, const double* b, size_t n);
 void avx2_scale(double* a, double s, size_t n);
 void avx2_dist_sq2(const double* a0, const double* a1, const double* b, size_t n,
                    double& out0, double& out1);
+
+/// Source rows each lane block of the default-mode pairwise kernel holds
+/// against its kPairLanes lane rows (kernels::pairwise_block_scalar).
+inline constexpr size_t kPairSources = 4;
+
+/// dst[j][l] = sum_k (a[l][k] - b[j][k])^2 for l < kPairLanes,
+/// j < kPairSources: one pair per lane, each a single-accumulator
+/// ascending sum with no FMA, bit-identical to vec::dist_sq's scalar loop.
+void avx2_pair_lanes(const double* const* a, const double* const* b, size_t d,
+                     double* const* dst);
 
 }  // namespace dpbyz::kernels::detail

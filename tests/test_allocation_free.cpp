@@ -23,6 +23,7 @@
 #include "dp/gaussian_mechanism.hpp"
 #include "dp/laplace_mechanism.hpp"
 #include "math/gradient_batch.hpp"
+#include "math/kernels.hpp"
 #include "models/linear_model.hpp"
 #include "models/optimizer.hpp"
 
@@ -131,6 +132,26 @@ TEST(AllocationFree, WorkerMomentumPathIsAllocationFreeToo) {
   for (int s = 0; s < 2; ++s) worker.submit_into(w, out);
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0u);
+}
+
+TEST(AllocationFree, ThreadedPairwiseMatrixIsAllocationFree) {
+  // Above the pool-dispatch threshold (820 * 21000 pair-coordinates >
+  // 2^24), so threads > 1 really forks; the warm-up call starts the
+  // shared pool's threads.
+  const size_t n = 41, d = 21000;
+  GradientBatch batch(n, d);
+  for (size_t i = 0; i < n; ++i) batch.row(i)[i % d] = static_cast<double>(i);
+  std::vector<double> out(n * n);
+  pairwise_dist_sq(batch, out, 4);
+  for (const bool fast : {false, true}) {
+    const kernels::MathModeScope scope(fast ? kernels::MathMode::kFast
+                                            : kernels::MathMode::kScalar);
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    pairwise_dist_sq(batch, out, 4);
+    g_count_allocs.store(false);
+    EXPECT_EQ(g_alloc_count.load(), 0u) << (fast ? "fast" : "scalar");
+  }
 }
 
 }  // namespace

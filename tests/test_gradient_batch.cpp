@@ -212,8 +212,8 @@ TEST(GradientBatchView, KernelsSeeExactlyTheSlicedRows) {
 }
 
 TEST(PairwiseDistSq, BitIdenticalToScalarKernel) {
-  // d = 2048 gives 16 rows per 256 KiB tile, so n = 40 spans 3 tiles and
-  // exercises the blocked pair traversal, including cross-tile pairs.
+  // n = 40 spans five lane blocks, so the traversal covers pairs inside
+  // one block and across blocks.
   const auto vs = random_vectors(40, 2048, 5);
   const GradientBatch batch = GradientBatch::from_vectors(vs);
   std::vector<double> out(40 * 40);

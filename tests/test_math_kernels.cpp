@@ -5,7 +5,10 @@
 //     (cancellation-heavy) and denormal-heavy inputs;
 //   * elementwise kernels (axpy, scale) bit-identical in both modes;
 //   * fast-mode determinism: reruns bit-equal, and pairwise_dist_sq
-//     bit-equal at every thread width (these run under the TSAN CI job);
+//     bit-equal at every thread width in both modes (these run under the
+//     TSAN CI job);
+//   * the default-mode pairwise matrix bit-identical to vec::dist_sq on
+//     ragged shapes, on both backends;
 //   * the dispatch plumbing itself: MathModeScope restore semantics, the
 //     scalar default, and the ExperimentConfig::fast_math knob driving a
 //     deterministic (and scalar-defaulting) trainer;
@@ -200,7 +203,7 @@ TEST(MathKernels, VecEntryPointsDispatchOnTheMode) {
   EXPECT_LE(std::abs(fast - scalar), reassociation_bound(d, scalar));
 }
 
-// ---- pairwise kernel: fast-mode determinism at every thread width ----------
+// ---- pairwise kernel: determinism at every thread width --------------------
 
 // Runs under the TSAN CI job (the filter lists MathKernelsThreaded* —
 // only this suite, not the serial MathKernels tests): the threads > 1
@@ -229,6 +232,27 @@ TEST(MathKernelsThreaded, PairwiseFastModeBitIdenticalAcrossThreadWidths) {
   std::vector<double> rerun(n * n);
   pairwise_dist_sq(batch, rerun, 1);
   EXPECT_EQ(rerun, serial);
+}
+
+// The same gate for the default mode: each pair lives in one lane of one
+// block, and blocks spread across the pool.  n = 41 leaves a one-row
+// trailing block; 820 * 21000 = 17.2M pair-coordinates clears the 2^24
+// dispatch threshold, so the wider widths really run on the pool.
+TEST(MathKernelsThreaded, PairwiseScalarModeBitIdenticalAcrossThreadWidths) {
+  const size_t n = 41, d = 21000;
+  GradientBatch batch(n, d);
+  Rng rng(78);
+  for (size_t i = 0; i < n; ++i) batch.set_row(i, rng.normal_vector(d, 1.0));
+  std::vector<double> serial(n * n);
+  pairwise_dist_sq(batch, serial, 1);
+  for (size_t threads : {2u, 4u, 8u}) {
+    std::vector<double> threaded(n * n, -1.0);
+    pairwise_dist_sq(batch, threaded, threads);
+    ASSERT_EQ(threaded, serial) << "threads = " << threads;
+  }
+  for (size_t i : {0u, 7u, 8u, 40u})
+    for (size_t j : {0u, 9u, 33u, 40u})
+      EXPECT_EQ(serial[i * n + j], vec::dist_sq(batch.row(i), batch.row(j)));
 }
 
 // ---- runtime ISA dispatch ---------------------------------------------------
@@ -302,22 +326,45 @@ TEST(MathKernels, Unrolled8AndAvx2AgreeBitForBit) {
   }
 }
 
-// ---- dual-destination kernel ------------------------------------------------
+// ---- default-mode pairwise matrix -------------------------------------------
 
-TEST(MathKernels, DualRowScalarKernelBitIdenticalToScalarDistSq) {
-  for (size_t d : {0u, 1u, 7u, 8u, 9u, 64u, 1000u, 1003u}) {
-    const Vector a0 = random_vector(d == 0 ? 1 : d, 1000 + d);
-    const Vector a1 = random_vector(d == 0 ? 1 : d, 1100 + d);
-    const Vector b = random_vector(d == 0 ? 1 : d, 1200 + d);
-    double out0 = -1.0, out1 = -1.0;
-    kernels::dist_sq2_scalar(a0.data(), a1.data(), b.data(), d, out0, out1);
-    // Default mode is scalar, so vec::dist_sq IS the golden scalar loop.
-    Vector a0d(a0.begin(), a0.begin() + d), a1d(a1.begin(), a1.begin() + d),
-        bd(b.begin(), b.begin() + d);
-    EXPECT_EQ(out0, vec::dist_sq(a0d, bd)) << "d=" << d;
-    EXPECT_EQ(out1, vec::dist_sq(a1d, bd)) << "d=" << d;
+/// Every entry of the default-mode matrix equals vec::dist_sq of its row
+/// pair (the golden scalar loop), bit for bit, diagonal included.
+void expect_pairwise_matches_dist_sq(const GradientBatch& batch, const std::string& what) {
+  const size_t n = batch.rows();
+  std::vector<double> out(n * n, -1.0);
+  pairwise_dist_sq(batch, out);
+  for (size_t i = 0; i < n; ++i)
+    for (size_t j = 0; j < n; ++j)
+      ASSERT_EQ(out[i * n + j], vec::dist_sq(batch.row(i), batch.row(j)))
+          << what << " n=" << n << " d=" << batch.dim() << " (" << i << "," << j << ")";
+}
+
+TEST(MathKernels, PairwiseScalarMatrixBitIdenticalToDistSqOnRaggedShapes) {
+  for (kernels::FastBackend backend :
+       {kernels::FastBackend::kUnrolled8, kernels::FastBackend::kAvx2}) {
+    if (!kernels::backend_supported(backend)) continue;
+    BackendScope scope(backend);
+    const std::string name = kernels::fast_backend();
+    for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 17u, 33u}) {
+      for (size_t d : {1u, 3u, 4u, 7u, 8u, 9u, 69u, 1001u}) {
+        // One spare leading row: the view over rows [1, n + 1) starts d
+        // doubles into the arena, so at odd d its rows are unaligned.
+        GradientBatch random(n + 1, d), cancelling(n + 1, d);
+        for (size_t i = 0; i <= n; ++i) {
+          random.set_row(i, random_vector(d, 10 * n + d + i));
+          const auto [a, b] = adversarial_pair(d, 20 * n + d + i);
+          cancelling.set_row(i, i % 2 == 0 ? a : b);
+        }
+        expect_pairwise_matches_dist_sq(random.view(0, n), name + " random");
+        expect_pairwise_matches_dist_sq(random.view(1, n + 1), name + " offset view");
+        expect_pairwise_matches_dist_sq(cancelling.view(0, n), name + " adversarial");
+      }
+    }
   }
 }
+
+// ---- dual-destination kernel ------------------------------------------------
 
 TEST(MathKernels, DualRowFastKernelBitIdenticalPerOutputOnEveryBackend) {
   for (kernels::FastBackend backend :
