@@ -918,6 +918,7 @@ int main(int argc, char** argv) {
       config.batch_size = 10;
       config.dp_enabled = true;
       config.epsilon = 0.2;
+      config.threads = 1;
       const dpbyz::LinearModel& model = serial_h.model;
       const dpbyz::Dataset& data = serial_h.data;
       const auto serial_run = dpbyz::Trainer(config, model, data, data).run();

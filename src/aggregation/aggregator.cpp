@@ -81,7 +81,7 @@ void fill_dist_sq(const GradientBatch& batch, PruneMode prune, AggregatorWorkspa
     ws.sketch.compute(batch);
     ws.sketch.fill_dist_sq(ws.dist_sq);
   } else {
-    pairwise_dist_sq(batch, ws.dist_sq);
+    pairwise_dist_sq(batch, ws.dist_sq, ws.threads);
   }
 }
 

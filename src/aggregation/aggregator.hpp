@@ -113,8 +113,8 @@ PruneMode parse_prune_mode(const std::string& s);
 const char* prune_mode_name(PruneMode mode);
 
 /// The selection GARs' one source of pairwise distances: fill ws.dist_sq
-/// (n×n, row-major) with exact squared distances under kOff, or with
-/// ws.sketch's JL estimates under kApprox.
+/// (n×n, row-major) with exact squared distances under kOff (computed at
+/// ws.threads width), or with ws.sketch's JL estimates under kApprox.
 void fill_dist_sq(const GradientBatch& batch, PruneMode prune, AggregatorWorkspace& ws);
 
 /// Names accepted by make_aggregator.

@@ -49,7 +49,7 @@ HierarchicalAggregator::HierarchicalAggregator(
     : Aggregator(n, f),
       levels_(levels),
       branch_(branch),
-      threads_(threads),
+      threads_(resolve_threads(threads)),
       inner_name_(inner),
       node_path_(node_path) {
   require(levels >= 1, "HierarchicalAggregator: need at least one level");

@@ -56,13 +56,14 @@ class HierarchicalAggregator final : public Aggregator {
   /// An L-level tree over n rows with fan-out `branch` per node.  `inner`
   /// names the leaf GAR, `merge` the per-node merge GAR (both
   /// make_aggregator names); `threads` is the top-level child dispatch
-  /// width (nested levels run serially inside their task); `prune` is
-  /// forwarded to every stage factory.  `link` != nullptr puts the
-  /// framed wire + simulated channel on every edge (the config is
-  /// copied).  Throws std::invalid_argument when levels or branch is 0,
-  /// when branch^levels exceeds n (an empty leaf), or when any level's
-  /// stage is inadmissible at its derived budget — the message names the
-  /// failing node's path and derived (count, f) pair.
+  /// width (0 = hardware concurrency; nested levels run serially inside
+  /// their task, and every child workspace keeps the serial pairwise
+  /// budget); `prune` is forwarded to every stage factory.  `link` !=
+  /// nullptr puts the framed wire + simulated channel on every edge (the
+  /// config is copied).  Throws std::invalid_argument when levels or
+  /// branch is 0, when branch^levels exceeds n (an empty leaf), or when
+  /// any level's stage is inadmissible at its derived budget — the
+  /// message names the failing node's path and derived (count, f) pair.
   HierarchicalAggregator(const std::string& inner, const std::string& merge,
                          size_t n, size_t f, size_t levels, size_t branch,
                          size_t threads = 1, PruneMode prune = PruneMode::kOff,
@@ -120,7 +121,7 @@ class HierarchicalAggregator final : public Aggregator {
 
   size_t levels_;
   size_t branch_;
-  size_t threads_;
+  size_t threads_;  ///< resolved: >= 1
   size_t child_f_ = 0;
   size_t merge_f_ = 0;
   bool weighted_merge_ = false;
@@ -138,6 +139,8 @@ class HierarchicalAggregator final : public Aggregator {
   // of the rule, not the call site), so one instance must not run
   // concurrent aggregations — the sequential-use rule
   // AggregatorWorkspace already imposes.
+  // Their `threads` stay at the default 1: each child already runs in a
+  // pool task (or serially under a serial budget).
   mutable std::vector<AggregatorWorkspace> child_ws_;  // task b owns slot b
   mutable GradientBatch child_aggregates_;             // B×d merge arena
 };

@@ -9,9 +9,11 @@
 // a given (n, d) the steady-state path performs zero heap allocations.
 //
 // The workspace is plain data on purpose: it carries no invariants between
-// calls, any GAR may scribble over any member, and a single workspace can
-// be shared across different GARs as long as calls are sequential.  It is
-// NOT thread-safe; concurrent aggregations need one workspace each.
+// calls, any GAR may scribble over any scratch member, and a single
+// workspace can be shared across different GARs as long as calls are
+// sequential.  It is NOT thread-safe; concurrent aggregations need one
+// workspace each.  The one non-scratch member is `threads`, the thread
+// budget its owner grants the GAR's pairwise kernel.
 //
 // Row counts may vary call to call on the same workspace: every buffer is
 // (re)sized by the rule per call and reserve() only ever grows capacity,
@@ -30,6 +32,12 @@
 namespace dpbyz {
 
 struct AggregatorWorkspace {
+  /// Thread budget for the O(n²·d) pairwise matrix (fill_dist_sq in
+  /// aggregator.hpp); 0 picks the hardware concurrency, 1 keeps it on
+  /// the calling thread.  Every width is bit-identical.  ParameterServer
+  /// sets it from ExperimentConfig::threads; the tree's child workspaces
+  /// keep 1, since their children already run inside pool tasks.
+  size_t threads = 1;
   /// Shared pairwise squared-distance matrix, n*n row-major.
   std::vector<double> dist_sq;
   /// Per-gradient scores (Krum score, CGE squared norm, ...).

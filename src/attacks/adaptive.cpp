@@ -219,7 +219,7 @@ bool MimicBoundary::survives(const AttackContext& ctx, double alpha) const {
   // honest rows'.  Colluding copies are mutual zero-distance neighbours,
   // which is exactly the weakness this attack exposes.
   dist_.resize(n * n);
-  pairwise_dist_sq(cand, dist_);
+  pairwise_dist_sq(cand, dist_, /*threads=*/1);
   active_.resize(n);
   for (size_t i = 0; i < n; ++i) active_[i] = i;
   scores_.resize(n);

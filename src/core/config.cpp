@@ -149,7 +149,7 @@ std::string ExperimentConfig::label() const {
            std::to_string(tree_branch) + ")";
   if (wire != "off") out += "+wire(" + wire + ")";
   if (channel != "off") out += "+chan";
-  if (threads != 1) out += "+T" + std::to_string(threads);
+  if (threads != 0) out += "+T" + std::to_string(threads);
   if (pipeline_depth > 0) out += "+p" + std::to_string(pipeline_depth);
   if (straggler_policy == "adaptive")
     out += straggler_replay.empty() ? "+strag" : "+strag(replay)";

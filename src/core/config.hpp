@@ -76,16 +76,17 @@ struct ExperimentConfig {
   std::string data_partition = "shared";
   double label_skew_fraction = 0.8;  ///< majority share for "label-skew"
   /// Thread budget for one training step: honest-worker submission runs
-  /// one pipeline per thread on the process-wide ThreadPool, and the
-  /// aggregation tree (tree_levels >= 1) dispatches its top-level child
-  /// tasks at the same width.  1 (the default) keeps every step on the calling thread
-  /// — the paper's serial loop, bit-identical to the seed; 0 picks the
-  /// hardware concurrency.  Any value yields bit-identical results to
-  /// serial (workers own disjoint arena rows and independent RNG
-  /// streams; losses are reduced in index order after the join) — the
-  /// knob only changes wall-clock, which is why it is safe to flip on
-  /// existing experiments.
-  size_t threads = 1;
+  /// one pipeline per thread on the process-wide ThreadPool, the flat
+  /// GARs split their pairwise-distance matrix across the same width,
+  /// and the aggregation tree (tree_levels >= 1) dispatches its
+  /// top-level child tasks at it.  0 (the default) picks the hardware
+  /// concurrency (resolve_threads); 1 keeps every step on the calling
+  /// thread — the paper's serial loop.  Any value yields bit-identical
+  /// results to serial (workers own disjoint arena rows and independent
+  /// RNG streams; losses are reduced in index order after the join; each
+  /// distance is computed by one thread) — the knob only changes
+  /// wall-clock, which is why it is safe to flip on existing experiments.
+  size_t threads = 0;
   /// Round-engine ring depth k (see docs/ARCHITECTURE.md, "Round
   /// pipeline").  The engine owns a ring of k + 1 {arena, θ-snapshot}
   /// slots and keeps up to k fills in flight ahead of the round being

@@ -86,8 +86,10 @@ RoundPipeline::RoundPipeline(const ExperimentConfig& config,
       // The depth-0 path is safe as-is (ThreadPool::run detects the
       // serial context on the calling thread itself); only the depth-k
       // fill thread needs the width pinned here, where the nesting is
-      // still visible.
-      fill_threads_(ThreadPool::in_serial_context() ? 1 : config.threads),
+      // still visible.  The budget is resolved here, so threads = 0 on a
+      // 1-CPU host runs the serial loop rather than a 2-wide pool job.
+      fill_threads_(ThreadPool::in_serial_context() ? 1
+                                                    : resolve_threads(config.threads)),
       attack_rng_(std::move(attack_rng)),
       dropout_rng_(std::move(dropout_rng)),
       schedule_(std::move(schedule)),

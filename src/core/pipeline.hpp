@@ -11,8 +11,8 @@
 //     round t out of its slot, a dedicated fill thread produces rounds
 //     t+1 .. t+depth into the others — honest worker pipelines
 //     (dispatched on ThreadPool::shared() when ExperimentConfig::threads
-//     != 1) plus the attack's forgery, each against the stale snapshot
-//     its round was dispatched with.  That is bounded-staleness-k SGD:
+//     resolves above 1) plus the attack's forgery, each against the
+//     stale snapshot its round was dispatched with.  That is bounded-staleness-k SGD:
 //     round t's gradients are computed at θ_{max(0, t-1-k)}, so an
 //     aggregation stall of up to k rounds never idles the fill agent.
 //     Depth 1 degenerates to the classic double buffer.
@@ -276,9 +276,10 @@ class RoundPipeline {
 
   /// Fill `slot` for round t at parameters `p`: draw the live set (and
   /// apply any straggler skips), run the live honest pipelines (serial,
-  /// or on ThreadPool::shared() at config.threads width), forge the
-  /// Byzantine rows against the stale observation, apply §2.1 dropout
-  /// zeroing, then feed measured latencies to the straggler controller.
+  /// or on ThreadPool::shared() at the resolved config.threads width),
+  /// forge the Byzantine rows against the stale observation, apply §2.1
+  /// dropout zeroing, then feed measured latencies to the straggler
+  /// controller.
   /// `p` is the slot's params snapshot on the depth-k fill thread; the
   /// synchronous depth-0 path passes the server's live vector directly
   /// (it is stable for the whole fill there, so no snapshot copy is
@@ -309,7 +310,7 @@ class RoundPipeline {
   size_t byzantine_rows_;
   bool observe_clean_;
   size_t dim_;
-  size_t fill_threads_;  ///< config.threads, forced serial when nested
+  size_t fill_threads_;  ///< resolved config.threads, forced serial when nested
   Rng attack_rng_;
   Rng dropout_rng_;
   ParticipationSchedule schedule_;

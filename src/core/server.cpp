@@ -6,13 +6,15 @@
 #include "aggregation/hierarchical.hpp"
 #include "core/trainer.hpp"
 #include "utils/errors.hpp"
+#include "utils/parallel.hpp"
 
 namespace dpbyz {
 
 ParameterServer::ParameterServer(std::unique_ptr<Aggregator> gar, SgdOptimizer optimizer,
-                                 Vector w0)
+                                 Vector w0, size_t threads)
     : gar_(std::move(gar)), optimizer_(std::move(optimizer)), w_(std::move(w0)) {
   require(gar_ != nullptr, "ParameterServer: null aggregator");
+  ws_.threads = resolve_threads(threads);
 }
 
 void ParameterServer::step(const GradientBatch& batch, size_t t) {

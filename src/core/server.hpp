@@ -9,7 +9,8 @@
 //
 // The server owns the AggregatorWorkspace its GAR aggregates through, so
 // the per-step hot path (step on a GradientBatch) allocates nothing once
-// the workspace has warmed up.
+// the workspace has warmed up, and grants that workspace its thread
+// budget.
 #pragma once
 
 #include <memory>
@@ -24,7 +25,12 @@ namespace dpbyz {
 class ParameterServer {
  public:
   /// Takes ownership of the GAR and optimizer; `w0` is the initial model.
-  ParameterServer(std::unique_ptr<Aggregator> gar, SgdOptimizer optimizer, Vector w0);
+  /// `threads` is the aggregation's thread budget (AggregatorWorkspace::
+  /// threads), resolved here: 0 (the default, as for
+  /// ExperimentConfig::threads) picks the hardware concurrency, 1 keeps
+  /// every aggregation on the calling thread.  No width changes a bit.
+  ParameterServer(std::unique_ptr<Aggregator> gar, SgdOptimizer optimizer, Vector w0,
+                  size_t threads = 0);
 
   /// One synchronous round: aggregate the n batch rows and apply the
   /// update for (1-based) step t.  Allocation-free at steady state.

@@ -146,14 +146,15 @@ RunResult Trainer::run() {
   // make_round_aggregator picks the topology: flat at the defaults (the
   // paper path is byte-for-byte the code the golden tests pin — no
   // degenerate wrapper indirection) or the hierarchical tree with its
-  // wire/channel link.  config.threads drives the tree's child dispatch
-  // width too; nesting inside
-  // run_seeds_parallel is safe because the process-wide ThreadPool runs
-  // nested jobs serially on the worker they were issued from.
+  // wire/channel link.  config.threads, resolved by the server, is its
+  // aggregation budget (the flat GARs' pairwise matrix) and drives the
+  // tree's child dispatch width too; nesting inside run_seeds_parallel
+  // is safe because the process-wide ThreadPool runs nested jobs
+  // serially on the worker they were issued from.
   std::unique_ptr<Aggregator> gar = make_round_aggregator(config_, n);
   ParameterServer server(std::move(gar),
                          SgdOptimizer(model_.dim(), schedule, config_.momentum),
-                         model_.initial_parameters());
+                         model_.initial_parameters(), config_.threads);
 
   RunResult result;
   result.train_loss.reserve(config_.steps);

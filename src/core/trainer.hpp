@@ -12,13 +12,15 @@
 //   4. metrics are recorded (per-step honest batch loss; test accuracy
 //      every eval_every steps).
 //
-// The trainer is serial by default and allocation-free at steady state
-// (every per-step stage writes into reused arenas/buffers; measured by
-// bench_gar_scaling's pipeline sweep).  ExperimentConfig::threads > 1
-// runs the honest-worker pipelines — and, with tree_levels >= 1, the
-// tree's child dispatch — on the process-wide ThreadPool; results stay deterministic
-// and bit-identical to the serial run given (config, model, datasets),
-// which the test suite checks bit-for-bit.
+// The trainer is allocation-free at steady state (every per-step stage
+// writes into reused arenas/buffers; measured by bench_gar_scaling's
+// pipeline sweep).  ExperimentConfig::threads (0, the default, is the
+// hardware concurrency) runs the honest-worker pipelines, the flat GARs'
+// pairwise-distance matrix and, with tree_levels >= 1, the tree's child
+// dispatch on the process-wide ThreadPool; threads = 1 is the serial
+// loop.  Results stay deterministic and bit-identical to the serial run
+// given (config, model, datasets), which the test suite checks
+// bit-for-bit.
 //
 // The synchronous loop above is the pipeline_depth = 0, participation =
 // "full" default.  Every run executes through the round engine

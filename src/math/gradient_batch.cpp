@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 #include "math/kernels.hpp"
 #include "math/statistics.hpp"
@@ -183,10 +182,7 @@ void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
     for (size_t j = jb; j < je; ++j) m[j * n + j] = 0.0;
   };
 
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 0 ? hw : 1;
-  }
+  threads = resolve_threads(threads);
   // Pool dispatch is allocation-free, but only pays off for heavy
   // matrices.
   constexpr size_t kParallelMinWork = size_t{1} << 24;  // pair-coordinates

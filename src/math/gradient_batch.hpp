@@ -140,10 +140,12 @@ void median_rows_into(const GradientBatch& batch, std::vector<double>& column_sc
 /// same rows.  Work is split into blocks of kernels::kPairLanes rows,
 /// dispatched on the process-wide ThreadPool when the matrix is large
 /// enough to amortise the fork-join; `threads` = 0 picks the hardware
-/// concurrency, 1 (the default) forces serial.  Every width computes each
-/// pair on one thread (bit-identical results) and allocates nothing; a
-/// call nested inside another pool job runs serially.
+/// concurrency (resolve_threads), 1 forces serial.  The GARs pass their
+/// workspace's budget (AggregatorWorkspace::threads).  Every width
+/// computes each pair on one thread (bit-identical results) and
+/// allocates nothing; a call nested inside another pool job runs
+/// serially.
 void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
-                      size_t threads = 1);
+                      size_t threads);
 
 }  // namespace dpbyz

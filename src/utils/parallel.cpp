@@ -47,9 +47,14 @@ thread_local bool t_on_pool_worker = false;
 thread_local bool t_in_fork_join = false;
 }  // namespace
 
+size_t resolve_threads(size_t threads) {
+  static const size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  return threads == 0 ? hardware : threads;
+}
+
 ThreadPool::ThreadPool(size_t workers) {
   if (workers == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
+    const size_t hw = resolve_threads(0);
     workers = hw > 1 ? hw - 1 : 1;
   }
   workers_.reserve(workers);

@@ -168,6 +168,13 @@ class ThreadPool {
   std::mutex submit_mutex_;  ///< serializes run_job callers
 };
 
+/// The library's one reading of a thread budget: 0 becomes the hardware
+/// concurrency (at least 1; queried once per process), any other value is
+/// returned as is.  Every `threads` knob resolves through this helper
+/// before it reaches a dispatch decision, so `threads = 0` on a 1-CPU
+/// host is exactly the serial loop.
+size_t resolve_threads(size_t threads);
+
 /// Evaluate fn(0), ..., fn(count - 1) on the process-wide ThreadPool and
 /// return the results in index order — bit-identical to the serial loop,
 /// which is a library-wide determinism invariant the tests rely on.
@@ -185,12 +192,8 @@ auto parallel_map(size_t count, Fn fn, size_t threads = 0, size_t grain = 1)
   if (count == 0) return results;
   grain = std::max<size_t>(grain, 1);
 
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 0 ? hw : 1;
-  }
   const size_t chunks = (count + grain - 1) / grain;
-  threads = std::min(threads, chunks);
+  threads = std::min(resolve_threads(threads), chunks);
 
   if (threads <= 1) {
     for (size_t i = 0; i < count; ++i) results[i] = fn(i);

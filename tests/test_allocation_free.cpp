@@ -134,6 +134,26 @@ TEST(AllocationFree, WorkerMomentumPathIsAllocationFreeToo) {
   EXPECT_EQ(g_alloc_count.load(), 0u);
 }
 
+TEST(AllocationFree, FlatKrumStepAboveDispatchGateAtDefaultThreads) {
+  // The server's default budget (0, the hardware concurrency) splits
+  // krum's pairwise matrix across the shared pool: 64 rows of d = 8448
+  // are 17.0M pair-coordinates, above the 2^24 dispatch gate.  A round
+  // of aggregate + update must still allocate nothing.
+  const size_t n = 64, d = 8448;
+  GradientBatch batch(n, d);
+  Rng rng(5);
+  for (size_t i = 0; i < n; ++i)
+    for (double& x : batch.row(i)) x = rng.normal();
+  ParameterServer server(make_aggregator("krum", n, 2),
+                         SgdOptimizer(d, constant_lr(0.1), 0.9), Vector(d, 0.0));
+  for (size_t t = 1; t <= 2; ++t) server.step(batch, t);
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  for (size_t t = 3; t <= 4; ++t) server.step(batch, t);
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0u);
+}
+
 TEST(AllocationFree, ThreadedPairwiseMatrixIsAllocationFree) {
   // Above the pool-dispatch threshold (820 * 21000 pair-coordinates >
   // 2^24), so threads > 1 really forks; the warm-up call starts the

@@ -3,7 +3,10 @@
 // (preserved in aggregation/reference_gars.hpp) — same doubles, same
 // tie-breaks — on seeded random and adversarial inputs.  Exact equality
 // (EXPECT_EQ on the vectors) is deliberate: the refactor's contract is
-// "same arithmetic, new memory layout", not "close enough".
+// "same arithmetic, new memory layout", not "close enough".  Every check
+// runs at two workspace thread budgets (AggregatorWorkspace::threads),
+// and one shape clears the pairwise kernel's pool-dispatch gate, so the
+// threaded matrix is pinned to the seed code too.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -76,17 +79,24 @@ std::vector<Vector> tied_inputs(size_t n, size_t f, size_t d, uint64_t seed) {
 
 class GarGoldenTest : public ::testing::TestWithParam<std::string> {};
 
+/// The workspace thread budgets every golden runs at: serial, and a
+/// width that forks wherever the matrix clears the dispatch gate.
+constexpr size_t kThreadWidths[] = {1, 4};
+
 void expect_bit_identical(const std::string& name, size_t n, size_t f,
                           const std::vector<Vector>& inputs, const char* label) {
   const auto agg = make_aggregator(name, n, f);
   const GradientBatch batch = GradientBatch::from_vectors(inputs);
-  AggregatorWorkspace ws;
-
-  const auto view = agg->aggregate(batch, ws);
-  const Vector got(view.begin(), view.end());
   const Vector want = reference_aggregate(name, inputs, n, f);
-  EXPECT_EQ(got, want) << name << " diverges from the seed implementation on " << label
-                       << " inputs (n=" << n << ", f=" << f << ")";
+  for (const size_t threads : kThreadWidths) {
+    AggregatorWorkspace ws;
+    ws.threads = threads;
+    const auto view = agg->aggregate(batch, ws);
+    const Vector got(view.begin(), view.end());
+    EXPECT_EQ(got, want) << name << " diverges from the seed implementation on " << label
+                         << " inputs (n=" << n << ", f=" << f << ", threads=" << threads
+                         << ")";
+  }
 
   // The legacy span overload must route through the same kernel.
   EXPECT_EQ(agg->aggregate(inputs), want) << name << " legacy path on " << label;
@@ -119,22 +129,26 @@ TEST_P(GarGoldenTest, WorkspaceReuseIsStateless) {
   const std::string name = GetParam();
   const auto agg_small = make_aggregator(name, 11, 2);
   const auto agg_large = make_aggregator(name, 25, 5);
-  AggregatorWorkspace ws;
 
   const auto in_large = random_inputs(25, 33, 7);
   const auto in_small = random_inputs(11, 17, 8);
   const GradientBatch batch_large = GradientBatch::from_vectors(in_large);
   const GradientBatch batch_small = GradientBatch::from_vectors(in_small);
 
-  const auto first = agg_large->aggregate(batch_large, ws);
-  const Vector first_copy(first.begin(), first.end());
-  const auto second = agg_small->aggregate(batch_small, ws);
-  const Vector second_copy(second.begin(), second.end());
-  const auto third = agg_large->aggregate(batch_large, ws);
-  const Vector third_copy(third.begin(), third.end());
+  for (const size_t threads : kThreadWidths) {
+    AggregatorWorkspace ws;
+    ws.threads = threads;
+    const auto first = agg_large->aggregate(batch_large, ws);
+    const Vector first_copy(first.begin(), first.end());
+    const auto second = agg_small->aggregate(batch_small, ws);
+    const Vector second_copy(second.begin(), second.end());
+    const auto third = agg_large->aggregate(batch_large, ws);
+    const Vector third_copy(third.begin(), third.end());
 
-  EXPECT_EQ(second_copy, reference_aggregate(name, in_small, 11, 2));
-  EXPECT_EQ(first_copy, third_copy);
+    EXPECT_EQ(second_copy, reference_aggregate(name, in_small, 11, 2))
+        << "threads=" << threads;
+    EXPECT_EQ(first_copy, third_copy) << "threads=" << threads;
+  }
 }
 
 /// Every rule that has a seed implementation to pin against.  mda_greedy
@@ -150,6 +164,28 @@ std::vector<std::string> gars_with_seed_reference() {
 INSTANTIATE_TEST_SUITE_P(AllGars, GarGoldenTest,
                          ::testing::ValuesIn(gars_with_seed_reference()));
 
+TEST(GarGolden, ThreadedMatrixAboveDispatchGateMatchesReference) {
+  // 64 rows of d = 8448: 2016 pairs * 8448 = 17.0M pair-coordinates,
+  // above pairwise_dist_sq's 2^24 pool-dispatch gate, so the threads = 4
+  // workspace really splits the matrix across the shared pool.  The
+  // forged duplicates keep the score ties of the adversarial goldens.
+  const size_t n = 64, f = 2, d = 8448;
+  const auto inputs = adversarial_inputs(n, f, d, 21);
+  for (const char* name : {"krum", "multi-krum", "mda", "bulyan"})
+    expect_bit_identical(name, n, f, inputs, "above-gate");
+
+  // mda_greedy has no seed implementation (see gars_with_seed_reference
+  // above); its threaded run is pinned to its serial one.
+  const auto greedy = make_aggregator("mda_greedy", n, f);
+  const GradientBatch batch = GradientBatch::from_vectors(inputs);
+  AggregatorWorkspace serial, threaded;
+  threaded.threads = 4;
+  const auto want = greedy->aggregate(batch, serial);
+  const Vector want_copy(want.begin(), want.end());
+  const auto got = greedy->aggregate(batch, threaded);
+  EXPECT_EQ(Vector(got.begin(), got.end()), want_copy);
+}
+
 TEST(GarGolden, KrumScoresReferenceMatchesMatrixPath) {
   // The free krum_scores function is the reference; the matrix path must
   // reproduce it exactly, including on shrunken Bulyan-style pools.
@@ -157,7 +193,7 @@ TEST(GarGolden, KrumScoresReferenceMatchesMatrixPath) {
   const GradientBatch batch = GradientBatch::from_vectors(inputs);
 
   std::vector<double> dist(11 * 11);
-  pairwise_dist_sq(batch, dist);
+  pairwise_dist_sq(batch, dist, 1);
   std::vector<size_t> active(11);
   for (size_t i = 0; i < 11; ++i) active[i] = i;
   std::vector<double> scores(11);

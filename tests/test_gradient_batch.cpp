@@ -195,7 +195,7 @@ TEST(GradientBatchView, KernelsSeeExactlyTheSlicedRows) {
 
   // pairwise distances over the view == scalar kernel on the sub-rows.
   std::vector<double> dist(4 * 4);
-  pairwise_dist_sq(shard, dist);
+  pairwise_dist_sq(shard, dist, 1);
   for (size_t i = 0; i < 4; ++i)
     for (size_t j = 0; j < 4; ++j)
       EXPECT_EQ(dist[i * 4 + j], vec::dist_sq(vs[3 + i], vs[3 + j]));
@@ -217,7 +217,7 @@ TEST(PairwiseDistSq, BitIdenticalToScalarKernel) {
   const auto vs = random_vectors(40, 2048, 5);
   const GradientBatch batch = GradientBatch::from_vectors(vs);
   std::vector<double> out(40 * 40);
-  pairwise_dist_sq(batch, out);
+  pairwise_dist_sq(batch, out, 1);
   for (size_t i = 0; i < 40; ++i)
     for (size_t j = 0; j < 40; ++j)
       EXPECT_EQ(out[i * 40 + j], vec::dist_sq(vs[i], vs[j])) << i << "," << j;

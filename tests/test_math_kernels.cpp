@@ -333,7 +333,7 @@ TEST(MathKernels, Unrolled8AndAvx2AgreeBitForBit) {
 void expect_pairwise_matches_dist_sq(const GradientBatch& batch, const std::string& what) {
   const size_t n = batch.rows();
   std::vector<double> out(n * n, -1.0);
-  pairwise_dist_sq(batch, out);
+  pairwise_dist_sq(batch, out, 1);
   for (size_t i = 0; i < n; ++i)
     for (size_t j = 0; j < n; ++j)
       ASSERT_EQ(out[i * n + j], vec::dist_sq(batch.row(i), batch.row(j)))

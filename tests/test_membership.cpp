@@ -347,6 +347,7 @@ TEST(MembershipTraining, DepthedChurnMatchesAcrossThreadWidths) {
   c.attack = "little";
   c.num_workers = 11;
   c.num_byzantine = 3;
+  c.threads = 1;
   ExperimentConfig threaded = c;
   threaded.threads = 4;
   const RunResult a = Trainer(c, task.model, task.train, task.test).run();

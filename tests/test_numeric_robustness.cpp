@@ -166,7 +166,7 @@ TEST(DegenerateRounds, PairwiseDistSqHandlesSingleRowBatch) {
   Vector v = rng.normal_vector(1000, 1.0);
   batch.set_row(0, v);
   std::vector<double> out(1, -1.0);
-  pairwise_dist_sq(batch, out);
+  pairwise_dist_sq(batch, out, 1);
   EXPECT_EQ(out[0], 0.0);  // the diagonal — no pair kernel runs
 }
 

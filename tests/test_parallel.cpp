@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -12,6 +13,13 @@
 
 namespace dpbyz {
 namespace {
+
+TEST(ResolveThreads, ZeroIsTheHardwareConcurrencyAnyOtherValueIsKept) {
+  const size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(resolve_threads(0), hardware);
+  EXPECT_EQ(resolve_threads(1), 1u);
+  EXPECT_EQ(resolve_threads(3), 3u);
+}
 
 TEST(ParallelMap, PreservesIndexOrder) {
   const auto out = parallel_map(100, [](size_t i) { return i * i; }, 8);

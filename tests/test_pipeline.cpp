@@ -115,6 +115,7 @@ TEST(RoundPipeline, Depth1ThreadWidthsBitEqual) {
   c.gar = "median";
   c.worker_momentum = 0.5;
   c.pipeline_depth = 1;
+  c.threads = 1;
   const RunResult serial = Trainer(c, task.model, task.train, task.test).run();
   c.threads = 4;
   const RunResult threaded = Trainer(c, task.model, task.train, task.test).run();

@@ -157,6 +157,7 @@ TEST(RoundPipelineRing, ThreadWidthsBitEqualAtEveryDepth) {
     c.gar = "median";
     c.worker_momentum = 0.5;
     c.pipeline_depth = depth;
+    c.threads = 1;
     const RunResult serial = Trainer(c, task.model, task.train, task.test).run();
     c.threads = 4;
     const RunResult threaded = Trainer(c, task.model, task.train, task.test).run();

@@ -211,6 +211,7 @@ TEST(Trainer, ThreadedSubmissionBitIdenticalToSerial) {
   c.num_byzantine = 2;
   c.gar = "median";
   c.worker_momentum = 0.5;
+  c.threads = 1;
   const RunResult serial = Trainer(c, task.model, task.train, task.test).run();
   c.threads = 4;
   const RunResult threaded = Trainer(c, task.model, task.train, task.test).run();
@@ -231,6 +232,7 @@ TEST(Trainer, ThreadedShardedTrainerBitIdenticalToSerial) {
   c.gar = "median";
   c.tree_levels = 1;
   c.tree_branch = 3;
+  c.threads = 1;
   const RunResult serial = Trainer(c, task.model, task.train, task.test).run();
   c.threads = 3;
   const RunResult threaded = Trainer(c, task.model, task.train, task.test).run();
@@ -239,8 +241,12 @@ TEST(Trainer, ThreadedShardedTrainerBitIdenticalToSerial) {
 }
 
 TEST(Config, LabelShowsThreadsKnob) {
+  // The default (0, hardware concurrency) prints nothing; any pinned
+  // width, the serial 1 included, is spelled out.
   ExperimentConfig c;
   EXPECT_EQ(c.label().find("+T"), std::string::npos);
+  c.threads = 1;
+  EXPECT_NE(c.label().find("+T1"), std::string::npos);
   c.threads = 4;
   EXPECT_NE(c.label().find("+T4"), std::string::npos);
 }

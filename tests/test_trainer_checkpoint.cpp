@@ -94,6 +94,7 @@ void expect_restore_bit_equal(const SmallTask& task, ExperimentConfig c,
 
 TEST(TrainerCheckpoint, SignatureIgnoresHorizonAndPlumbingKnobs) {
   ExperimentConfig a = ckpt_config("/tmp/a.ckpt");
+  a.threads = 1;
   ExperimentConfig b = a;
   b.steps = 4000;
   b.checkpoint_path = "/elsewhere/b.ckpt";
