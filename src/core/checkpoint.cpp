@@ -52,6 +52,17 @@ void write_blob(std::ostream& os, const char* name, const std::string& bytes) {
   os << '\n';
 }
 
+/// Bytes between the read position and the end of the (seekable) file
+/// stream: the ceiling for any length or count field read from it, so a
+/// corrupted field is rejected before it sizes an allocation.
+size_t bytes_left(std::istream& is) {
+  const std::streampos here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(here);
+  return static_cast<size_t>(end - here);
+}
+
 std::string read_blob(std::istream& is, const char* name) {
   std::string tag;
   size_t len = 0;
@@ -60,6 +71,8 @@ std::string read_blob(std::istream& is, const char* name) {
     throw std::runtime_error("checkpoint: expected blob '" + std::string(name) +
                              "', found '" + tag + "'");
   is.get();  // the '\n' after the length
+  if (len > bytes_left(is))
+    throw std::runtime_error("checkpoint: truncated blob '" + std::string(name) + "'");
   std::string bytes(len, '\0');
   is.read(bytes.data(), static_cast<std::streamsize>(len));
   if (is.gcount() != static_cast<std::streamsize>(len) || is.get() != '\n')
@@ -164,6 +177,9 @@ std::optional<TrainerCheckpoint> load_checkpoint(const std::string& path) {
   if (is.fail() || tag != "workers")
     throw std::runtime_error("checkpoint: missing worker count");
   is.get();  // '\n'
+  if (workers > bytes_left(is))  // every worker blob takes at least a byte
+    throw std::runtime_error("checkpoint: worker count " + std::to_string(workers) +
+                             " exceeds the file size");
   ckpt.worker_blobs.reserve(workers);
   for (size_t i = 0; i < workers; ++i)
     ckpt.worker_blobs.push_back(read_blob(is, "worker"));

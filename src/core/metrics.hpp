@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/membership.hpp"
 #include "math/vector_ops.hpp"
 #include "net/channel.hpp"
@@ -33,8 +32,9 @@ struct EvalRecord {
 /// the sum approaches max(fill_busy, aggregate) + apply as the overlap
 /// improves.  `fill_busy` is the fill agent's actual producing time
 /// (blocked or overlapped alike); fill_busy − fill is the overlap the
-/// ring bought.  Timing never feeds back into the trajectory; two runs
-/// differing only in recorded phase times are bit-identical.
+/// ring bought.  Timing never feeds back into the trajectory: a run is a
+/// pure function of (config, seed, depth), so two runs differing only in
+/// recorded phase times are bit-identical.
 struct PhaseSeconds {
   double fill = 0.0;       ///< caller-visible fill wait (blocked time only)
   double fill_busy = 0.0;  ///< fill agent's producing time, incl. overlapped
@@ -75,14 +75,6 @@ struct RunResult {
   /// First 1-based step at which train_loss came within 5% of its run
   /// minimum; 0 when the run never stabilized.
   size_t steps_to_min_loss = 0;
-  /// Straggler skips the adaptive controller applied, in (round, worker)
-  /// order; empty unless straggler_policy == "adaptive".  Feeding this
-  /// back as ExperimentConfig::straggler_replay reproduces the run
-  /// bit-identically (see core/straggler.hpp).
-  std::vector<StragglerDecision> straggler_trace;
-  /// Final per-honest-worker fill-latency EMA, seconds (empty unless the
-  /// controller was active).
-  std::vector<double> straggler_ema;
   /// Wire/channel counters summed over every tree edge of the run
   /// (all-zero unless tree_levels >= 1 with wire != "off").  A seeded
   /// lossy run reproduces these exactly along with its trajectory —

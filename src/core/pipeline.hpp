@@ -35,13 +35,6 @@
 //     by constructing the rule at (n', f) the first time each n' occurs
 //     (cached; std::invalid_argument propagates for inadmissible rounds).
 //
-//   * Adaptive straggler control (opt-in, core/straggler.hpp).  The fill
-//     agent measures each live worker's fill latency; a per-worker EMA
-//     drives a timeout that skips chronically late fills for one round.
-//     Decisions are recorded in a trace (RunResult::straggler_trace) and
-//     replaying the trace (ExperimentConfig::straggler_replay) makes the
-//     run a pure function of (config, seed, trace) again.
-//
 // Depth semantics (ExperimentConfig::pipeline_depth = k):
 //   depth 0 — fill and aggregate run back to back on the caller's
 //             thread, in exactly the order of the synchronous trainer
@@ -69,7 +62,6 @@
 #include "core/config.hpp"
 #include "core/membership.hpp"
 #include "core/server.hpp"
-#include "core/straggler.hpp"
 #include "core/worker.hpp"
 #include "math/gradient_batch.hpp"
 #include "math/rng.hpp"
@@ -247,11 +239,6 @@ class RoundPipeline {
 
   size_t depth() const { return config_.pipeline_depth; }
 
-  /// The straggler controller (inert unless config.straggler_policy ==
-  /// "adaptive").  Read its trace()/ema() only after the last round has
-  /// been acquired — the fill agent owns it while rounds are in flight.
-  const StragglerController& straggler() const { return straggler_; }
-
  private:
   /// One ring slot: an n×d arena plus the parameter snapshot its fill
   /// ran against and the fill's per-round results.
@@ -274,12 +261,10 @@ class RoundPipeline {
     std::vector<uint32_t> shadow_ids;
   };
 
-  /// Fill `slot` for round t at parameters `p`: draw the live set (and
-  /// apply any straggler skips), run the live honest pipelines (serial,
-  /// or on ThreadPool::shared() at the resolved config.threads width),
-  /// forge the Byzantine rows against the stale observation, apply §2.1
-  /// dropout zeroing, then feed measured latencies to the straggler
-  /// controller.
+  /// Fill `slot` for round t at parameters `p`: draw the live set, run
+  /// the live honest pipelines (serial, or on ThreadPool::shared() at the
+  /// resolved config.threads width), forge the Byzantine rows against the
+  /// stale observation, then apply §2.1 dropout zeroing.
   /// `p` is the slot's params snapshot on the depth-k fill thread; the
   /// synchronous depth-0 path passes the server's live vector directly
   /// (it is stable for the whole fill there, so no snapshot copy is
@@ -314,7 +299,6 @@ class RoundPipeline {
   Rng attack_rng_;
   Rng dropout_rng_;
   ParticipationSchedule schedule_;
-  StragglerController straggler_;
   const MembershipManager* membership_;  ///< null = fixed roster
 
   /// The ring: depth + 1 slots (one at depth 0), round t in slot
@@ -324,7 +308,6 @@ class RoundPipeline {
   GradientBatch clean_;           ///< adversary's clean-observation arena
   std::vector<uint8_t> live_;     ///< schedule mask scratch
   std::vector<size_t> live_idx_;  ///< live worker indices, ascending
-  std::vector<double> latency_;   ///< per-live-rank fill seconds (adaptive only)
   Round round_;                   ///< what acquire() returns
   /// Per-(n', f) rule lookup; entries point either at caller-provided
   /// instances (the server's initial and renegotiated rules) or at rules

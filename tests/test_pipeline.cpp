@@ -365,17 +365,23 @@ TEST(RoundPipelineConfig, ValidationAndLabel) {
   c.straggler_policy = "sometimes";
   EXPECT_THROW(c.validate(), std::invalid_argument);
   c = ExperimentConfig{};
-  c.straggler_policy = "adaptive";
-  c.straggler_ema_alpha = 0.0;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c.straggler_policy = "adaptive";  // retired: points at the seeded schedule
+  try {
+    c.validate();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("participation"), std::string::npos) << what;
+  }
   c = ExperimentConfig{};
-  c.straggler_replay = {{1, 0}};  // replay requires the adaptive policy
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-  c.straggler_policy = "adaptive";
+  c.straggler_policy = "off";
   EXPECT_NO_THROW(c.validate());
-  EXPECT_NE(c.label().find("+strag(replay)"), std::string::npos);
-  c.straggler_replay = {{0, 0}};  // round out of [1, steps]
-  EXPECT_THROW(c.validate(), std::invalid_argument);
+  // Churn and checkpointing validate without any straggler field set.
+  c = ExperimentConfig{};
+  c.churn = "epoch";
+  c.checkpoint_path = "run.ckpt";
+  c.checkpoint_every = 10;
+  EXPECT_NO_THROW(c.validate());
   c = ExperimentConfig{};
   c.participation = "sometimes";
   EXPECT_THROW(c.validate(), std::invalid_argument);

@@ -172,6 +172,25 @@ TEST(TrainerCheckpoint, MissingFileIsNulloptCorruptFileThrows) {
     os << "not a checkpoint\n";
   }
   EXPECT_THROW(load_checkpoint(path), std::runtime_error);
+  // Inflated length/count fields are rejected by name before they size an
+  // allocation (not std::bad_alloc, not a multi-GB buffer first).
+  const auto expect_named_error = [&](const std::string& body, const std::string& needle) {
+    {
+      std::ofstream os(path, std::ios::binary);
+      os << "DPBYZCKP1\nsig 3\nabc\nround 1\n" << body;
+    }
+    try {
+      load_checkpoint(path);
+      ADD_FAILURE() << "expected std::runtime_error naming " << needle;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+  };
+  expect_named_error("params 99999999999999999\n", "truncated blob 'params'");
+  expect_named_error("params 4000000000\n", "truncated blob 'params'");
+  expect_named_error("params 0\n\nvelocity 0\n\nworkers 99999999999999999\n",
+                     "worker count");
   std::remove(path.c_str());
 }
 
