@@ -43,14 +43,9 @@
 // (final accuracy/loss, min loss, steps-to-min), plus the Theorem-1
 // strongly-convex quadratic's exact excess loss per depth.
 //
-// A fifth sweep measures the opt-in fast-math kernels (math/kernels.hpp)
-// per GAR at n = 50, d = 1e4 and at the large-d point d = 1e5 (skipped
-// under --fast): wall-clock of the scalar (default, bit-identical) mode
-// vs MathMode::kFast, the max relative output deviation against the
-// scalar aggregate, steady-state allocations in fast mode, and three
-// determinism gates — rerun bit-equality of the fast aggregate, and
-// bit-equality of the pairwise matrix across thread widths in each
-// mode.  The JSON records which backend the binary *selected at
+// A fifth probe checks the pairwise kernel (math/kernels.hpp) at a
+// threaded extent: the matrix must be bit-identical at threads = 1 and
+// threads = 4.  The JSON records which backend the binary *selected at
 // runtime* ("avx2" / "unrolled8").
 //
 // A sixth sweep measures sketch distances (prune=approx, math/sketch.hpp)
@@ -92,8 +87,7 @@
 // 300), --check (exit nonzero on any correctness/allocation regression:
 // non-identical outputs, nonzero steady-state allocs, engine depth-0
 // drift, depth-k nondeterminism, a pairwise matrix that drifts across
-// thread widths in either math mode, fast-mode nondeterminism or an
-// out-of-bound fast-mode deviation, a prune=approx steady-state
+// thread widths, a prune=approx steady-state
 // allocation, an L = 1 tree diverging from the pinned sharded
 // outputs or the framed tree from the in-memory one, a wire codec that allocates, fails the raw64
 // byte-exact round trip, passes a corrupted frame, breaks the int8
@@ -387,15 +381,6 @@ struct PipelineRow {
   bool threaded_identical;  // pool-backed trainer == serial trainer, bit-for-bit
 };
 
-struct FastRow {
-  std::string gar;
-  size_t n, d, f;
-  double scalar_s, fast_s;
-  double max_rel_err;   // fast vs scalar aggregate, per coordinate
-  size_t fast_allocs;   // steady-state allocs of one fast-mode call
-  bool deterministic;   // fast-mode rerun is bit-equal
-};
-
 struct PruneRow {
   std::string gar, geometry;  // "lowdim" | "trained"
   size_t n, d, f;
@@ -686,102 +671,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- fast-math sweep: opt-in kernels vs the scalar default -------------
-  // Same aggregator, same inputs, only the process-global math mode
-  // differs.  Selection GARs on generic-position inputs pick the same
-  // rows in both modes, so their deviation column is exactly 0; the
-  // column exists to catch a future kernel change that violates the
-  // documented reassociation bound.
-  std::vector<FastRow> fast_rows;
-  bool fast_pairwise_threads_identical = true;
+  // ---- pairwise kernel: bit-identity across thread widths ----------------
+  // Probed at an extent that actually clears the parallel-dispatch
+  // threshold: 1225 * 16384 = 20.1M pair-coordinates > 2^24, so the
+  // threads = 4 call genuinely runs on the ThreadPool.  Runs under --fast
+  // too: this is the CI smoke's only threaded-pairwise gate.
   bool scalar_pairwise_threads_identical = true;
   {
-    const size_t n = 50;
-    std::vector<size_t> fast_ds{10000};
-    if (!fast) fast_ds.push_back(100000);  // the large-d point
-
-    // Thread-width determinism of the pairwise kernel in both modes,
-    // probed at an extent that actually clears the parallel-dispatch
-    // threshold: 1225 * 16384 = 20.1M pair-coordinates > 2^24, so the
-    // threads = 4 call genuinely runs on the ThreadPool (the sweep's
-    // d = 1e4 point does not — 12.25M — and would compare the serial
-    // branch against itself).  Runs under --fast too: these are the CI
-    // smoke's only threaded-pairwise gates.
-    {
-      const size_t probe_d = 16384;
-      const auto probe_gradients = make_gradients(n, probe_d, 42);
-      const GradientBatch probe = GradientBatch::from_vectors(probe_gradients);
-      auto threads_identical = [&](dpbyz::kernels::MathMode mode) {
-        const dpbyz::kernels::MathModeScope scope(mode);
-        std::vector<double> pw_serial(n * n), pw_threaded(n * n);
-        dpbyz::pairwise_dist_sq(probe, pw_serial, 1);
-        dpbyz::pairwise_dist_sq(probe, pw_threaded, 4);
-        return pw_serial == pw_threaded;
-      };
-      scalar_pairwise_threads_identical =
-          threads_identical(dpbyz::kernels::MathMode::kScalar);
-      fast_pairwise_threads_identical = threads_identical(dpbyz::kernels::MathMode::kFast);
-    }
-    std::printf("\nfast-math backend: %s  (threaded pairwise bit-identical: scalar %s, "
-                "fast %s)\n",
+    const size_t n = 50, probe_d = 16384;
+    const auto probe_gradients = make_gradients(n, probe_d, 42);
+    const GradientBatch probe = GradientBatch::from_vectors(probe_gradients);
+    std::vector<double> pw_serial(n * n), pw_threaded(n * n);
+    dpbyz::pairwise_dist_sq(probe, pw_serial, 1);
+    dpbyz::pairwise_dist_sq(probe, pw_threaded, 4);
+    scalar_pairwise_threads_identical = pw_serial == pw_threaded;
+    std::printf("\npairwise backend: %s  (threaded pairwise bit-identical: %s)\n",
                 dpbyz::kernels::fast_backend(),
-                scalar_pairwise_threads_identical ? "yes" : "NO",
-                fast_pairwise_threads_identical ? "yes" : "NO");
-    std::printf("%-8s %4s %7s %4s | %12s %12s %8s | %10s %7s %6s\n", "gar", "n",
-                "d", "f", "scalar (ms)", "fast (ms)", "speedup", "max relerr",
-                "allocs", "det");
-    std::printf(
-        "---------------------------------------------------------------------------\n");
-    for (const auto& gar : gars) {
-      const size_t f = pick_f(gar, n);
-      if (gar != "average" && f == 0) continue;
-      if (gar == "mda" && dpbyz::Mda::subset_count(n, f) > dpbyz::Mda::kMaxSubsets)
-        continue;  // same tractability skip as the main sweep
-      for (size_t d : fast_ds) {
-        const auto gradients = make_gradients(n, d, 42);
-        const GradientBatch batch = GradientBatch::from_vectors(gradients);
-        const auto agg = dpbyz::make_aggregator(gar, n, f);
-        dpbyz::AggregatorWorkspace ws;
-
-        const auto scalar_view = agg->aggregate(batch, ws);
-        const Vector scalar_out(scalar_view.begin(), scalar_view.end());
-        const double scalar_s =
-            time_call([&] { agg->aggregate(batch, ws); }, budget_s);
-
-        Vector fast_out, fast_rerun;
-        size_t fast_allocs = 0;
-        double fast_s = 0.0;
-        {
-          const dpbyz::kernels::MathModeScope scope(dpbyz::kernels::MathMode::kFast);
-          const auto fast_view = agg->aggregate(batch, ws);  // warm fast path
-          fast_out.assign(fast_view.begin(), fast_view.end());
-          g_alloc_count.store(0);
-          g_count_allocs.store(true);
-          agg->aggregate(batch, ws);
-          g_count_allocs.store(false);
-          fast_allocs = g_alloc_count.load();
-          const auto rerun_view = agg->aggregate(batch, ws);
-          fast_rerun.assign(rerun_view.begin(), rerun_view.end());
-          fast_s = time_call([&] { agg->aggregate(batch, ws); }, budget_s);
-        }
-
-        double max_rel_err = 0.0;
-        for (size_t i = 0; i < scalar_out.size(); ++i) {
-          const double denom = std::max(1.0, std::abs(scalar_out[i]));
-          max_rel_err =
-              std::max(max_rel_err, std::abs(fast_out[i] - scalar_out[i]) / denom);
-        }
-        const bool deterministic = fast_out == fast_rerun;
-
-        fast_rows.push_back(
-            {gar, n, d, f, scalar_s, fast_s, max_rel_err, fast_allocs, deterministic});
-        std::printf("%-8s %4zu %7zu %4zu | %12.3f %12.3f %7.2fx | %10.2e %7zu %6s\n",
-                    gar.c_str(), n, d, f, scalar_s * 1e3, fast_s * 1e3,
-                    scalar_s / fast_s, max_rel_err, fast_allocs,
-                    deterministic ? "yes" : "NO");
-        std::fflush(stdout);
-      }
-    }
+                scalar_pairwise_threads_identical ? "yes" : "NO");
   }
 
   // ---- prune sweep: sketch distances under the selection GARs ------------
@@ -1549,7 +1455,7 @@ int main(int argc, char** argv) {
   // the same core count, ISA backend and compiler.
   std::fprintf(out,
                "{\n  \"bench\": \"gar_scaling\",\n"
-               "  \"host\": {\"cores\": %u, \"fast_math_backend\": \"%s\", "
+               "  \"host\": {\"cores\": %u, \"fast_backend\": \"%s\", "
                "\"compiler\": \"%s\", \"mode\": \"%s\"},\n  \"results\": [\n",
                std::max(1u, std::thread::hardware_concurrency()),
                dpbyz::kernels::fast_backend(), DPBYZ_BENCH_COMPILER, fast ? "fast" : "full");
@@ -1578,26 +1484,9 @@ int main(int argc, char** argv) {
                  i + 1 < shard_rows.size() ? "," : "");
   }
   std::fprintf(out,
-               "  ],\n  \"fast_math_backend\": \"%s\",\n"
-               "  \"scalar_pairwise_threads_identical\": %s,\n"
-               "  \"fast_pairwise_threads_identical\": %s,\n"
-               "  \"fast_math_sweep\": [\n",
-               dpbyz::kernels::fast_backend(),
-               scalar_pairwise_threads_identical ? "true" : "false",
-               fast_pairwise_threads_identical ? "true" : "false");
-  for (size_t i = 0; i < fast_rows.size(); ++i) {
-    const FastRow& r = fast_rows[i];
-    std::fprintf(out,
-                 "    {\"gar\": \"%s\", \"n\": %zu, \"d\": %zu, \"f\": %zu, "
-                 "\"scalar_ms\": %.6f, \"fast_ms\": %.6f, \"speedup\": %.3f, "
-                 "\"max_rel_err\": %.3e, \"allocs_after_warmup\": %zu, "
-                 "\"deterministic\": %s}%s\n",
-                 r.gar.c_str(), r.n, r.d, r.f, r.scalar_s * 1e3, r.fast_s * 1e3,
-                 r.scalar_s / r.fast_s, r.max_rel_err, r.fast_allocs,
-                 r.deterministic ? "true" : "false",
-                 i + 1 < fast_rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"prune_sweep\": [\n");
+               "  ],\n  \"scalar_pairwise_threads_identical\": %s,\n"
+               "  \"prune_sweep\": [\n",
+               scalar_pairwise_threads_identical ? "true" : "false");
   for (size_t i = 0; i < prune_rows.size(); ++i) {
     const PruneRow& r = prune_rows[i];
     std::fprintf(out,
@@ -1766,25 +1655,8 @@ int main(int argc, char** argv) {
         fail("sharded " + r.gar + " S=" + std::to_string(r.shards) + ": " +
              std::to_string(r.allocs) + " allocs after warmup");
     }
-    // The fast-mode accuracy contract (kernels.hpp): selections agree on
-    // generic inputs, so end-to-end deviation stays far inside 1e-8.
-    constexpr double kFastRelErrBound = 1e-8;
     if (!scalar_pairwise_threads_identical)
-      fail("default-mode pairwise kernel drifts across thread widths");
-    if (!fast_pairwise_threads_identical)
-      fail("fast-math pairwise kernel drifts across thread widths");
-    for (const FastRow& r : fast_rows) {
-      if (!r.deterministic)
-        fail("fast-math " + r.gar + " d=" + std::to_string(r.d) +
-             ": fast mode is not deterministic across reruns");
-      if (r.max_rel_err > kFastRelErrBound)
-        fail("fast-math " + r.gar + " d=" + std::to_string(r.d) +
-             ": deviation " + std::to_string(r.max_rel_err) +
-             " exceeds the documented bound");
-      if (r.fast_allocs != 0)
-        fail("fast-math " + r.gar + " d=" + std::to_string(r.d) + ": " +
-             std::to_string(r.fast_allocs) + " allocs after warmup");
-    }
+      fail("pairwise kernel drifts across thread widths");
     // Approx gate: the sketch path stays allocation-free at steady
     // state.  No wall-clock gate: speedups are committed in the JSON,
     // not asserted in CI.

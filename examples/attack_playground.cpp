@@ -70,10 +70,9 @@ int main() {
         a.channel = "off";
         a.churn = "off";
         a.prune = "off";
-        a.fast_math = 0;
         a.seeds = seeds;
         a.id = gar + "/" + attack + "/eps=" + campaign::format_metric(a.eps) +
-               "/full/flat/off/off/prune=off/fm=0";
+               "/full/flat/off/off/prune=off";
         a.final_acc_mean = acc.mean;
         a.final_acc_std = acc.stddev;
         a.final_loss_mean = loss.mean;

@@ -30,9 +30,9 @@ from pathlib import Path
 
 HEADER = [
     "cell", "id", "gar", "attack", "eps", "participation", "topology",
-    "channel", "churn", "prune", "fast_math", "seeds", "skip_reason",
-    "final_acc_mean", "final_acc_std", "final_loss_mean", "final_loss_std",
-    "min_loss_mean", "mi_auc", "inv_rel_error", "inv_label_acc",
+    "channel", "churn", "prune", "seeds", "skip_reason", "final_acc_mean",
+    "final_acc_std", "final_loss_mean", "final_loss_std", "min_loss_mean",
+    "mi_auc", "inv_rel_error", "inv_label_acc",
 ]
 NUMERIC = HEADER[HEADER.index("final_acc_mean"):]
 METRIC_STRINGS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
@@ -94,7 +94,7 @@ def load_json(path: Path, errors):
 def canonical(row, errors, where):
     """Normalize one row to typed values, recording violations."""
     out = dict(row)
-    for key in ("cell", "fast_math", "seeds"):
+    for key in ("cell", "seeds"):
         try:
             out[key] = int(row[key])
         except (TypeError, ValueError):

@@ -47,17 +47,16 @@ std::string sanitize_field(std::string s) {
 
 const std::vector<std::string>& csv_header() {
   static const std::vector<std::string> header{
-      "cell",           "id",
-      "gar",            "attack",
-      "eps",            "participation",
-      "topology",       "channel",
-      "churn",          "prune",
-      "fast_math",      "seeds",
-      "skip_reason",    "final_acc_mean",
-      "final_acc_std",  "final_loss_mean",
-      "final_loss_std", "min_loss_mean",
-      "mi_auc",         "inv_rel_error",
-      "inv_label_acc"};
+      "cell",            "id",
+      "gar",             "attack",
+      "eps",             "participation",
+      "topology",        "channel",
+      "churn",           "prune",
+      "seeds",           "skip_reason",
+      "final_acc_mean",  "final_acc_std",
+      "final_loss_mean", "final_loss_std",
+      "min_loss_mean",   "mi_auc",
+      "inv_rel_error",   "inv_label_acc"};
   return header;
 }
 
@@ -72,7 +71,6 @@ std::vector<std::string> csv_cells(const CellArtifact& a) {
           sanitize_field(a.channel),
           sanitize_field(a.churn),
           sanitize_field(a.prune),
-          std::to_string(a.fast_math),
           std::to_string(a.seeds),
           sanitize_field(a.skip_reason),
           format_metric(a.final_acc_mean),
@@ -101,7 +99,6 @@ CellArtifact from_csv_cells(const std::vector<std::string>& cells) {
   a.channel = cells[i++];
   a.churn = cells[i++];
   a.prune = cells[i++];
-  a.fast_math = static_cast<int>(std::stoll(cells[i++]));
   a.seeds = static_cast<size_t>(std::stoull(cells[i++]));
   a.skip_reason = cells[i++];
   a.final_acc_mean = parse_metric(cells[i++]);
@@ -174,7 +171,6 @@ void write_json(const std::string& path, const std::string& signature,
     body += ", \"channel\": " + json_string(a.channel);
     body += ", \"churn\": " + json_string(a.churn);
     body += ", \"prune\": " + json_string(a.prune);
-    body += ", \"fast_math\": " + std::to_string(a.fast_math);
     body += ", \"seeds\": " + std::to_string(a.seeds);
     body += ", \"skip_reason\": " + json_string(a.skip_reason);
     body += ", \"final_acc_mean\": " + json_metric(a.final_acc_mean);

@@ -44,7 +44,6 @@ struct CellArtifact {
   std::string channel = "off";  ///< "off" | "lossy:<drop>x<corrupt>x<reorder>"
   std::string churn = "off";    ///< "off" | "epoch:<E>x<join>x<leave>"
   std::string prune;
-  int fast_math = 0;
   size_t seeds = 0;         ///< seeded repetitions aggregated below
 
   // --- status ------------------------------------------------------------

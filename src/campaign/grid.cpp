@@ -1,6 +1,7 @@
 #include "campaign/grid.hpp"
 
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 
@@ -23,14 +24,26 @@ std::pair<std::string, double> parse_attack(const std::string& value) {
   return {parts[0], parse_metric(parts[1])};
 }
 
+/// The integer fields of axis value `value` (counts, levels, epochs):
+/// decimal digits only, no sign, no overflow.
+size_t parse_count(const std::string& digits, const std::string& value) {
+  size_t out = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, out);
+  if (ec != std::errc() || ptr != end)
+    throw std::invalid_argument("campaign: '" + digits + "' in axis value '" + value +
+                                "' is not a decimal count");
+  return out;
+}
+
 /// Splits "2x4" (canonical) or "2,4" (accepted on input) into two sizes.
-std::pair<size_t, size_t> parse_pair(const std::string& s, const std::string& what) {
+std::pair<size_t, size_t> parse_pair(const std::string& s, const std::string& what,
+                                     const std::string& value) {
   auto parts = strings::split(s, 'x');
   if (parts.size() == 1) parts = strings::split(s, ',');
   require(parts.size() == 2 && !parts[0].empty() && !parts[1].empty(),
           "campaign: malformed " + what + " '" + s + "' (want <a>x<b>)");
-  return {static_cast<size_t>(std::stoull(parts[0])),
-          static_cast<size_t>(std::stoull(parts[1]))};
+  return {parse_count(parts[0], value), parse_count(parts[1], value)};
 }
 
 void apply_participation(ExperimentConfig& cfg, const std::string& value) {
@@ -54,9 +67,9 @@ void apply_participation(ExperimentConfig& cfg, const std::string& value) {
             "campaign: 'stragglers' needs a count, e.g. stragglers:2 or stragglers:2x3");
     cfg.participation = "stragglers";
     const auto sub = strings::split(parts[1], 'x');
-    cfg.num_stragglers = static_cast<size_t>(std::stoull(sub[0]));
+    cfg.num_stragglers = parse_count(sub[0], value);
     if (sub.size() == 2)
-      cfg.straggler_period = static_cast<size_t>(std::stoull(sub[1]));
+      cfg.straggler_period = parse_count(sub[1], value);
     else
       require(sub.size() == 1, "campaign: malformed participation '" + value + "'");
     return;
@@ -111,7 +124,7 @@ void apply_churn(ExperimentConfig& cfg, const std::string& value) {
     require(sub.size() == 3,
             "campaign: malformed churn spec '" + parts[1] + "' (want <E>x<join>x<leave>)");
     cfg.churn = "epoch";
-    cfg.churn_epoch_rounds = static_cast<size_t>(std::stoull(sub[0]));
+    cfg.churn_epoch_rounds = parse_count(sub[0], value);
     cfg.churn_join_prob = parse_metric(sub[1]);
     cfg.churn_leave_prob = parse_metric(sub[2]);
     return;
@@ -132,7 +145,7 @@ void apply_topology(ExperimentConfig& cfg, const std::string& value) {
     // The two-level sharded topology is the one-level tree with B = S
     // (bit-identical); S = 1 is the flat rule.
     require(parts.size() == 2, "campaign: 'shards' needs a count, e.g. shards:3");
-    const size_t shards = static_cast<size_t>(std::stoull(parts[1]));
+    const size_t shards = parse_count(parts[1], value);
     require(shards >= 1, "campaign: 'shards' needs a count >= 1");
     if (shards > 1) {
       cfg.tree_levels = 1;
@@ -142,7 +155,7 @@ void apply_topology(ExperimentConfig& cfg, const std::string& value) {
   }
   if (kind == "tree") {
     require(parts.size() == 2, "campaign: 'tree' needs levels and branch, e.g. tree:2x3");
-    const auto [levels, branch] = parse_pair(parts[1], "tree spec");
+    const auto [levels, branch] = parse_pair(parts[1], "tree spec", value);
     cfg.tree_levels = levels;
     cfg.tree_branch = branch;
     return;
@@ -193,7 +206,7 @@ void screen_round_aggregator(const ExperimentConfig& cfg, size_t rows, bool shar
 std::string canonical_topology(const std::string& topo) {
   const auto parts = strings::split(topo, ':');
   if (parts.size() == 2 && parts[0] == "tree") {
-    const auto [levels, branch] = parse_pair(parts[1], "tree spec");
+    const auto [levels, branch] = parse_pair(parts[1], "tree spec", topo);
     return "tree:" + std::to_string(levels) + "x" + std::to_string(branch);
   }
   // Validate the non-tree kinds eagerly too, so a malformed axis fails
@@ -204,13 +217,12 @@ std::string canonical_topology(const std::string& topo) {
 }
 
 std::string GridSpec::signature() const {
-  std::vector<std::string> eps_s, fm_s, topo_s;
+  std::vector<std::string> eps_s, topo_s;
   for (double e : dp_eps) eps_s.push_back(format_metric(e));
-  for (int m : fast_math) fm_s.push_back(std::to_string(m != 0));
   for (const auto& t : topologies) topo_s.push_back(canonical_topology(t));
   const ExperimentConfig& b = base;
   std::vector<std::string> parts{
-      "campaign-v2",
+      "campaign-v3",
       "n=" + std::to_string(b.num_workers),
       "f=" + std::to_string(b.num_byzantine),
       "steps=" + std::to_string(b.steps),
@@ -236,8 +248,7 @@ std::string GridSpec::signature() const {
       "topologies=" + strings::join(topo_s, "|"),
       "channels=" + strings::join(channels, "|"),
       "churn=" + strings::join(churn, "|"),
-      "prune=" + strings::join(prune, "|"),
-      "fast_math=" + strings::join(fm_s, "|")};
+      "prune=" + strings::join(prune, "|")};
   return sanitize_field(strings::join(parts, ";"));
 }
 
@@ -245,7 +256,7 @@ std::vector<GridCell> expand_grid(const GridSpec& spec) {
   require(!spec.gars.empty() && !spec.attacks.empty() && !spec.dp_eps.empty() &&
               !spec.participation.empty() && !spec.topologies.empty() &&
               !spec.channels.empty() && !spec.churn.empty() &&
-              !spec.prune.empty() && !spec.fast_math.empty(),
+              !spec.prune.empty(),
           "campaign: every grid axis needs at least one value");
   require(spec.seeds >= 1, "campaign: seeds must be at least 1");
 
@@ -258,81 +269,77 @@ std::vector<GridCell> expand_grid(const GridSpec& spec) {
           for (const std::string& topo_raw : spec.topologies)
             for (const std::string& channel : spec.channels)
               for (const std::string& churn : spec.churn)
-                for (const std::string& prune : spec.prune)
-                  for (int fm : spec.fast_math) {
-                    const std::string topo = canonical_topology(topo_raw);
-                    GridCell cell;
-                    cell.index = index++;
-                    cell.gar = gar;
-                    cell.attack = attack;
-                    cell.eps = eps;
-                    cell.participation = part;
-                    cell.topology = topo;
-                    cell.channel = channel;
-                    cell.churn = churn;
-                    cell.prune = prune;
-                    cell.fast_math = fm != 0;
+                for (const std::string& prune : spec.prune) {
+                  const std::string topo = canonical_topology(topo_raw);
+                  GridCell cell;
+                  cell.index = index++;
+                  cell.gar = gar;
+                  cell.attack = attack;
+                  cell.eps = eps;
+                  cell.participation = part;
+                  cell.topology = topo;
+                  cell.channel = channel;
+                  cell.churn = churn;
+                  cell.prune = prune;
 
-                    ExperimentConfig cfg = spec.base;
-                    cfg.gar = gar;
-                    cfg.prune = prune;
-                    cfg.fast_math = fm != 0;
-                    const auto [attack_name, attack_nu] = parse_attack(attack);
-                    if (attack_name == "none") {
-                      cfg.attack_enabled = false;
-                    } else {
-                      cfg.attack_enabled = true;
-                      cfg.attack = attack_name;
-                      cfg.attack_nu = attack_nu;
-                    }
-                    cfg.dp_enabled = eps > 0;
-                    if (eps > 0) cfg.epsilon = eps;
-                    apply_participation(cfg, part);
-                    apply_topology(cfg, topo);
-                    apply_channel(cfg, channel);
-                    apply_churn(cfg, churn);
-
-                    cell.id = gar + "/" + attack + "/eps=" + format_metric(eps) +
-                              "/" + part + "/" + topo + "/" + channel + "/" +
-                              churn + "/prune=" + prune + "/fm=" +
-                              std::to_string(fm != 0);
-                    cell.config = cfg;
-
-                    // Admissibility pre-screen: materialize everything
-                    // the trainer would construct, at full rows and —
-                    // for the deterministic straggler schedule — at the
-                    // worst-case round size, so inadmissible
-                    // combinations surface here as skip reasons instead
-                    // of exceptions mid-campaign.  (A churn cell whose
-                    // roster later renegotiates into an inadmissible
-                    // (n', f) is a *runtime* property of its trace; the
-                    // runner records those as "error: ..." rows.)
-                    try {
-                      cfg.validate();
-                      // shards:S has no wire edges to fault, exactly as
-                      // before it became sugar for tree:1xS.
-                      const bool sharded = topo.starts_with("shards:");
-                      if (sharded)
-                        require(cfg.wire == "off",
-                                "config: wire requires tree_levels >= 1");
-                      screen_round_aggregator(cfg, cfg.num_workers, sharded);
-                      if (cfg.attack_enabled)
-                        (void)make_attack(cfg.attack, cfg.attack_nu,
-                                          AdaptiveSpec{cfg.gar, cfg.prune,
-                                                       cfg.adapt_probes,
-                                                       cfg.adapt_budget});
-                      if (cfg.participation == "stragglers" &&
-                          cfg.num_stragglers > 0) {
-                        require(cfg.num_stragglers < cfg.num_workers,
-                                "campaign: more stragglers than workers");
-                        screen_round_aggregator(
-                            cfg, cfg.num_workers - cfg.num_stragglers, sharded);
-                      }
-                    } catch (const std::exception& e) {
-                      cell.skip_reason = sanitize_field(e.what());
-                    }
-                    cells.push_back(std::move(cell));
+                  ExperimentConfig cfg = spec.base;
+                  cfg.gar = gar;
+                  cfg.prune = prune;
+                  const auto [attack_name, attack_nu] = parse_attack(attack);
+                  if (attack_name == "none") {
+                    cfg.attack_enabled = false;
+                  } else {
+                    cfg.attack_enabled = true;
+                    cfg.attack = attack_name;
+                    cfg.attack_nu = attack_nu;
                   }
+                  cfg.dp_enabled = eps > 0;
+                  if (eps > 0) cfg.epsilon = eps;
+                  apply_participation(cfg, part);
+                  apply_topology(cfg, topo);
+                  apply_channel(cfg, channel);
+                  apply_churn(cfg, churn);
+
+                  cell.id = gar + "/" + attack + "/eps=" + format_metric(eps) +
+                            "/" + part + "/" + topo + "/" + channel + "/" +
+                            churn + "/prune=" + prune;
+                  cell.config = cfg;
+
+                  // Admissibility pre-screen: materialize everything
+                  // the trainer would construct, at full rows and —
+                  // for the deterministic straggler schedule — at the
+                  // worst-case round size, so inadmissible
+                  // combinations surface here as skip reasons instead
+                  // of exceptions mid-campaign.  (A churn cell whose
+                  // roster later renegotiates into an inadmissible
+                  // (n', f) is a *runtime* property of its trace; the
+                  // runner records those as "error: ..." rows.)
+                  try {
+                    cfg.validate();
+                    // shards:S has no wire edges to fault, exactly as
+                    // before it became sugar for tree:1xS.
+                    const bool sharded = topo.starts_with("shards:");
+                    if (sharded)
+                      require(cfg.wire == "off",
+                              "config: wire requires tree_levels >= 1");
+                    screen_round_aggregator(cfg, cfg.num_workers, sharded);
+                    if (cfg.attack_enabled)
+                      (void)make_attack(cfg.attack, cfg.attack_nu,
+                                        AdaptiveSpec{cfg.gar, cfg.prune,
+                                                     cfg.adapt_probes,
+                                                     cfg.adapt_budget});
+                    if (cfg.participation == "stragglers" &&
+                        cfg.num_stragglers > 0) {
+                      require(cfg.num_stragglers < cfg.num_workers,
+                              "campaign: more stragglers than workers");
+                      screen_round_aggregator(
+                          cfg, cfg.num_workers - cfg.num_stragglers, sharded);
+                    }
+                  } catch (const std::exception& e) {
+                    cell.skip_reason = sanitize_field(e.what());
+                  }
+                  cells.push_back(std::move(cell));
+                }
   return cells;
 }
 

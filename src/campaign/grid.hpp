@@ -2,8 +2,8 @@
 //
 // A GridSpec names one axis value list per experimental dimension the
 // paper's tables sweep (GAR x attack x DP-eps x participation x
-// topology x channel x churn x prune x fast_math); expand_grid takes
-// their Cartesian product into a flat, stably-ordered cell list.  Each cell carries a
+// topology x channel x churn x prune); expand_grid takes their
+// Cartesian product into a flat, stably-ordered cell list.  Each cell carries a
 // fully materialized ExperimentConfig, and expansion *pre-screens
 // admissibility*: a combination the library would reject at run time
 // (Krum at n < 2f+3, a tree deeper than the row count, an unknown
@@ -11,7 +11,8 @@
 // of a crash mid-campaign — the runner records it and moves on, so one
 // bad axis value cannot take down a thousand-cell sweep.
 //
-// Axis value syntax (parsed by expand_grid):
+// Axis value syntax (parsed by expand_grid; <S>, <k>, <L>, <B>, <E> and
+// <period> are decimal counts, anything else is a malformed value):
 //   attacks:        "none" | "<name>" | "<name>:<nu>"
 //                   (make_attack names incl. the adaptive strategies)
 //   dp_eps:         per-step epsilon; 0 disables DP for that cell
@@ -35,9 +36,8 @@
 //                   base.churn_seed and is part of the signature)
 //
 // Expansion order is the nested loop gar -> attack -> eps ->
-// participation -> topology -> channel -> churn -> prune -> fast_math
-// (last axis fastest)
-// and is part of the checkpoint contract: cell indices key the
+// participation -> topology -> channel -> churn -> prune (last axis
+// fastest) and is part of the checkpoint contract: cell indices key the
 // resumable manifest, so the order must be a pure function of the spec.
 // GridSpec::signature() fingerprints the spec; the manifest stores it
 // and a resume against a different spec is rejected loudly.
@@ -54,8 +54,8 @@ namespace dpbyz::campaign {
 struct GridSpec {
   /// Shared scalar knobs (n, f, steps, batch, lr, pipeline depth, ...).
   /// Axis-controlled fields of `base` (gar, attack*, dp_*, participation*,
-  /// tree_*, channel*, churn except churn_seed, prune, fast_math,
-  /// seed) are overwritten per cell.
+  /// tree_*, channel*, churn except churn_seed, prune, seed) are
+  /// overwritten per cell.
   ExperimentConfig base;
 
   std::vector<std::string> gars{"mda"};
@@ -66,7 +66,6 @@ struct GridSpec {
   std::vector<std::string> channels{"off"};
   std::vector<std::string> churn{"off"};
   std::vector<std::string> prune{"off"};
-  std::vector<int> fast_math{0};
 
   size_t seeds = 3;         ///< per-cell seeded repetitions (1..seeds)
   uint64_t data_seed = 42;  ///< PhishingExperiment dataset seed
@@ -85,7 +84,6 @@ struct GridCell {
   std::string id;
   std::string gar, attack, participation, topology, channel, churn, prune;
   double eps = 0.0;
-  int fast_math = 0;
   ExperimentConfig config;
   /// Empty = admissible; otherwise the reason the cell will be skipped.
   std::string skip_reason;

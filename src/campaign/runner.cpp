@@ -29,7 +29,6 @@ CellArtifact base_artifact(const GridCell& cell, const GridSpec& spec) {
   a.channel = cell.channel;
   a.churn = cell.churn;
   a.prune = cell.prune;
-  a.fast_math = cell.fast_math;
   a.seeds = spec.seeds;
   a.skip_reason = cell.skip_reason;
   const double nan = std::nan("");
@@ -97,10 +96,8 @@ CampaignReport run_campaign(const GridSpec& spec, const CampaignOptions& options
   manifest.signature = signature;
 
   // Partition the work: pre-screened cells never run; admissible cells
-  // already in the manifest are replayed; the rest are pending, split
-  // into a scalar pass and a fast_math pass (the kernels' math mode is
-  // process-global, so the two must not overlap in time).
-  std::vector<const GridCell*> pending_scalar, pending_fast;
+  // already in the manifest are replayed; the rest are pending.
+  std::vector<const GridCell*> pending;
   for (const GridCell& cell : cells) {
     if (!cell.admissible()) {
       ++report.skipped;
@@ -111,37 +108,29 @@ CampaignReport run_campaign(const GridSpec& spec, const CampaignOptions& options
       ++report.resumed;
       continue;
     }
-    (cell.fast_math ? pending_fast : pending_scalar).push_back(&cell);
+    pending.push_back(&cell);
   }
-  if (options.max_cells > 0) {
-    // Budgeted invocation: keep the first K pending cells in index
-    // order (scalar pass first), matching what an unbudgeted run would
-    // have completed first had it been killed at a cell boundary.
-    size_t budget = options.max_cells;
-    if (pending_scalar.size() > budget) pending_scalar.resize(budget);
-    budget -= pending_scalar.size();
-    if (pending_fast.size() > budget) pending_fast.resize(budget);
-  }
+  // Budgeted invocation: keep the first K pending cells in index order,
+  // matching what an unbudgeted run would have completed first had it
+  // been killed at a cell boundary.
+  if (options.max_cells > 0 && pending.size() > options.max_cells)
+    pending.resize(options.max_cells);
 
   const PhishingExperiment exp(spec.data_seed);
   std::mutex manifest_mutex;
-  const auto run_pass = [&](const std::vector<const GridCell*>& pass) {
-    parallel_map(
-        pass.size(),
-        [&](size_t i) {
-          CellArtifact artifact = run_cell(exp, spec, *pass[i], options);
-          // Persist each completion immediately: the manifest on disk
-          // is always a valid checkpoint, whatever kills us next.
-          std::lock_guard<std::mutex> lock(manifest_mutex);
-          manifest.completed[artifact.cell] = std::move(artifact);
-          save_manifest(report.manifest_path, manifest);
-          return 0;
-        },
-        options.threads);
-    report.ran += pass.size();
-  };
-  run_pass(pending_scalar);
-  run_pass(pending_fast);
+  parallel_map(
+      pending.size(),
+      [&](size_t i) {
+        CellArtifact artifact = run_cell(exp, spec, *pending[i], options);
+        // Persist each completion immediately: the manifest on disk is
+        // always a valid checkpoint, whatever kills us next.
+        std::lock_guard<std::mutex> lock(manifest_mutex);
+        manifest.completed[artifact.cell] = std::move(artifact);
+        save_manifest(report.manifest_path, manifest);
+        return 0;
+      },
+      options.threads);
+  report.ran = pending.size();
 
   // Assemble the full table; write the final artifacts only when every
   // admissible cell is present, so campaign.csv/.json are always the

@@ -13,10 +13,6 @@
 //     degrades to serial inside a pool worker — so cell-level
 //     parallelism and seed-level parallelism compose without
 //     oversubscription (ThreadPool nesting policy).
-//   - Cells are partitioned by their fast_math flag and the partitions
-//     run as two sequential passes: the kernels' MathModeScope is
-//     process-global, and running a scalar cell concurrently with a
-//     fast_math cell is unsupported (see ExperimentConfig::fast_math).
 //   - A cell that throws at run time (e.g. a participation schedule
 //     that wanders below the GAR's admissible round size) is recorded
 //     with skip_reason "error: ..." instead of aborting the campaign —

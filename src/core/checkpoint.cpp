@@ -91,7 +91,7 @@ std::string checkpoint_signature(const ExperimentConfig& c) {
       << ";clip_on=" << c.clip_enabled << ";eval=" << c.eval_every
       << ";drop=" << bits_of(c.dropout_prob) << ";wmom=" << bits_of(c.worker_momentum)
       << ";part=" << c.data_partition << ";skew=" << bits_of(c.label_skew_fraction)
-      << ";depth=" << c.pipeline_depth << ";fast=" << c.fast_math
+      << ";depth=" << c.pipeline_depth
       << ";live=" << c.participation << ";lp=" << bits_of(c.participation_prob)
       << ";ns=" << c.num_stragglers << ";sp=" << c.straggler_period
       << ";dp=" << c.dp_enabled << ";mech=" << c.mechanism

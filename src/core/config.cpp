@@ -72,6 +72,9 @@ void ExperimentConfig::validate() const {
           "wall-clock driven); model stragglers with participation = "
           "'stragglers' or 'iid'");
   require(straggler_policy == "off", "config: straggler_policy must be off");
+  require(!fast_math,
+          "config: fast_math was removed (every reduction now runs the one "
+          "golden-pinned implementation); leave it false");
   require(participation == "full" || participation == "iid" ||
               participation == "stragglers",
           "config: participation must be full|iid|stragglers");
@@ -136,7 +139,6 @@ std::string ExperimentConfig::label() const {
     out += "+churn(E=" + std::to_string(churn_epoch_rounds) +
            ",cs=" + std::to_string(churn_seed) + ")";
   if (!checkpoint_path.empty()) out += "+ckpt";
-  if (fast_math) out += "+fast";
   if (prune != "off") out += "+prune(" + prune + ")";
   if (participation != "full") out += "+" + participation;
   if (dp_enabled)

@@ -96,22 +96,10 @@ struct ExperimentConfig {
   /// schedule below.  The field remains because existing readers (the
   /// end-to-end benchmark's replica) still check it.
   std::string straggler_policy = "off";
-  /// Opt-in fast math kernels for the hot reductions (pairwise dist_sq,
-  /// Krum/MDA/Bulyan scoring, CGE norms, Weiszfeld, clipping, momentum
-  /// axpy — see docs/ARCHITECTURE.md, "Math kernels").
-  ///   false — the seed's single-accumulator scalar loops: bit-identical
-  ///           to every golden-pinned trajectory (default).
-  ///   true  — multi-accumulator / AVX2 kernels: reductions reassociate,
-  ///           so results differ from scalar by a documented ULP bound
-  ///           (2*d*eps relative for the nonnegative reductions) but are
-  ///           fully deterministic per (binary, config, seed) and
-  ///           bit-identical across `threads` widths.  The trainer
-  ///           holds the process in fast mode for the run's duration
-  ///           (scope-counted, so overlapping runs from
-  ///           run_seeds_parallel compose); concurrently running a
-  ///           fast_math run and a non-fast_math run in one process is
-  ///           unsupported — the scalar run would observe the fast
-  ///           kernels while the fast run lives.
+  /// Must be false: the multi-accumulator math mode is retired, and every
+  /// reduction runs the one golden-pinned implementation.  The field
+  /// remains because existing readers (the end-to-end benchmark's
+  /// replica) still check it.
   bool fast_math = false;
   /// Which workers deliver a gradient each round (the round engine's
   /// per-round participation; distinct from `dropout_prob`, which keeps

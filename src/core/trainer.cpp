@@ -12,7 +12,6 @@
 #include "data/partition.hpp"
 #include "dp/gaussian_mechanism.hpp"
 #include "dp/laplace_mechanism.hpp"
-#include "math/kernels.hpp"
 #include "math/statistics.hpp"
 #include "utils/errors.hpp"
 #include "utils/stopwatch.hpp"
@@ -77,14 +76,6 @@ Trainer::Trainer(const ExperimentConfig& config, const Model& model, const Datas
 }
 
 RunResult Trainer::run() {
-  // One flag flips the whole hot path (pairwise kernel, GAR scoring,
-  // clipping, momentum): a fast_math run holds a counted fast scope for
-  // its duration — covering the depth-1 fill thread, which the round
-  // pipeline joins before this frame unwinds, and composing with the
-  // overlapping scopes of sibling run_seeds_parallel runs (kernels.hpp).
-  const kernels::MathModeScope math_mode(config_.fast_math
-                                             ? kernels::MathMode::kFast
-                                             : kernels::MathMode::kScalar);
   const size_t n = config_.num_workers;
   const size_t f = config_.attack_enabled ? config_.num_byzantine : 0;
   const size_t honest_count = n - f;

@@ -138,20 +138,17 @@ void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
   if (n == 0) return;
   require(d > 0, "pairwise_dist_sq: zero-dimensional rows");
 
-  // Each task owns a disjoint set of matrix entries, so tasks run on any
-  // thread in any order, and each pair is computed by exactly one thread:
-  // the matrix is bit-identical across `threads` widths in either mode.
-  // Mode is sampled once per call so every pair uses one implementation.
-  const bool fast = kernels::fast_enabled();
-  const double* rows = batch.row(0).data();
-  double* m = out.data();
-
-  // Scalar mode: block b owns the lane rows [i0, i1).  One pair per lane
-  // of kernels::pairwise_block_scalar fills their columns of the lower
+  // Block b owns the lane rows [i0, i1).  One pair per lane of
+  // kernels::pairwise_block_scalar fills their columns of the lower
   // triangle (m[j*n + i], j > i); the block then mirrors them into its
   // own rows and zeroes its diagonal, overwriting the kernel's scratch.
+  // Blocks own disjoint entries, so they run on any thread in any order,
+  // and each pair is computed by exactly one thread: the matrix is
+  // bit-identical across `threads` widths.
+  const double* rows = batch.row(0).data();
+  double* m = out.data();
   constexpr size_t kBlock = kernels::kPairLanes;
-  auto scalar_block = [&](size_t b) {
+  auto block = [&](size_t b) {
     const size_t i0 = b * kBlock;
     const size_t i1 = std::min(n, i0 + kBlock);
     kernels::pairwise_block_scalar(rows, n, d, i0, m);
@@ -160,44 +157,15 @@ void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
     for (size_t i = i0; i < i1; ++i) m[i * n + i] = 0.0;
   };
 
-  // Fast mode: tile t owns the pairs (i, j), i < j, whose j falls in its
-  // 256 KiB block of source rows, which stays cache-resident while the
-  // i-rows stream past two at a time through dist_sq2_fast (per output
-  // equal to dist_sq_fast).  At j == i + 1 the second output lands on
-  // the diagonal, which the tile zeroes last.
-  constexpr size_t kTileBytes = 256 * 1024;
-  const size_t rows_per_tile = std::max<size_t>(1, kTileBytes / (sizeof(double) * d));
-  auto fast_tile = [&](size_t t) {
-    const size_t jb = t * rows_per_tile;
-    const size_t je = std::min(n, jb + rows_per_tile);
-    for (size_t i = 0; i + 1 < je; i += 2) {
-      for (size_t j = std::max(i + 1, jb); j < je; ++j) {
-        double acc0, acc1;
-        kernels::dist_sq2_fast(rows + i * d, rows + (i + 1) * d, rows + j * d, d, acc0,
-                               acc1);
-        m[i * n + j] = m[j * n + i] = acc0;
-        m[(i + 1) * n + j] = m[j * n + i + 1] = acc1;
-      }
-    }
-    for (size_t j = jb; j < je; ++j) m[j * n + j] = 0.0;
-  };
-
   threads = resolve_threads(threads);
   // Pool dispatch is allocation-free, but only pays off for heavy
   // matrices.
   constexpr size_t kParallelMinWork = size_t{1} << 24;  // pair-coordinates
-  const bool serial = threads <= 1 || n * (n - 1) / 2 * d < kParallelMinWork;
-  auto dispatch = [&](size_t tasks, auto& task) {
-    if (serial) {
-      for (size_t t = 0; t < tasks; ++t) task(t);
-    } else {
-      ThreadPool::shared().run(tasks, task, threads);
-    }
-  };
-  if (fast) {
-    dispatch((n + rows_per_tile - 1) / rows_per_tile, fast_tile);
+  const size_t blocks = (n + kBlock - 1) / kBlock;
+  if (threads <= 1 || n * (n - 1) / 2 * d < kParallelMinWork) {
+    for (size_t b = 0; b < blocks; ++b) block(b);
   } else {
-    dispatch((n + kBlock - 1) / kBlock, scalar_block);
+    ThreadPool::shared().run(blocks, block, threads);
   }
 }
 

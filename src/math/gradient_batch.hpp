@@ -134,8 +134,8 @@ void median_rows_into(const GradientBatch& batch, std::vector<double>& column_sc
 /// Symmetric pairwise squared-distance kernel shared by Krum, MDA and
 /// Bulyan: fills the rows*rows row-major matrix `out` with
 /// out[i*rows + j] = ||row_i - row_j||², diagonal 0.  Each unordered pair
-/// is computed once; in the default math mode each pair is one SIMD lane
-/// of kernels::pairwise_block_scalar, a single forward pass over the
+/// is computed once, as one SIMD lane of
+/// kernels::pairwise_block_scalar, a single forward pass over the
 /// coordinates, so every entry is bit-identical to vec::dist_sq on the
 /// same rows.  Work is split into blocks of kernels::kPairLanes rows,
 /// dispatched on the process-wide ThreadPool when the matrix is large

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "math/rng.hpp"
+#include "math/vector_ops.hpp"
 #include "utils/errors.hpp"
 
 namespace dpbyz {
@@ -43,17 +44,8 @@ void BatchSketch::compute(const GradientBatch& batch) {
 }
 
 double BatchSketch::approx_dist_sq(size_t i, size_t j) const {
-  // Fixed scalar loop on purpose: the sketch must be a pure function of
-  // the input bytes, independent of the process math mode, so that
-  // prune=approx selections do not flip when fast_math toggles.
-  const double* a = proj_.data() + i * kDim;
-  const double* b = proj_.data() + j * kDim;
-  double acc = 0.0;
-  for (size_t l = 0; l < kDim; ++l) {
-    const double diff = a[l] - b[l];
-    acc += diff * diff;
-  }
-  return acc;
+  return vec::dist_sq(CView(proj_.data() + i * kDim, kDim),
+                      CView(proj_.data() + j * kDim, kDim));
 }
 
 void BatchSketch::fill_dist_sq(std::span<double> out) const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "math/kernels.hpp"
 #include "utils/errors.hpp"
 
 namespace dpbyz::vec {
@@ -20,12 +19,8 @@ void require_same_dim(CView a, CView b, const char* op) {
 
 // ---- span implementations (the single source of truth) ----
 //
-// The reductions and the axpy/scale pair dispatch on the process-global
-// kernels::MathMode: kScalar (default) runs the single-accumulator loops
-// below, bit-identical to the seed and pinned by the golden tests;
-// kFast routes to the multi-accumulator kernels in math/kernels.cpp
-// (ULP-bounded for the reductions, bit-identical for the elementwise
-// ops — see kernels.hpp for the accuracy/determinism contract).
+// The reductions are single-accumulator left-to-right loops, bit-identical
+// to the seed and pinned by the golden tests.
 
 void fill(View a, double value) {
   for (double& x : a) x = value;
@@ -47,26 +42,22 @@ void sub_inplace(View a, CView b) {
 }
 
 void scale_inplace(View a, double s) {
-  if (kernels::fast_enabled()) return kernels::scale_fast(a.data(), s, a.size());
   for (double& x : a) x *= s;
 }
 
 void axpy_inplace(View a, double s, CView b) {
   require_same_dim(a, b, "axpy_inplace");
-  if (kernels::fast_enabled()) return kernels::axpy_fast(a.data(), s, b.data(), a.size());
   for (size_t i = 0; i < a.size(); ++i) a[i] += s * b[i];
 }
 
 double dot(CView a, CView b) {
   require_same_dim(a, b, "dot");
-  if (kernels::fast_enabled()) return kernels::dot_fast(a.data(), b.data(), a.size());
   double acc = 0.0;
   for (size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
   return acc;
 }
 
 double norm_sq(CView a) {
-  if (kernels::fast_enabled()) return kernels::norm_sq_fast(a.data(), a.size());
   double acc = 0.0;
   for (double x : a) acc += x * x;
   return acc;
@@ -88,7 +79,6 @@ double norm_inf(CView a) {
 
 double dist_sq(CView a, CView b) {
   require_same_dim(a, b, "dist_sq");
-  if (kernels::fast_enabled()) return kernels::dist_sq_fast(a.data(), b.data(), a.size());
   double acc = 0.0;
   for (size_t i = 0; i < a.size(); ++i) {
     const double diff = a[i] - b[i];

@@ -5,11 +5,9 @@
 // dimension sweeps) do not justify an expression-template library; simple
 // loops keep the code auditable against the paper's equations.
 //
-// The reductions (dot, norm_sq, dist_sq) and the axpy/scale pair dispatch
-// at runtime on the process-global math mode (math/kernels.hpp): the
-// default scalar mode is the seed's single-accumulator loop, bit-identical
-// and golden-pinned; the opt-in fast mode (ExperimentConfig::fast_math)
-// routes to multi-accumulator / AVX2 kernels with a documented ULP bound.
+// The reductions (dot, norm_sq, dist_sq) are the seed's single-accumulator
+// loops, bit-identical and golden-pinned; the pairwise matrix runs the
+// dist_sq loop for many pairs at once (math/kernels.hpp), to the same bits.
 #pragma once
 
 #include <cstddef>

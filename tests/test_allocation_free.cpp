@@ -23,7 +23,6 @@
 #include "dp/gaussian_mechanism.hpp"
 #include "dp/laplace_mechanism.hpp"
 #include "math/gradient_batch.hpp"
-#include "math/kernels.hpp"
 #include "models/linear_model.hpp"
 #include "models/optimizer.hpp"
 
@@ -163,15 +162,11 @@ TEST(AllocationFree, ThreadedPairwiseMatrixIsAllocationFree) {
   for (size_t i = 0; i < n; ++i) batch.row(i)[i % d] = static_cast<double>(i);
   std::vector<double> out(n * n);
   pairwise_dist_sq(batch, out, 4);
-  for (const bool fast : {false, true}) {
-    const kernels::MathModeScope scope(fast ? kernels::MathMode::kFast
-                                            : kernels::MathMode::kScalar);
-    g_alloc_count.store(0);
-    g_count_allocs.store(true);
-    pairwise_dist_sq(batch, out, 4);
-    g_count_allocs.store(false);
-    EXPECT_EQ(g_alloc_count.load(), 0u) << (fast ? "fast" : "scalar");
-  }
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  pairwise_dist_sq(batch, out, 4);
+  g_count_allocs.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0u);
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ GridSpec small_spec() {
 CellArtifact sample_artifact() {
   CellArtifact a;
   a.cell = 3;
-  a.id = "mda/little:1.5/eps=0.2/full/flat/off/off/prune=off/fm=0";
+  a.id = "mda/little:1.5/eps=0.2/full/flat/off/off/prune=off";
   a.gar = "mda";
   a.attack = "little:1.5";
   a.eps = 0.2;
@@ -60,7 +60,6 @@ CellArtifact sample_artifact() {
   a.channel = "off";
   a.churn = "off";
   a.prune = "off";
-  a.fast_math = 0;
   a.seeds = 2;
   a.final_acc_mean = 0.9167608286252353;
   a.final_acc_std = 1.0 / 3.0;
@@ -219,6 +218,51 @@ TEST(CampaignGrid, ParsesChannelAndChurnAxes) {
   EXPECT_THROW(expand_grid(spec), std::invalid_argument);
 }
 
+TEST(CampaignGrid, IntegerFieldsAcceptOnlyDecimalCounts) {
+  GridSpec spec = small_spec();
+  spec.gars = {"average"};
+  spec.attacks = {"none"};
+  spec.dp_eps = {0.0};
+  // Each value must fail at expansion with an error naming it: no bare
+  // "stoull", and no negative count wrapping to 2^64 - k.
+  const auto expect_rejected = [&spec](const std::string& value) {
+    try {
+      (void)expand_grid(spec);
+      ADD_FAILURE() << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + value + "'"), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const std::string value :
+       {"shards:abc", "shards:-1", "shards:+2", "shards: 3", "tree:ax3", "tree:1x-3",
+        "tree:2x99999999999999999999"}) {
+    spec.topologies = {value};
+    expect_rejected(value);
+  }
+  spec.topologies = {"flat"};
+  for (const std::string value : {"stragglers:x2", "stragglers:2x-1", "stragglers:-2"}) {
+    spec.participation = {value};
+    expect_rejected(value);
+  }
+  spec.participation = {"full"};
+  for (const std::string value : {"epoch:zzx0.5x0.1", "epoch:-5x0.5x0.1"}) {
+    spec.churn = {value};
+    expect_rejected(value);
+  }
+
+  // Well-formed counts still parse.
+  spec.churn = {"epoch:5x0.5x0.1"};
+  spec.participation = {"stragglers:2x3"};
+  spec.topologies = {"tree:1x3"};
+  const auto cells = expand_grid(spec);
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(cells[0].config.churn_epoch_rounds, 5u);
+  EXPECT_EQ(cells[0].config.num_stragglers, 2u);
+  EXPECT_EQ(cells[0].config.straggler_period, 3u);
+  EXPECT_EQ(cells[0].config.tree_branch, 3u);
+}
+
 TEST(CampaignGrid, SignatureTracksEveryAxis) {
   const GridSpec a = small_spec();
   GridSpec b = small_spec();
@@ -343,6 +387,34 @@ TEST(CampaignResume, ManifestFromDifferentGridIsRejected) {
   (void)run_campaign(spec, options);
   spec.dp_eps = {0.0, 0.2};  // different grid, same directory
   EXPECT_THROW(run_campaign(spec, options), std::invalid_argument);
+}
+
+TEST(CampaignResume, ManifestWithTheRetiredSchemaIsRejected) {
+  // A campaign-v2 manifest carried a fast_math axis; resuming it into the
+  // campaign-v3 grid must refuse rather than mix the two schemas.
+  GridSpec spec = small_spec();
+  spec.gars = {"median"};
+  spec.attacks = {"none"};
+  spec.dp_eps = {0.0};
+  std::string old_signature = spec.signature();
+  ASSERT_EQ(old_signature.rfind("campaign-v3;", 0), 0u) << old_signature;
+  EXPECT_EQ(old_signature.find("fast_math"), std::string::npos);
+  old_signature.replace(0, std::string("campaign-v3").size(), "campaign-v2");
+  old_signature += ";fast_math=0";
+
+  CampaignOptions options;
+  options.out_dir = fresh_dir("v2");
+  options.privacy_samples = 50;
+  Manifest m;
+  m.signature = old_signature;
+  save_manifest(options.out_dir + "/manifest.csv", m);
+  try {
+    (void)run_campaign(spec, options);
+    FAIL() << "a campaign-v2 manifest was resumed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("belongs to a different grid"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CampaignRunner, SkippedCellsLandInArtifactsWithReasons) {

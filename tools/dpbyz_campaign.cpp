@@ -1,9 +1,8 @@
 // dpbyz_campaign — declarative scenario-campaign CLI (ROADMAP item 4).
 //
 // Expands a GAR x attack x DP-eps x participation x topology x channel x
-// churn x prune x fast_math grid, pre-screens admissibility, runs the
-// admissible cells
-// in parallel with per-cell checkpointing, and writes the campaign
+// churn x prune grid, pre-screens admissibility, runs the admissible
+// cells in parallel with per-cell checkpointing, and writes the campaign
 // CSV/JSON artifacts.  A killed campaign resumes from its manifest and
 // produces byte-identical artifacts (see src/campaign/runner.hpp).
 //
@@ -40,12 +39,6 @@ std::vector<double> split_doubles(const std::string& csv) {
   return out;
 }
 
-std::vector<int> split_ints(const std::string& csv) {
-  std::vector<int> out;
-  for (const std::string& part : split_list(csv)) out.push_back(std::stoi(part));
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -54,7 +47,7 @@ int main(int argc, char** argv) {
     flags::Parser flags(
         argc, argv,
         {"gars", "attacks", "eps", "participation", "topologies", "channels",
-         "churn", "churn-seed", "prune", "fast-math", "seeds", "data-seed",
+         "churn", "churn-seed", "prune", "seeds", "data-seed",
          "steps", "batch", "workers", "byzantine", "depth", "observes",
          "adapt-probes", "adapt-budget", "out", "threads", "max-cells",
          "privacy-samples", "dry-run", "list-cells", "help"});
@@ -64,7 +57,7 @@ int main(int argc, char** argv) {
           "  [--eps=0,0.2] [--participation=full,iid:0.9,stragglers:2x3]\n"
           "  [--topologies=flat,shards:3,tree:2x3]   (shards:S runs as tree:1xS)\n"
           "  [--channels=off,lossy:0.05x0.01x0.1] [--churn=off,epoch:50x0.5x0.1]\n"
-          "  [--churn-seed=S] [--prune=off,approx] [--fast-math=0,1]\n"
+          "  [--churn-seed=S] [--prune=off,approx]\n"
           "  [--seeds=N] [--data-seed=S] [--steps=T] [--batch=b] [--workers=n]\n"
           "  [--byzantine=f] [--depth=k] [--observes=clean|wire]\n"
           "  [--adapt-probes=P] [--adapt-budget=B]\n"
@@ -83,7 +76,6 @@ int main(int argc, char** argv) {
     spec.churn = split_list(flags.get_string("churn", "off"));
     spec.base.churn_seed = static_cast<uint64_t>(flags.get_int("churn-seed", 1));
     spec.prune = split_list(flags.get_string("prune", "off"));
-    spec.fast_math = split_ints(flags.get_string("fast-math", "0"));
     spec.seeds = static_cast<size_t>(flags.get_int("seeds", 3));
     spec.data_seed = static_cast<uint64_t>(flags.get_int("data-seed", 42));
     spec.base.steps = static_cast<size_t>(flags.get_int("steps", 300));
