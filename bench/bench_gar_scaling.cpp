@@ -29,7 +29,8 @@
 //
 // A fourth sweep measures the round engine's slot ring
 // (core/pipeline.hpp) at n = 50, d = 1e4, one row per depth k in
-// {0, 1, 2, 4}: per-step wall-clock, the fill-wait / fill-busy /
+// {0, 1, 2, 4}, every depth at the same resolved thread budget (written
+// into each row): per-step wall-clock, the fill-wait / fill-busy /
 // aggregate / apply phase split (RunResult::phase — wait is blocked
 // time only, busy − wait is the overlap the ring bought), steady-state
 // allocations per step, bit-identity of the depth-0 engine's fill order
@@ -47,6 +48,14 @@
 // threaded extent: the matrix must be bit-identical at threads = 1 and
 // threads = 4.  The JSON records which backend the binary *selected at
 // runtime* ("avx2" / "unrolled8").
+//
+// A forge sweep times the ALIE forge (mean − ν·σ over the observed rows,
+// math/gradient_batch.hpp's column_moments_into) at the e2e shapes
+// (rows, d) = (180, 10001) and (990, 1001): the seed's two-pass loops
+// (re-implemented here), the tiled kernel on one thread, and at the
+// resolved thread budget.  Its gates: the threaded forge is bit-equal to
+// the serial one and to stats::coordinate_mean / coordinate_stddev, and
+// allocates nothing after warmup.
 //
 // A sixth sweep measures sketch distances (prune=approx, math/sketch.hpp)
 // per selection GAR at d = 1e4, n up to 1000 (n = 50 only under --fast):
@@ -87,7 +96,8 @@
 // 300), --check (exit nonzero on any correctness/allocation regression:
 // non-identical outputs, nonzero steady-state allocs, engine depth-0
 // drift, depth-k nondeterminism, a pairwise matrix that drifts across
-// thread widths, a prune=approx steady-state
+// thread widths, an ALIE forge that drifts across thread widths or from
+// the stats reference or allocates, a prune=approx steady-state
 // allocation, an L = 1 tree diverging from the pinned sharded
 // outputs or the framed tree from the in-memory one, a wire codec that allocates, fails the raw64
 // byte-exact round trip, passes a corrupted frame, breaks the int8
@@ -106,7 +116,9 @@
 #include <cstring>
 #include <new>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <thread>
@@ -115,6 +127,7 @@
 #include "aggregation/hierarchical.hpp"
 #include "aggregation/mda.hpp"
 #include "aggregation/reference_gars.hpp"
+#include "attacks/little_is_enough.hpp"
 #include "net/frame.hpp"
 #include "net/transport.hpp"
 #include "core/experiment.hpp"
@@ -127,6 +140,7 @@
 #include "math/gradient_batch.hpp"
 #include "math/kernels.hpp"
 #include "math/rng.hpp"
+#include "math/statistics.hpp"
 #include "math/vector_ops.hpp"
 #include "models/linear_model.hpp"
 #include "models/optimizer.hpp"
@@ -390,10 +404,18 @@ struct PruneRow {
   double approx_rel_err;       // L2 rel err of approx aggregate vs off
 };
 
+struct ForgeRow {
+  size_t rows, d, threads;  // threads: the resolved budget of the threaded column
+  double seed_s, serial_s, threaded_s;  // one forge, median
+  size_t allocs;        // serial + threaded forge after warmup, must be 0
+  bool identical;       // threaded == serial, bitwise
+  bool stats_identical;  // serial == coordinate_mean - nu * coordinate_stddev
+};
+
 struct DepthRow {
   std::string gar;
   size_t depth;  // ring depth k (staleness bound)
-  size_t n, d, f, cores;
+  size_t n, d, f, cores, threads;  // threads: the one resolved budget of every depth
   double step_s;                                    // wall-clock per step
   double fill_wait_s, fill_busy_s, agg_s, apply_s;  // per-step phase split
   double allocs;                                    // steady-state, per step
@@ -461,6 +483,27 @@ struct ChurnRow {
   double allocs;       // per step; epoch rows amortize one boundary
   bool off_identical;  // zero-prob epoch row: bitwise == churn-off run
 };
+
+/// The seed's two-pass ALIE forge (mean pass, then σ pass, each over
+/// the whole arena) — kept here (only) so the tiled kernel's win is
+/// measured, not asserted.
+void seed_alie_forge(const GradientBatch& batch, size_t rows, double nu,
+                     std::span<double> out, std::span<double> sigma) {
+  dpbyz::vec::fill(out, 0.0);
+  for (size_t i = 0; i < rows; ++i) dpbyz::vec::add_inplace(out, batch.row(i));
+  const double inv_n = 1.0 / static_cast<double>(rows);
+  dpbyz::vec::scale_inplace(out, inv_n);
+  dpbyz::vec::fill(sigma, 0.0);
+  for (size_t i = 0; i < rows; ++i) {
+    const auto r = batch.row(i);
+    for (size_t c = 0; c < r.size(); ++c) {
+      const double diff = r[c] - out[c];
+      sigma[c] += diff * diff;
+    }
+  }
+  for (double& x : sigma) x = std::sqrt(x * inv_n);
+  dpbyz::vec::axpy_inplace(out, -nu, sigma);
+}
 
 /// The per-call std::thread dispatch the persistent pool replaced — kept
 /// here (only) so the pool's spawn-cost win is measured, not asserted.
@@ -690,6 +733,60 @@ int main(int argc, char** argv) {
                 scalar_pairwise_threads_identical ? "yes" : "NO");
   }
 
+  // ---- forge sweep: the ALIE forge's column statistics -------------------
+  // The two shapes the e2e workloads forge at: krum_exact_n200 observes
+  // 180 honest rows of d = 10001, dp_tree_n1000 990 rows of d = 1001.
+  // The forged row sits right behind the observed prefix, as in a round.
+  std::vector<ForgeRow> forge_rows;
+  {
+    const size_t budget = dpbyz::resolve_threads(0);
+    const double nu = 1.5;
+    const dpbyz::ALittleIsEnough alie(nu);
+    std::printf("\n%6s %6s %7s | %9s %9s %9s | %8s %8s | %6s %9s %6s\n", "rows", "d",
+                "threads", "seed(ms)", "1T(ms)", "NT(ms)", "1T/seed", "NT/seed",
+                "allocs", "identical", "stats");
+    std::printf("---------------------------------------------------------------------------"
+                "--------------\n");
+    for (const auto& [rows, d] : {std::pair<size_t, size_t>{180, 10001}, {990, 1001}}) {
+      const auto gradients = make_gradients(rows + 1, d, 7);
+      GradientBatch batch = GradientBatch::from_vectors(gradients);
+      Rng rng(1);
+      const dpbyz::AttackContext serial_ctx{batch, rows, 1, 1, 0, 1};
+      const dpbyz::AttackContext threaded_ctx{batch, rows, 1, 1, 0, budget};
+      const std::span<double> out = batch.row(rows);
+      Vector serial(d), sigma(d);
+
+      alie.forge_into(threaded_ctx, rng, out);  // warm the pool and sigma scratch
+      alie.forge_into(serial_ctx, rng, out);
+      g_alloc_count.store(0);
+      g_count_allocs.store(true);
+      alie.forge_into(serial_ctx, rng, out);
+      dpbyz::vec::copy(out, serial);
+      alie.forge_into(threaded_ctx, rng, out);
+      g_count_allocs.store(false);
+      const size_t allocs = g_alloc_count.load();
+      const bool identical = Vector(out.begin(), out.end()) == serial;
+
+      const std::span<const Vector> observed(gradients.data(), rows);
+      Vector want = dpbyz::stats::coordinate_mean(observed);
+      dpbyz::vec::axpy_inplace(want, -nu, dpbyz::stats::coordinate_stddev(observed));
+      const bool stats_identical = serial == want;
+
+      const double seed_s =
+          time_call([&] { seed_alie_forge(batch, rows, nu, out, sigma); }, budget_s);
+      const double serial_s = time_call([&] { alie.forge_into(serial_ctx, rng, out); }, budget_s);
+      const double threaded_s =
+          time_call([&] { alie.forge_into(threaded_ctx, rng, out); }, budget_s);
+      forge_rows.push_back({rows, d, budget, seed_s, serial_s, threaded_s, allocs, identical,
+                            stats_identical});
+      std::printf("%6zu %6zu %7zu | %9.3f %9.3f %9.3f | %7.2fx %7.2fx | %6zu %9s %6s\n",
+                  rows, d, budget, seed_s * 1e3, serial_s * 1e3, threaded_s * 1e3,
+                  seed_s / serial_s, seed_s / threaded_s, allocs, identical ? "yes" : "NO",
+                  stats_identical ? "yes" : "NO");
+      std::fflush(stdout);
+    }
+  }
+
   // ---- prune sweep: sketch distances under the selection GARs ------------
   // d = 1e4 throughout; n climbs to 1000 for krum and bulyan.  MDA stops
   // at n = 50: on this near-tied lowdim geometry its branch-and-bound
@@ -860,6 +957,9 @@ int main(int argc, char** argv) {
     const size_t n = 50, d = 10000, f = 2;
     const size_t steps = fast ? 10 : 20;
     const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+    // Every depth runs at the one resolved budget, so the rows compare
+    // depths and nothing else.
+    const size_t threads = dpbyz::resolve_threads(0);
 
     dpbyz::BlobsConfig bc;
     bc.num_samples = 256;
@@ -899,16 +999,16 @@ int main(int argc, char** argv) {
       return static_cast<double>(longer - base) / 20.0;
     };
 
-    std::printf("\n%-8s %5s %5s | %9s %9s %9s %9s | %9s %8s | %6s | %6s %6s\n",
-                "gar", "depth", "cores", "wait(ms)", "busy(ms)", "agg(ms)",
+    std::printf("\n%-8s %5s %5s %7s | %9s %9s %9s %9s | %9s %8s | %6s | %6s %6s\n",
+                "gar", "depth", "cores", "threads", "wait(ms)", "busy(ms)", "agg(ms)",
                 "apply(ms)", "step(ms)", "st/sum", "a/st", "eng id", "det");
     std::printf(
         "--------------------------------------------------------------------------"
-        "-------------------------------\n");
+        "---------------------------------------\n");
     for (const size_t depth : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
       dpbyz::ExperimentConfig c = cfg;
       c.pipeline_depth = depth;
-      c.threads = depth > 0 && cores > 1 ? 2 : 1;
+      c.threads = threads;
 
       const auto start = Clock::now();
       const auto run = run_cfg(c);
@@ -921,7 +1021,7 @@ int main(int argc, char** argv) {
       // Determinism at this depth: rerun, and rerun at the other thread
       // width — both must be bit-equal (the ring is timing-independent).
       dpbyz::ExperimentConfig alt = c;
-      alt.threads = c.threads == 1 ? 2 : 1;
+      alt.threads = threads == 1 ? 2 : 1;
       const auto rerun = run_cfg(c);
       const auto alt_run = run_cfg(alt);
       const bool deterministic =
@@ -948,12 +1048,12 @@ int main(int argc, char** argv) {
       }
 
       const double allocs = allocs_per_step(c);
-      depth_rows.push_back({"mda", depth, n, d, f, cores, step_s, wait_s, busy_s,
+      depth_rows.push_back({"mda", depth, n, d, f, cores, threads, step_s, wait_s, busy_s,
                             agg_s, apply_s, allocs, engine_identical,
                             deterministic});
-      std::printf("%-8s %5zu %5zu | %9.3f %9.3f %9.3f %9.3f | %9.3f %7.2fx | "
+      std::printf("%-8s %5zu %5zu %7zu | %9.3f %9.3f %9.3f %9.3f | %9.3f %7.2fx | "
                   "%6.1f | %6s %6s\n",
-                  "mda", depth, cores, wait_s * 1e3, busy_s * 1e3, agg_s * 1e3,
+                  "mda", depth, cores, threads, wait_s * 1e3, busy_s * 1e3, agg_s * 1e3,
                   apply_s * 1e3, step_s * 1e3, step_s / (busy_s + agg_s), allocs,
                   depth == 0 ? (engine_identical ? "yes" : "NO") : "-",
                   deterministic ? "yes" : "NO");
@@ -1485,8 +1585,23 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "  ],\n  \"scalar_pairwise_threads_identical\": %s,\n"
-               "  \"prune_sweep\": [\n",
+               "  \"forge_sweep\": [\n",
                scalar_pairwise_threads_identical ? "true" : "false");
+  for (size_t i = 0; i < forge_rows.size(); ++i) {
+    const ForgeRow& r = forge_rows[i];
+    std::fprintf(out,
+                 "    {\"attack\": \"little\", \"rows\": %zu, \"d\": %zu, "
+                 "\"threads\": %zu, \"seed_ms\": %.6f, \"serial_ms\": %.6f, "
+                 "\"threaded_ms\": %.6f, \"speedup_serial\": %.3f, "
+                 "\"speedup_threaded\": %.3f, \"allocs_after_warmup\": %zu, "
+                 "\"threaded_bit_identical\": %s, \"stats_bit_identical\": %s}%s\n",
+                 r.rows, r.d, r.threads, r.seed_s * 1e3, r.serial_s * 1e3,
+                 r.threaded_s * 1e3, r.seed_s / r.serial_s, r.seed_s / r.threaded_s,
+                 r.allocs, r.identical ? "true" : "false",
+                 r.stats_identical ? "true" : "false",
+                 i + 1 < forge_rows.size() ? "," : "");
+  }
+  std::fprintf(out, "  ],\n  \"prune_sweep\": [\n");
   for (size_t i = 0; i < prune_rows.size(); ++i) {
     const PruneRow& r = prune_rows[i];
     std::fprintf(out,
@@ -1521,12 +1636,12 @@ int main(int argc, char** argv) {
     const DepthRow& r = depth_rows[i];
     std::fprintf(out,
                  "    {\"gar\": \"%s\", \"depth\": %zu, \"n\": %zu, \"d\": %zu, "
-                 "\"f\": %zu, \"cores\": %zu, \"step_ms\": %.6f, "
+                 "\"f\": %zu, \"cores\": %zu, \"threads\": %zu, \"step_ms\": %.6f, "
                  "\"fill_wait_ms\": %.6f, \"fill_busy_ms\": %.6f, "
                  "\"aggregate_ms\": %.6f, \"apply_ms\": %.6f, "
                  "\"step_vs_busy_plus_agg\": %.3f, \"allocs_per_step\": %.1f, "
                  "\"engine_bit_identical\": %s, \"deterministic\": %s}%s\n",
-                 r.gar.c_str(), r.depth, r.n, r.d, r.f, r.cores, r.step_s * 1e3,
+                 r.gar.c_str(), r.depth, r.n, r.d, r.f, r.cores, r.threads, r.step_s * 1e3,
                  r.fill_wait_s * 1e3, r.fill_busy_s * 1e3, r.agg_s * 1e3,
                  r.apply_s * 1e3, r.step_s / (r.fill_busy_s + r.agg_s), r.allocs,
                  r.depth == 0 ? (r.engine_identical ? "true" : "false") : "null",
@@ -1627,7 +1742,7 @@ int main(int argc, char** argv) {
                churn_restore_identical ? "true" : "false");
   std::fclose(out);
   std::printf("\nwrote BENCH_gar_scaling.json (%zu configurations)\n",
-              rows.size() + shard_rows.size() + prune_rows.size() +
+              rows.size() + shard_rows.size() + forge_rows.size() + prune_rows.size() +
                   pipeline_rows.size() + depth_rows.size() +
                   staleness_rows.size() + quad_staleness_rows.size() +
                   tree_rows.size() + tree_gate_rows.size() + wire_rows.size() +
@@ -1657,6 +1772,16 @@ int main(int argc, char** argv) {
     }
     if (!scalar_pairwise_threads_identical)
       fail("pairwise kernel drifts across thread widths");
+    for (const ForgeRow& r : forge_rows) {
+      const std::string shape =
+          "ALIE forge rows=" + std::to_string(r.rows) + " d=" + std::to_string(r.d);
+      if (!r.identical)
+        fail(shape + ": threads=" + std::to_string(r.threads) + " diverged from serial");
+      if (!r.stats_identical)
+        fail(shape + ": diverged from stats::coordinate_mean/coordinate_stddev");
+      if (r.allocs != 0)
+        fail(shape + ": " + std::to_string(r.allocs) + " allocs after warmup");
+    }
     // Approx gate: the sketch path stays allocation-free at steady
     // state.  No wall-clock gate: speedups are committed in the JSON,
     // not asserted in CI.

@@ -79,11 +79,11 @@ void AdaptiveAttack::forge_into(const AttackContext& ctx, Rng&,
   const size_t d = ctx.observed.dim();
   mean_.resize(d);
   dir_.resize(d);
-  mean_rows_into(ctx.observed, rows, mean_);
   if (mode_ == Mode::kAlie) {
-    stddev_rows_into(ctx.observed, rows, mean_, dir_);
+    column_moments_into(ctx.observed, rows, mean_, dir_, ctx.threads);
     vec::scale_inplace(dir_, -1.0);  // a_t = -sigma_t, the ALIE direction
   } else {
+    column_moments_into(ctx.observed, rows, mean_, {}, ctx.threads);
     vec::copy(CView(mean_), View(dir_));
     vec::scale_inplace(dir_, -1.0);  // a_t = -g_t, the FoE direction
   }
@@ -243,8 +243,7 @@ void MimicBoundary::forge_into(const AttackContext& ctx, Rng&,
   const size_t d = ctx.observed.dim();
   mean_.resize(d);
   dir_.resize(d);
-  mean_rows_into(ctx.observed, rows, mean_);
-  stddev_rows_into(ctx.observed, rows, mean_, dir_);
+  column_moments_into(ctx.observed, rows, mean_, dir_, ctx.threads);
   vec::scale_inplace(dir_, -1.0);  // offset along -sigma keeps the disguise
   if (vec::norm_sq(CView(dir_)) == 0.0) {
     // Degenerate spread (identical honest rows): any offset is instantly
@@ -314,9 +313,8 @@ void StaleBoost::forge_into(const AttackContext& ctx, Rng&,
   // versions ago, whose spread around the *current* honest mean is wider,
   // so a proportionally larger bias still blends.  s = 0 degenerates to
   // the fixed attack exactly.
-  mean_rows_into(ctx.observed, ctx.observed_rows, out);
   sigma_.resize(ctx.observed.dim());
-  stddev_rows_into(ctx.observed, ctx.observed_rows, out, sigma_);
+  column_moments_into(ctx.observed, ctx.observed_rows, out, sigma_, ctx.threads);
   const double amplified = nu_ * (1.0 + static_cast<double>(ctx.staleness));
   vec::axpy_inplace(out, -amplified, CView(sigma_));
 }

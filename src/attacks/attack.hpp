@@ -52,6 +52,10 @@ struct AttackContext {
   /// automatically; attacks that model the server's current parameters
   /// explicitly can use this to account for the lag.
   size_t staleness = 0;
+  /// Thread budget for the forge's column statistics
+  /// (column_moments_into): the round engine passes its resolved fill
+  /// width; every width gives the same bits.  1 = the calling thread.
+  size_t threads = 1;
 };
 
 /// A colluding Byzantine strategy: one forged gradient per step.
@@ -61,7 +65,9 @@ class Attack {
 
   /// Forge the common Byzantine gradient for this step into `out`
   /// (length ctx.observed.dim(); typically a Byzantine row of the
-  /// submission arena).  `out` must not alias an observed row.
+  /// submission arena).  `out` must not alias an observed row; the
+  /// template attacks' column statistics (column_moments_into) throw
+  /// std::invalid_argument when it does.
   virtual void forge_into(const AttackContext& ctx, Rng& rng,
                           std::span<double> out) const = 0;
 

@@ -11,7 +11,7 @@ SignFlip::SignFlip(double scale) : scale_(scale) {
 
 void SignFlip::forge_into(const AttackContext& ctx, Rng&, std::span<double> out) const {
   require(ctx.observed_rows > 0, "SignFlip: no honest gradients to observe");
-  mean_rows_into(ctx.observed, ctx.observed_rows, out);
+  column_moments_into(ctx.observed, ctx.observed_rows, out, {}, ctx.threads);
   vec::scale_inplace(out, -scale_);
 }
 

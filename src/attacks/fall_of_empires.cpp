@@ -12,7 +12,7 @@ FallOfEmpires::FallOfEmpires(double nu) : nu_(nu) {
 void FallOfEmpires::forge_into(const AttackContext& ctx, Rng&,
                                std::span<double> out) const {
   require(ctx.observed_rows > 0, "FallOfEmpires: no honest gradients to observe");
-  mean_rows_into(ctx.observed, ctx.observed_rows, out);
+  column_moments_into(ctx.observed, ctx.observed_rows, out, {}, ctx.threads);
   vec::scale_inplace(out, 1.0 - nu_);
 }
 

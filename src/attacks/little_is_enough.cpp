@@ -23,9 +23,8 @@ void ALittleIsEnough::forge_into(const AttackContext& ctx, Rng&,
                                  std::span<double> out) const {
   require(ctx.observed_rows > 0, "ALittleIsEnough: no honest gradients to observe");
   // g_t ~ mean of honest gradients; a_t = -coordinate-wise stddev.
-  mean_rows_into(ctx.observed, ctx.observed_rows, out);
   sigma_.resize(ctx.observed.dim());
-  stddev_rows_into(ctx.observed, ctx.observed_rows, out, sigma_);
+  column_moments_into(ctx.observed, ctx.observed_rows, out, sigma_, ctx.threads);
   vec::axpy_inplace(out, -nu_, CView(sigma_));
 }
 

@@ -217,10 +217,11 @@ struct ExperimentConfig {
   /// attack papers [3, 38] — the default, and the variant whose b-sweep
   /// matches the paper's Figures 2-4), or "wire" = the honest submissions
   /// as actually sent (post-DP-noise; gradients travel in the clear per
-  /// Remark 1).  With DP off the two coincide.  The "wire" adversary's
-  /// sigma estimate absorbs the DP noise, making the forged offset grow
-  /// with the noise scale — a strictly stronger attack studied in the
-  /// bench_attack_observation ablation.
+  /// Remark 1).  With DP off the two coincide, so the trainer keeps no
+  /// separate clean arena and both read the submission prefix.  The
+  /// "wire" adversary's sigma estimate absorbs the DP noise, making the
+  /// forged offset grow with the noise scale — a strictly stronger attack
+  /// studied in the bench_attack_observation ablation.
   std::string attack_observes = "clean";
 
   // --- elasticity (membership epochs) --------------------------------------

@@ -208,7 +208,7 @@ void RoundPipeline::fill_into(Slot& slot, size_t t, const Vector& p) {
   if (attack_ != nullptr && byz > 0) {
     const size_t staleness = t - 1 - slot.param_version;
     const AttackContext ctx{observe_clean_ ? clean_ : slot.batch, live_count,
-                            byz, t, staleness};
+                            byz, t, staleness, fill_threads_};
     attack_->forge_into(ctx, attack_rng_, slot.batch.row(live_count));
     for (size_t r = live_count + 1; r < live_count + byz; ++r)
       vec::copy(slot.batch.row(live_count), slot.batch.row(r));

@@ -160,7 +160,11 @@ class RoundPipeline {
   /// outlive the pipeline).  `attack` may be null (no forgery rows).
   /// `byzantine_rows` is the f forged copies appended per round (0 when
   /// the attack is disabled).  `observe_clean` selects the adversary's
-  /// observation point exactly as in the synchronous loop.  RNG streams
+  /// observation point exactly as in the synchronous loop: true keeps a
+  /// second arena of pre-noise gradients (the trainer asks for it only
+  /// when the mechanism adds noise), false forges against the
+  /// submission prefix.  The forge runs at the fill width
+  /// (AttackContext::threads).  RNG streams
   /// move in: the engine is their sole consumer from here on.
   /// `full_rows_gar`, when non-null, seeds the per-(n', f) rule cache
   /// for full rounds (rows == honest + byzantine) so the caller's

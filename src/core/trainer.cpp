@@ -152,8 +152,13 @@ RunResult Trainer::run() {
   result.round_rows.reserve(config_.steps);
   result.round_f.reserve(config_.steps);
 
-  const bool observe_clean =
-      config_.attack_enabled && config_.attack_observes == "clean";
+  // The clean-observation arena exists only when the mechanism adds
+  // noise.  With DP off, NoNoise copies each clipped gradient verbatim
+  // into its submission row, so the clean view *is* the submission
+  // prefix (§2.1 dropout zeroing runs after the forge) and the adversary
+  // reads it in place.
+  const bool observe_clean = config_.attack_enabled && config_.dp_enabled &&
+                             config_.attack_observes == "clean";
   // Every mode runs through the round engine (core/pipeline.hpp): it
   // owns the k+1-slot ring of arenas and every fill-side RNG stream
   // from here on.  At the defaults (depth 0, full participation) its

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "math/kernels.hpp"
 #include "math/statistics.hpp"
@@ -77,34 +78,92 @@ GradientBatch GradientBatch::from_vectors(std::span<const Vector> vs) {
 
 bool GradientBatch::all_finite() const { return vec::all_finite(flat()); }
 
-void mean_rows_into(const GradientBatch& batch, std::span<double> out) {
-  mean_rows_into(batch, batch.rows(), out);
+namespace {
+
+/// True when [a, a + na) and [b, b + nb) share an element.
+bool overlaps(const double* a, size_t na, const double* b, size_t nb) {
+  const std::less<const double*> before;
+  return na > 0 && nb > 0 && before(a, b + nb) && before(b, a + na);
 }
 
-void mean_rows_into(const GradientBatch& batch, size_t rows, std::span<double> out) {
-  require(rows > 0, "mean_rows_into: empty batch");
-  require(rows <= batch.rows(), "mean_rows_into: row count out of range");
-  require(out.size() == batch.dim(), "mean_rows_into: output dimension mismatch");
-  vec::fill(out, 0.0);
-  for (size_t i = 0; i < rows; ++i) vec::add_inplace(out, batch.row(i));
-  vec::scale_inplace(out, 1.0 / static_cast<double>(rows));
-}
+/// One column tile of column_moments_into: the `w` columns starting at
+/// `col` (row stride d) over `rows` rows.  Rows are taken four at a time
+/// with the running sum held in a register, but each element still adds
+/// its rows one by one in index order, so the bits are the seed loops'.
+void moments_tile(const double* col, size_t d, size_t rows, size_t w, double inv,
+                  double* __restrict m, double* __restrict s) {
+  for (size_t c = 0; c < w; ++c) m[c] = 0.0;
+  size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    const double* __restrict r0 = col + i * d;
+    const double* __restrict r1 = r0 + d;
+    const double* __restrict r2 = r1 + d;
+    const double* __restrict r3 = r2 + d;
+    for (size_t c = 0; c < w; ++c) m[c] = (((m[c] + r0[c]) + r1[c]) + r2[c]) + r3[c];
+  }
+  for (; i < rows; ++i) {
+    const double* __restrict r = col + i * d;
+    for (size_t c = 0; c < w; ++c) m[c] += r[c];
+  }
+  for (size_t c = 0; c < w; ++c) m[c] *= inv;
+  if (s == nullptr) return;
 
-void stddev_rows_into(const GradientBatch& batch, size_t rows,
-                      std::span<const double> mean, std::span<double> out) {
-  require(rows > 0 && rows <= batch.rows(), "stddev_rows_into: bad row count");
-  require(mean.size() == batch.dim() && out.size() == batch.dim(),
-          "stddev_rows_into: dimension mismatch");
-  vec::fill(out, 0.0);
-  for (size_t i = 0; i < rows; ++i) {
-    const auto r = batch.row(i);
-    for (size_t c = 0; c < r.size(); ++c) {
-      const double diff = r[c] - mean[c];
-      out[c] += diff * diff;
+  for (size_t c = 0; c < w; ++c) s[c] = 0.0;
+  for (i = 0; i + 4 <= rows; i += 4) {
+    const double* __restrict r0 = col + i * d;
+    const double* __restrict r1 = r0 + d;
+    const double* __restrict r2 = r1 + d;
+    const double* __restrict r3 = r2 + d;
+    for (size_t c = 0; c < w; ++c) {
+      const double mc = m[c];
+      const double d0 = r0[c] - mc, d1 = r1[c] - mc, d2 = r2[c] - mc, d3 = r3[c] - mc;
+      s[c] = (((s[c] + d0 * d0) + d1 * d1) + d2 * d2) + d3 * d3;
     }
   }
-  const double inv_n = 1.0 / static_cast<double>(rows);
-  for (double& x : out) x = std::sqrt(x * inv_n);
+  for (; i < rows; ++i) {
+    const double* __restrict r = col + i * d;
+    for (size_t c = 0; c < w; ++c) {
+      const double diff = r[c] - m[c];
+      s[c] += diff * diff;
+    }
+  }
+  for (size_t c = 0; c < w; ++c) s[c] = std::sqrt(s[c] * inv);
+}
+
+}  // namespace
+
+void mean_rows_into(const GradientBatch& batch, std::span<double> out) {
+  column_moments_into(batch, batch.rows(), out, {}, 1);
+}
+
+void column_moments_into(const GradientBatch& batch, size_t rows, std::span<double> mean,
+                         std::span<double> stddev, size_t threads) {
+  const size_t d = batch.dim();
+  require(rows > 0 && rows <= batch.rows(), "column_moments_into: bad row count");
+  require(mean.size() == d && (stddev.empty() || stddev.size() == d),
+          "column_moments_into: output dimension mismatch");
+  if (d == 0) return;
+  const double* base = batch.row(0).data();
+  require(!overlaps(mean.data(), d, base, rows * d) &&
+              !overlaps(stddev.data(), stddev.size(), base, rows * d),
+          "column_moments_into: output aliases an observed row");
+  require(!overlaps(mean.data(), d, stddev.data(), stddev.size()),
+          "column_moments_into: mean and stddev overlap");
+
+  const double inv = 1.0 / static_cast<double>(rows);
+  double* s = stddev.empty() ? nullptr : stddev.data();
+  auto tile = [&](size_t t) {
+    const size_t c0 = t * kMomentTile;
+    moments_tile(base + c0, d, rows, std::min(d, c0 + kMomentTile) - c0, inv,
+                 mean.data() + c0, s == nullptr ? nullptr : s + c0);
+  };
+  const size_t tiles = (d + kMomentTile - 1) / kMomentTile;
+  threads = resolve_threads(threads);
+  if (threads <= 1 || rows * d < kMomentsParallelMinWork) {
+    for (size_t t = 0; t < tiles; ++t) tile(t);
+  } else {
+    ThreadPool::shared().run(tiles, tile, threads);
+  }
 }
 
 void mean_rows_of_into(const GradientBatch& batch, std::span<const size_t> idx,

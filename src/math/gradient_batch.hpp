@@ -104,19 +104,35 @@ class GradientBatch {
   std::vector<double> data_;           // empty on views
 };
 
-/// Mean of all rows written into `out` (length dim).  Accumulates row by
-/// row in index order — bit-identical to vec::mean over the same vectors.
+/// Columns per tile of column_moments_into.
+inline constexpr size_t kMomentTile = 256;
+
+/// rows × dim below which column_moments_into stays on the calling
+/// thread: smaller forges finish before a pool dispatch pays off.
+inline constexpr size_t kMomentsParallelMinWork = size_t{1} << 18;
+
+/// Coordinate-wise mean and *population* standard deviation (divide by
+/// rows) of the first `rows` rows — the statistics every template attack
+/// forges from.  `stddev` may be empty (mean-only mode); otherwise both
+/// outputs have length dim.  The columns are cut into tiles of
+/// kMomentTile; each tile sums its rows into the mean in index order,
+/// scales by 1/rows, then sums the squared deviations while the tile is
+/// still in cache, scales by 1/rows and takes the square root.  Every
+/// output element therefore sees the IEEE sequence of the two-pass seed
+/// loops — bit-identical to stats::coordinate_mean / coordinate_stddev on
+/// the same rows — with no FMA.  Tiles own disjoint columns and run on
+/// ThreadPool::shared() at `threads` width (0 = resolve_threads) once
+/// rows × dim reaches kMomentsParallelMinWork, so every width gives the
+/// same bits.  Allocates nothing.  Throws std::invalid_argument when
+/// `mean` or `stddev` overlaps rows [0, rows) of the batch or each other
+/// (a tile would read values another tile is writing).
+void column_moments_into(const GradientBatch& batch, size_t rows, std::span<double> mean,
+                         std::span<double> stddev, size_t threads);
+
+/// Mean of all rows written into `out` (length dim), on the calling
+/// thread: column_moments_into's mean-only mode over the whole batch,
+/// bit-identical to vec::mean over the same vectors.
 void mean_rows_into(const GradientBatch& batch, std::span<double> out);
-
-/// Mean of the first `rows` rows only (the attack observation path, where
-/// the adversary sees the honest prefix of the submission arena).
-void mean_rows_into(const GradientBatch& batch, size_t rows, std::span<double> out);
-
-/// Coordinate-wise *population* standard deviation (divide by rows) of the
-/// first `rows` rows, given their precomputed `mean` — bit-identical to
-/// stats::coordinate_stddev on the same vectors.
-void stddev_rows_into(const GradientBatch& batch, size_t rows,
-                      std::span<const double> mean, std::span<double> out);
 
 /// Mean of the rows selected by `idx`, in `idx` order (bit-identical to
 /// vec::mean_of on the same inputs).

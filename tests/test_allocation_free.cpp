@@ -10,13 +10,14 @@
 // allocation functions with counting wrappers (exactly one TU in the test
 // binary may do this).  Counting is toggled only around the measured
 // steps, so the rest of the suite is unaffected beyond a relaxed atomic
-// load per allocation.
+// load per allocation.  Other test files count through alloc_counter.hpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
+#include "alloc_counter.hpp"
 #include "core/server.hpp"
 #include "core/worker.hpp"
 #include "data/synthetic.hpp"
@@ -30,6 +31,20 @@ namespace {
 std::atomic<size_t> g_alloc_count{0};
 std::atomic<bool> g_count_allocs{false};
 }  // namespace
+
+namespace dpbyz::test {
+
+void start_counting_allocs() {
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+}
+
+size_t stop_counting_allocs() {
+  g_count_allocs.store(false);
+  return g_alloc_count.load();
+}
+
+}  // namespace dpbyz::test
 
 void* operator new(std::size_t size) {
   if (g_count_allocs.load(std::memory_order_relaxed))

@@ -95,7 +95,7 @@ TEST(GradientBatch, MeanHelpersMatchVectorPath) {
   EXPECT_EQ(out, vec::mean(vs));
 
   // Prefix mean (the attack observation path).
-  mean_rows_into(batch, 4, out);
+  column_moments_into(batch, 4, out, {}, 1);
   EXPECT_EQ(out, vec::mean(std::span<const Vector>(vs.data(), 4)));
 
   const std::vector<size_t> idx{5, 0, 3};
@@ -103,8 +103,8 @@ TEST(GradientBatch, MeanHelpersMatchVectorPath) {
   EXPECT_EQ(out, vec::mean_of(vs, idx));
 
   Vector mean(9), sigma(9);
-  mean_rows_into(batch, 6, mean);
-  stddev_rows_into(batch, 6, mean, sigma);
+  column_moments_into(batch, 6, mean, sigma, 1);
+  EXPECT_EQ(mean, stats::coordinate_mean(vs));
   EXPECT_EQ(sigma, stats::coordinate_stddev(vs));
 }
 

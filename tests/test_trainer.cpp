@@ -5,6 +5,7 @@
 
 #include "core/experiment.hpp"
 #include "core/trainer.hpp"
+#include "math/gradient_batch.hpp"
 
 namespace dpbyz {
 namespace {
@@ -238,6 +239,38 @@ TEST(Trainer, ThreadedShardedTrainerBitIdenticalToSerial) {
   const RunResult threaded = Trainer(c, task.model, task.train, task.test).run();
   EXPECT_EQ(threaded.final_parameters, serial.final_parameters);
   EXPECT_EQ(threaded.train_loss, serial.train_loss);
+}
+
+TEST(Trainer, ThreadedForgeAboveTheFloorBitIdenticalAcrossWidthsAndObservationPoints) {
+  // krum + ALIE with DP off at d = 10001: the 29 observed honest rows
+  // put the forge above column_moments_into's dispatch floor, so
+  // threads = 4 splits it into column tiles.  Without noise the trainer
+  // keeps no clean arena and the "clean" adversary reads the submission
+  // prefix, so all four runs must agree bit for bit.
+  const size_t d = 10000;
+  BlobsConfig bc;
+  bc.num_samples = 64;
+  bc.num_features = d;
+  bc.separation = 4.0;
+  const Dataset data = make_blobs(bc, 8);
+  const LinearModel model(d, LinearLoss::kMseOnSigmoid);
+  auto c = fast_config().with_attack("little");
+  c.num_workers = 32;
+  c.num_byzantine = 3;
+  c.gar = "krum";
+  c.steps = 3;
+  c.eval_every = 3;
+  ASSERT_GE((c.num_workers - c.num_byzantine) * model.dim(), kMomentsParallelMinWork);
+
+  std::vector<Vector> params;
+  for (const char* observes : {"clean", "wire"}) {
+    for (const size_t threads : {1, 4}) {
+      c.attack_observes = observes;
+      c.threads = threads;
+      params.push_back(Trainer(c, model, data, data).run().final_parameters);
+    }
+  }
+  for (size_t i = 1; i < params.size(); ++i) EXPECT_EQ(params[i], params[0]) << i;
 }
 
 TEST(Config, LabelShowsThreadsKnob) {
