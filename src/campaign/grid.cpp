@@ -7,6 +7,7 @@
 
 #include "attacks/adaptive.hpp"
 #include "campaign/artifact.hpp"
+#include "core/checkpoint.hpp"
 #include "core/trainer.hpp"
 #include "utils/errors.hpp"
 #include "utils/strings.hpp"
@@ -163,44 +164,6 @@ void apply_topology(ExperimentConfig& cfg, const std::string& value) {
   throw std::invalid_argument("campaign: unknown topology kind '" + kind + "'");
 }
 
-/// Pre-screens the round GAR at `rows` rows.  A shards:S cell runs as
-/// tree:1xS, which admits exactly the same cells, but its skip reasons
-/// keep the wording of the two-level aggregator shards:S used to build,
-/// so existing campaigns resume into byte-identical artifacts.
-void screen_round_aggregator(const ExperimentConfig& cfg, size_t rows, bool sharded) {
-  if (!sharded || cfg.tree_levels == 0) {
-    (void)make_round_aggregator(cfg, rows);
-    return;
-  }
-  const size_t shards = cfg.tree_branch, f = cfg.num_byzantine;
-  require(shards <= cfg.num_workers, "config: cannot have more shards than workers");
-  require(shards <= rows, "ShardedAggregator: more shards than rows");
-  const size_t shard_f = (f + shards - 1) / shards, merge_f = f / (shard_f + 1);
-  const std::string derived =
-      "derived from (n=" + std::to_string(rows) + ", f=" + std::to_string(f);
-  const PruneMode prune = parse_prune_mode(cfg.prune);
-  auto stage = [prune](const std::string& context, const std::string& gar, size_t n,
-                       size_t stage_f) {
-    try {
-      (void)make_aggregator(gar, n, stage_f, prune);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(context + ": " + e.what());
-    }
-  };
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t size = (s + 1) * rows / shards - s * rows / shards;
-    stage("ShardedAggregator: inner stage '" + cfg.gar + "' at shard " +
-              std::to_string(s) + " (rows " + std::to_string(size) + ", f_shard " +
-              std::to_string(shard_f) + "; " + derived + ", S=" +
-              std::to_string(shards) + "))",
-          cfg.gar, size, shard_f);
-  }
-  stage("ShardedAggregator: merge stage '" + cfg.shard_merge_gar + "' (S=" +
-            std::to_string(shards) + ", f_merge " + std::to_string(merge_f) + "; " +
-            derived + "), f_shard " + std::to_string(shard_f) + ")",
-        cfg.shard_merge_gar, shards, merge_f);
-}
-
 }  // namespace
 
 std::string canonical_topology(const std::string& topo) {
@@ -220,25 +183,12 @@ std::string GridSpec::signature() const {
   std::vector<std::string> eps_s, topo_s;
   for (double e : dp_eps) eps_s.push_back(format_metric(e));
   for (const auto& t : topologies) topo_s.push_back(canonical_topology(t));
-  const ExperimentConfig& b = base;
-  std::vector<std::string> parts{
-      "campaign-v3",
-      "n=" + std::to_string(b.num_workers),
-      "f=" + std::to_string(b.num_byzantine),
-      "steps=" + std::to_string(b.steps),
-      "batch=" + std::to_string(b.batch_size),
-      "lr=" + format_metric(b.learning_rate),
-      "momentum=" + format_metric(b.momentum),
-      "clip=" + format_metric(b.clip_norm),
-      "mechanism=" + b.mechanism,
-      "delta=" + format_metric(b.delta),
-      "depth=" + std::to_string(b.pipeline_depth),
-      "observes=" + b.attack_observes,
-      "probes=" + std::to_string(b.adapt_probes),
-      "budget=" + std::to_string(b.adapt_budget),
-      "partition=" + b.data_partition,
-      "merge=" + b.shard_merge_gar,
-      "churn_seed=" + std::to_string(b.churn_seed),
+  // checkpoint_signature is the one list of trajectory-shaping knobs; it
+  // leaves out the horizon, which a campaign's results do depend on.
+  const std::vector<std::string> parts{
+      "campaign-v4",
+      "steps=" + std::to_string(base.steps),
+      checkpoint_signature(base),
       "seeds=" + std::to_string(seeds),
       "data_seed=" + std::to_string(data_seed),
       "gars=" + strings::join(gars, "|"),
@@ -259,6 +209,10 @@ std::vector<GridCell> expand_grid(const GridSpec& spec) {
               !spec.prune.empty(),
           "campaign: every grid axis needs at least one value");
   require(spec.seeds >= 1, "campaign: seeds must be at least 1");
+  for (double eps : spec.dp_eps)
+    require(std::isfinite(eps) && eps >= 0,
+            "campaign: dp_eps value '" + format_metric(eps) +
+                "' is not a finite epsilon >= 0 (0 disables DP)");
 
   std::vector<GridCell> cells;
   size_t index = 0;
@@ -316,13 +270,11 @@ std::vector<GridCell> expand_grid(const GridSpec& spec) {
                   // runner records those as "error: ..." rows.)
                   try {
                     cfg.validate();
-                    // shards:S has no wire edges to fault, exactly as
-                    // before it became sugar for tree:1xS.
-                    const bool sharded = topo.starts_with("shards:");
-                    if (sharded)
+                    // shards:S names the tree without wire edges to fault.
+                    if (topo.starts_with("shards:"))
                       require(cfg.wire == "off",
                               "config: wire requires tree_levels >= 1");
-                    screen_round_aggregator(cfg, cfg.num_workers, sharded);
+                    (void)make_round_aggregator(cfg, cfg.num_workers);
                     if (cfg.attack_enabled)
                       (void)make_attack(cfg.attack, cfg.attack_nu,
                                         AdaptiveSpec{cfg.gar, cfg.prune,
@@ -332,8 +284,8 @@ std::vector<GridCell> expand_grid(const GridSpec& spec) {
                         cfg.num_stragglers > 0) {
                       require(cfg.num_stragglers < cfg.num_workers,
                               "campaign: more stragglers than workers");
-                      screen_round_aggregator(
-                          cfg, cfg.num_workers - cfg.num_stragglers, sharded);
+                      (void)make_round_aggregator(
+                          cfg, cfg.num_workers - cfg.num_stragglers);
                     }
                   } catch (const std::exception& e) {
                     cell.skip_reason = sanitize_field(e.what());

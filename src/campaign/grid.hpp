@@ -16,6 +16,7 @@
 //   attacks:        "none" | "<name>" | "<name>:<nu>"
 //                   (make_attack names incl. the adaptive strategies)
 //   dp_eps:         per-step epsilon; 0 disables DP for that cell
+//                   (negative or non-finite values are malformed)
 //   participation:  "full" | "iid" | "iid:<prob>" |
 //                   "stragglers:<k>" | "stragglers:<k>x<period>"
 //   topologies:     "flat" | "shards:<S>" | "tree:<L>x<B>"
@@ -70,9 +71,10 @@ struct GridSpec {
   size_t seeds = 3;         ///< per-cell seeded repetitions (1..seeds)
   uint64_t data_seed = 42;  ///< PhishingExperiment dataset seed
 
-  /// Deterministic fingerprint of the spec (axes, seed plan, and the
-  /// base knobs that alter trajectories).  Stored in the checkpoint
-  /// manifest; resuming under a different signature throws.
+  /// Deterministic fingerprint of the spec: axes, seed plan, horizon,
+  /// and every trajectory-shaping base knob (checkpoint_signature's
+  /// list).  Stored in the checkpoint manifest; resuming under a
+  /// different signature throws.
   std::string signature() const;
 };
 

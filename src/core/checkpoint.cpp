@@ -99,7 +99,10 @@ std::string checkpoint_signature(const ExperimentConfig& c) {
       << ";gar=" << c.gar << ";prune=" << c.prune
       << ";merge=" << c.shard_merge_gar << ";tl=" << c.tree_levels
       << ";tb=" << c.tree_branch << ";wire=" << c.wire << ";topk=" << c.wire_topk
-      << ";chunk=" << c.wire_chunk
+      << ";chunk=" << c.wire_chunk << ";chan=" << c.channel
+      << ";cdrop=" << bits_of(c.channel_drop) << ";cdup=" << bits_of(c.channel_duplicate)
+      << ";ccor=" << bits_of(c.channel_corrupt) << ";creo=" << bits_of(c.channel_reorder)
+      << ";cseed=" << c.channel_seed << ";cretx=" << c.channel_retransmit
       << ";atk=" << c.attack_enabled << ";atkname=" << c.attack
       << ";nu=" << bits_of(c.attack_nu) << ";probes=" << c.adapt_probes
       << ";budget=" << c.adapt_budget << ";obs=" << c.attack_observes

@@ -221,7 +221,7 @@ struct ExperimentConfig {
   /// separate clean arena and both read the submission prefix.  The
   /// "wire" adversary's sigma estimate absorbs the DP noise, making the
   /// forged offset grow with the noise scale — a strictly stronger attack
-  /// studied in the bench_attack_observation ablation.
+  /// studied in bench_paper's attack_observation specs.
   std::string attack_observes = "clean";
 
   // --- elasticity (membership epochs) --------------------------------------

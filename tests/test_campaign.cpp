@@ -152,13 +152,15 @@ TEST(CampaignGrid, ParsesTopologyAndParticipationAxes) {
   EXPECT_EQ(cells[2].topology, "tree:2x3");  // canonicalized from "2,3"
   EXPECT_EQ(cells[2].config.tree_levels, 2u);
   EXPECT_EQ(cells[2].config.tree_branch, 3u);
-  // shards:S runs as the one-level tree and keeps the sharded wording
-  // in its skip reasons (mda cannot host f_shard = 2 in 3 rows).
+  // shards:S runs as the one-level tree and is screened as one: its
+  // skip reason names the failing stage (mda cannot host f_child = 2 in
+  // 3 rows).
   EXPECT_EQ(cells[1].topology, "shards:3");
   EXPECT_EQ(cells[1].config.tree_levels, 1u);
   EXPECT_EQ(cells[1].config.tree_branch, 3u);
+  EXPECT_FALSE(cells[1].admissible());
   EXPECT_EQ(cells[1].skip_reason.rfind(
-                "ShardedAggregator: inner stage 'mda' at shard 0 (rows 3; f_shard 2", 0),
+                "HierarchicalAggregator: node root level 1; child 0 (rows 3; f_child 2", 0),
             0u)
       << cells[1].skip_reason;
   EXPECT_EQ(cells[3].config.participation, "iid");
@@ -250,6 +252,14 @@ TEST(CampaignGrid, IntegerFieldsAcceptOnlyDecimalCounts) {
     spec.churn = {value};
     expect_rejected(value);
   }
+  spec.churn = {"off"};
+  // An epsilon below 0 or not finite is malformed too (0 means DP off),
+  // not a cell that silently runs without DP under its label.
+  for (const double eps : {-0.2, std::nan(""), HUGE_VAL}) {
+    spec.dp_eps = {0.0, eps};
+    expect_rejected(format_metric(eps));
+  }
+  spec.dp_eps = {0.0};
 
   // Well-formed counts still parse.
   spec.churn = {"epoch:5x0.5x0.1"};
@@ -283,6 +293,15 @@ TEST(CampaignGrid, SignatureTracksEveryAxis) {
   EXPECT_NE(a.signature(), b.signature());
   b = small_spec();
   b.base.churn_seed = 9;  // reseeded churn = different trajectories
+  EXPECT_NE(a.signature(), b.signature());
+  b = small_spec();
+  b.base.worker_momentum = 0.5;
+  EXPECT_NE(a.signature(), b.signature());
+  b = small_spec();
+  b.base.dropout_prob = 0.1;
+  EXPECT_NE(a.signature(), b.signature());
+  b = small_spec();
+  b.base.channel_seed = 7;
   EXPECT_NE(a.signature(), b.signature());
 }
 
@@ -390,27 +409,26 @@ TEST(CampaignResume, ManifestFromDifferentGridIsRejected) {
 }
 
 TEST(CampaignResume, ManifestWithTheRetiredSchemaIsRejected) {
-  // A campaign-v2 manifest carried a fast_math axis; resuming it into the
-  // campaign-v3 grid must refuse rather than mix the two schemas.
+  // A campaign-v3 manifest fingerprinted a hand-kept subset of the base
+  // knobs (it missed worker_momentum, for one); resuming it into the
+  // campaign-v4 grid must refuse rather than mix the two schemas.
   GridSpec spec = small_spec();
   spec.gars = {"median"};
   spec.attacks = {"none"};
   spec.dp_eps = {0.0};
   std::string old_signature = spec.signature();
-  ASSERT_EQ(old_signature.rfind("campaign-v3;", 0), 0u) << old_signature;
-  EXPECT_EQ(old_signature.find("fast_math"), std::string::npos);
-  old_signature.replace(0, std::string("campaign-v3").size(), "campaign-v2");
-  old_signature += ";fast_math=0";
+  ASSERT_EQ(old_signature.rfind("campaign-v4;", 0), 0u) << old_signature;
+  old_signature.replace(0, std::string("campaign-v4").size(), "campaign-v3");
 
   CampaignOptions options;
-  options.out_dir = fresh_dir("v2");
+  options.out_dir = fresh_dir("v3");
   options.privacy_samples = 50;
   Manifest m;
   m.signature = old_signature;
   save_manifest(options.out_dir + "/manifest.csv", m);
   try {
     (void)run_campaign(spec, options);
-    FAIL() << "a campaign-v2 manifest was resumed";
+    FAIL() << "a campaign-v3 manifest was resumed";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("belongs to a different grid"), std::string::npos)
         << e.what();
