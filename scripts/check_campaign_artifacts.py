@@ -10,7 +10,8 @@ and example_attack_playground's bench_out/attack_playground.csv alike:
   - numeric fields parse (with the schema's "nan"/"inf" spellings),
   - no field smuggles a comma/newline past the sanitizer,
   - run cells (empty skip_reason) carry finite robustness metrics and
-    accuracies in [0, 1]; skipped/failed/pending cells carry a reason,
+    accuracies in [0, 1]; pre-screened skips carry their reason,
+  - no cell failed at runtime ("error: ..." reason) or is still "pending",
   - when both a CSV and a JSON are given, their cell tables agree.
 
 Optionally (--expect-adaptive-dominance) asserts the committed smoke
@@ -115,8 +116,12 @@ def check_rows(rows, where, errors):
         errors.append(f"{where}: cell indices not unique/ascending: {indices}")
     for r in rows:
         tag = f"{where} cell {r['cell']} ({r['id']})"
-        if r["skip_reason"]:
-            continue  # skipped/failed/pending rows carry no metric promises
+        reason = r["skip_reason"]
+        if reason.startswith("error:") or reason == "pending":
+            errors.append(f"{tag}: cell did not run: {reason}")
+            continue
+        if reason:
+            continue  # pre-screened skips carry no metric promises
         for key in ("final_acc_mean", "final_loss_mean", "min_loss_mean"):
             if not math.isfinite(r[key]):
                 errors.append(f"{tag}: run cell has non-finite {key}")

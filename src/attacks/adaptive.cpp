@@ -1,15 +1,13 @@
 #include "attacks/adaptive.hpp"
 
-#include <bit>
 #include <cmath>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
 
 #include "aggregation/krum.hpp"
 #include "aggregation/mda.hpp"
 #include "attacks/little_is_enough.hpp"
+#include "utils/codec.hpp"
 #include "utils/errors.hpp"
 
 namespace dpbyz {
@@ -156,16 +154,14 @@ void AdaptiveAttack::forge_into(const AttackContext& ctx, Rng&,
 }
 
 void AdaptiveAttack::save_state(std::ostream& os) const {
-  os << "adaptive " << evals_ << ' ' << std::bit_cast<uint64_t>(last_nu_) << '\n';
+  codec::put_u64(os, evals_);
+  codec::put_f64(os, last_nu_);
 }
 
 void AdaptiveAttack::load_state(std::istream& is) {
-  std::string tag;
-  uint64_t bits = 0;
-  is >> tag >> evals_ >> bits;
-  require(!is.fail() && tag == "adaptive",
-          "AdaptiveAttack: corrupt checkpoint state");
-  last_nu_ = std::bit_cast<double>(bits);
+  codec::Reader in(is, "AdaptiveAttack: corrupt checkpoint state");
+  evals_ = in.u64();
+  last_nu_ = in.f64();
 }
 
 // ---------------------------------------------------------------------------
@@ -174,15 +170,14 @@ void AdaptiveAttack::load_state(std::istream& is) {
 MimicBoundary::MimicBoundary(AdaptiveSpec spec) : ShadowProbe(std::move(spec)) {}
 
 void MimicBoundary::save_state(std::ostream& os) const {
-  os << "mimic " << evals_ << ' ' << std::bit_cast<uint64_t>(last_alpha_) << '\n';
+  codec::put_u64(os, evals_);
+  codec::put_f64(os, last_alpha_);
 }
 
 void MimicBoundary::load_state(std::istream& is) {
-  std::string tag;
-  uint64_t bits = 0;
-  is >> tag >> evals_ >> bits;
-  require(!is.fail() && tag == "mimic", "MimicBoundary: corrupt checkpoint state");
-  last_alpha_ = std::bit_cast<double>(bits);
+  codec::Reader in(is, "MimicBoundary: corrupt checkpoint state");
+  evals_ = in.u64();
+  last_alpha_ = in.f64();
 }
 
 bool MimicBoundary::can_probe(const std::string& gar) {

@@ -1,4 +1,4 @@
-// artifact.hpp — the campaign's shared result schema (ROADMAP item 4).
+// artifact.hpp — the campaign's shared result schema.
 //
 // One CellArtifact is one fully-run (or pre-screen-skipped) grid cell of
 // a scenario campaign: its axis coordinates, the multi-seed robustness
@@ -9,9 +9,10 @@
 // outcomes over the same grid.
 //
 // The schema is shared by three producers/consumers:
-//   - campaign/runner.cpp writes campaign.csv / campaign.json from it,
-//   - campaign/checkpoint.cpp persists completed cells in the resumable
-//     manifest using the exact same row encoding,
+//   - campaign/runner.cpp writes campaign.csv / campaign.json from it
+//     (for dpbyz_campaign and bench_paper's sweeps),
+//   - campaign/checkpoint.cpp stores each completed cell's csv_cells row
+//     as one record of the resumable manifest,
 //   - examples/attack_playground.cpp emits its comparison table in the
 //     same column layout so scripts/check_campaign_artifacts.py can
 //     validate either source.

@@ -1,27 +1,18 @@
 // checkpoint.hpp — crash-safe, resumable campaign progress.
 //
-// The runner persists every completed cell to a line-oriented manifest
-// so a killed campaign (OOM, preemption, SIGKILL mid-write) resumes
-// where it left off and — because finished cells are *replayed from the
-// manifest*, not re-run — produces byte-identical final artifacts
+// The runner persists every completed cell to a manifest so a killed
+// campaign (OOM, preemption, SIGKILL mid-write) resumes where it left
+// off and — because finished cells are *replayed from the manifest*,
+// not re-run — produces byte-identical final artifacts
 // (tests/test_campaign.cpp pins the kill/resume round trip).
 //
-// Manifest format (CSV-based so it shares campaign/artifact.hpp's exact
-// row encoding):
-//
-//   #dpbyz-campaign-manifest v1 <grid signature>
-//   cell,id,gar,...                       <- campaign::csv_header()
-//   0,mda/none/...,...                    <- one row per completed cell
-//
-// Durability contract: save_manifest writes the whole file to
-// `<path>.tmp` and atomically renames it over `path`, so the manifest
-// on disk is always a *complete prefix* of some save — never a torn
-// line (POSIX rename atomicity).  load_manifest is additionally
-// tolerant of truncation anyway (a crashed copy of the tmp file, a
-// filesystem without atomic rename): any trailing line that is not
-// '\n'-terminated or fails to parse is dropped, and the valid prefix is
-// kept.  A manifest whose signature differs from the resuming campaign
-// throws — silently mixing two grids' cells would corrupt the table.
+// Manifest format: a utils/codec.hpp framed file — magic "DPBYZMF2", a
+// CRC-32'd record holding the grid signature, then one per completed
+// cell holding its csv_cells row joined by commas — written by
+// codec::write_framed (tmp file, fsync, rename).  load_manifest drops a
+// record the file ends inside (a crashed copy, a filesystem without
+// atomic rename) and keeps the complete prefix; a record failing its
+// CRC-32 throws, and the runner refuses a manifest of another grid.
 #pragma once
 
 #include <map>
@@ -39,14 +30,12 @@ struct Manifest {
   std::map<size_t, CellArtifact> completed;
 };
 
-/// Atomically persist `m` to `path` (write tmp, fsync-free rename).
-/// Creates parent directories.  Throws std::runtime_error on I/O errors.
+/// Atomically persist `m` to `path` (tmp file, fsync, rename).  Creates
+/// parent directories.  Throws std::runtime_error on I/O errors.
 void save_manifest(const std::string& path, const Manifest& m);
 
-/// Load `path`, tolerating a truncated tail (see the header comment).
-/// A missing file yields an empty manifest with an empty signature.
-/// Throws std::invalid_argument when the file exists but is not a
-/// v1 campaign manifest at all (wrong magic or header row).
+/// Load `path`, dropping a torn tail.  A missing file yields an empty
+/// manifest; a corrupt one throws std::runtime_error naming the file.
 Manifest load_manifest(const std::string& path);
 
 }  // namespace dpbyz::campaign

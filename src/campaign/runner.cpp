@@ -79,7 +79,7 @@ CellArtifact run_cell(const PhishingExperiment& exp, const GridSpec& spec,
 
 CampaignReport run_campaign(const GridSpec& spec, const CampaignOptions& options) {
   CampaignReport report;
-  report.manifest_path = options.out_dir + "/manifest.csv";
+  report.manifest_path = options.out_dir + "/manifest.bin";
   report.csv_path = options.out_dir + "/campaign.csv";
   report.json_path = options.out_dir + "/campaign.json";
 

@@ -1,83 +1,20 @@
 #include "core/checkpoint.hpp"
 
 #include <bit>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "utils/codec.hpp"
 
 namespace dpbyz {
 
 namespace {
 
-constexpr const char* kMagic = "DPBYZCKP1";
+constexpr std::string_view kMagic = "DPBYZCK2";
 
 /// Exact text rendering of a double (its 8-byte pattern as decimal).
 std::string bits_of(double x) {
   return std::to_string(std::bit_cast<uint64_t>(x));
-}
-
-std::string pack_doubles(const std::vector<double>& v) {
-  std::string out(v.size() * sizeof(double), '\0');
-  if (!v.empty()) std::memcpy(out.data(), v.data(), out.size());
-  return out;
-}
-
-std::vector<double> unpack_doubles(const std::string& bytes) {
-  if (bytes.size() % sizeof(double) != 0)
-    throw std::runtime_error("checkpoint: misaligned double payload");
-  std::vector<double> v(bytes.size() / sizeof(double));
-  if (!v.empty()) std::memcpy(v.data(), bytes.data(), bytes.size());
-  return v;
-}
-
-std::string pack_u64s(const std::vector<uint64_t>& v) {
-  std::string out(v.size() * sizeof(uint64_t), '\0');
-  if (!v.empty()) std::memcpy(out.data(), v.data(), out.size());
-  return out;
-}
-
-std::vector<uint64_t> unpack_u64s(const std::string& bytes) {
-  if (bytes.size() % sizeof(uint64_t) != 0)
-    throw std::runtime_error("checkpoint: misaligned u64 payload");
-  std::vector<uint64_t> v(bytes.size() / sizeof(uint64_t));
-  if (!v.empty()) std::memcpy(v.data(), bytes.data(), bytes.size());
-  return v;
-}
-
-void write_blob(std::ostream& os, const char* name, const std::string& bytes) {
-  os << name << ' ' << bytes.size() << '\n';
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  os << '\n';
-}
-
-/// Bytes between the read position and the end of the (seekable) file
-/// stream: the ceiling for any length or count field read from it, so a
-/// corrupted field is rejected before it sizes an allocation.
-size_t bytes_left(std::istream& is) {
-  const std::streampos here = is.tellg();
-  is.seekg(0, std::ios::end);
-  const std::streampos end = is.tellg();
-  is.seekg(here);
-  return static_cast<size_t>(end - here);
-}
-
-std::string read_blob(std::istream& is, const char* name) {
-  std::string tag;
-  size_t len = 0;
-  is >> tag >> len;
-  if (is.fail() || tag != name)
-    throw std::runtime_error("checkpoint: expected blob '" + std::string(name) +
-                             "', found '" + tag + "'");
-  is.get();  // the '\n' after the length
-  if (len > bytes_left(is))
-    throw std::runtime_error("checkpoint: truncated blob '" + std::string(name) + "'");
-  std::string bytes(len, '\0');
-  is.read(bytes.data(), static_cast<std::streamsize>(len));
-  if (is.gcount() != static_cast<std::streamsize>(len) || is.get() != '\n')
-    throw std::runtime_error("checkpoint: truncated blob '" + std::string(name) + "'");
-  return bytes;
 }
 
 }  // namespace
@@ -119,89 +56,55 @@ std::string checkpoint_signature(const ExperimentConfig& c) {
 }
 
 void save_checkpoint(const std::string& path, const TrainerCheckpoint& ckpt) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw std::runtime_error("checkpoint: cannot open '" + tmp + "' for write");
-    os << kMagic << '\n';
-    write_blob(os, "sig", ckpt.signature);
-    os << "round " << ckpt.round << '\n';
-    write_blob(os, "params", pack_doubles(ckpt.params));
-    write_blob(os, "velocity", pack_doubles(ckpt.velocity));
-    os << "workers " << ckpt.worker_blobs.size() << '\n';
-    for (const std::string& blob : ckpt.worker_blobs) write_blob(os, "worker", blob);
-    write_blob(os, "attack", ckpt.attack_blob);
-    write_blob(os, "streams", ckpt.stream_blob);
-    write_blob(os, "membership", ckpt.membership_blob);
-    write_blob(os, "reputation", ckpt.reputation_blob);
-    write_blob(os, "train_loss", pack_doubles(ckpt.train_loss));
-    write_blob(os, "round_rows", pack_u64s(ckpt.round_rows));
-    write_blob(os, "round_f", pack_u64s(ckpt.round_f));
-    std::vector<uint64_t> eval_steps;
-    std::vector<double> eval_accs;
-    eval_steps.reserve(ckpt.eval.size());
-    eval_accs.reserve(ckpt.eval.size());
-    for (const EvalRecord& e : ckpt.eval) {
-      eval_steps.push_back(e.step);
-      eval_accs.push_back(e.accuracy);
-    }
-    write_blob(os, "eval_steps", pack_u64s(eval_steps));
-    write_blob(os, "eval_accs", pack_doubles(eval_accs));
-    os << "end\n";
-    os.flush();
-    if (!os) throw std::runtime_error("checkpoint: write to '" + tmp + "' failed");
+  std::ostringstream os;
+  codec::put_bytes(os, ckpt.signature);
+  codec::put_u64(os, ckpt.round);
+  codec::put_f64s(os, ckpt.params);
+  codec::put_f64s(os, ckpt.velocity);
+  codec::put_u64(os, ckpt.worker_blobs.size());
+  for (const std::string& blob : ckpt.worker_blobs) codec::put_bytes(os, blob);
+  codec::put_bytes(os, ckpt.attack_blob);
+  codec::put_bytes(os, ckpt.stream_blob);
+  codec::put_bytes(os, ckpt.membership_blob);
+  codec::put_bytes(os, ckpt.reputation_blob);
+  codec::put_f64s(os, ckpt.train_loss);
+  codec::put_u64s(os, ckpt.round_rows);
+  codec::put_u64s(os, ckpt.round_f);
+  codec::put_u64(os, ckpt.eval.size());
+  for (const EvalRecord& e : ckpt.eval) {
+    codec::put_u64(os, e.step);
+    codec::put_f64(os, e.accuracy);
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw std::runtime_error("checkpoint: rename '" + tmp + "' -> '" + path + "' failed");
+  const std::string payload = std::move(os).str();
+  codec::write_framed(path, kMagic, {&payload, 1});
 }
 
 std::optional<TrainerCheckpoint> load_checkpoint(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
-  std::string magic;
-  std::getline(is, magic);
-  if (magic != kMagic)
-    throw std::runtime_error("checkpoint: '" + path + "' is not a checkpoint file");
+  const std::string name = "checkpoint '" + path + "'";
+  const std::optional<codec::Framed> file = codec::read_framed(path, kMagic, name);
+  if (!file) return std::nullopt;
+  if (file->records.size() != 1 || file->torn)
+    throw std::runtime_error(name + (file->records.empty() ? " is truncated"
+                                                            : " has trailing bytes"));
+
+  std::istringstream is(file->records[0]);
+  codec::Reader in(is, name + ": a field overruns its record");
   TrainerCheckpoint ckpt;
-  ckpt.signature = read_blob(is, "sig");
-  std::string tag;
-  is >> tag >> ckpt.round;
-  if (is.fail() || tag != "round")
-    throw std::runtime_error("checkpoint: missing round marker");
-  is.get();  // '\n'
-  {
-    const std::vector<double> p = unpack_doubles(read_blob(is, "params"));
-    ckpt.params.assign(p.begin(), p.end());
-    const std::vector<double> v = unpack_doubles(read_blob(is, "velocity"));
-    ckpt.velocity.assign(v.begin(), v.end());
-  }
-  size_t workers = 0;
-  is >> tag >> workers;
-  if (is.fail() || tag != "workers")
-    throw std::runtime_error("checkpoint: missing worker count");
-  is.get();  // '\n'
-  if (workers > bytes_left(is))  // every worker blob takes at least a byte
-    throw std::runtime_error("checkpoint: worker count " + std::to_string(workers) +
-                             " exceeds the file size");
-  ckpt.worker_blobs.reserve(workers);
-  for (size_t i = 0; i < workers; ++i)
-    ckpt.worker_blobs.push_back(read_blob(is, "worker"));
-  ckpt.attack_blob = read_blob(is, "attack");
-  ckpt.stream_blob = read_blob(is, "streams");
-  ckpt.membership_blob = read_blob(is, "membership");
-  ckpt.reputation_blob = read_blob(is, "reputation");
-  ckpt.train_loss = unpack_doubles(read_blob(is, "train_loss"));
-  ckpt.round_rows = unpack_u64s(read_blob(is, "round_rows"));
-  ckpt.round_f = unpack_u64s(read_blob(is, "round_f"));
-  const std::vector<uint64_t> eval_steps = unpack_u64s(read_blob(is, "eval_steps"));
-  const std::vector<double> eval_accs = unpack_doubles(read_blob(is, "eval_accs"));
-  if (eval_steps.size() != eval_accs.size())
-    throw std::runtime_error("checkpoint: eval step/accuracy length mismatch");
-  ckpt.eval.reserve(eval_steps.size());
-  for (size_t i = 0; i < eval_steps.size(); ++i)
-    ckpt.eval.push_back({static_cast<size_t>(eval_steps[i]), eval_accs[i]});
-  is >> tag;
-  if (tag != "end") throw std::runtime_error("checkpoint: missing end marker");
+  ckpt.signature = in.bytes();
+  ckpt.round = in.u64();
+  ckpt.params = in.f64s();
+  ckpt.velocity = in.f64s();
+  for (uint64_t k = in.u64(); k > 0; --k) ckpt.worker_blobs.push_back(in.bytes());
+  ckpt.attack_blob = in.bytes();
+  ckpt.stream_blob = in.bytes();
+  ckpt.membership_blob = in.bytes();
+  ckpt.reputation_blob = in.bytes();
+  ckpt.train_loss = in.f64s();
+  ckpt.round_rows = in.u64s();
+  ckpt.round_f = in.u64s();
+  // Braced initializers evaluate in order: the step, then the accuracy.
+  for (uint64_t k = in.u64(); k > 0; --k)
+    ckpt.eval.push_back({static_cast<size_t>(in.u64()), in.f64()});
   return ckpt;
 }
 

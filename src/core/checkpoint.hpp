@@ -1,4 +1,4 @@
-// checkpoint.hpp — trainer checkpoint/restore (ROADMAP item 5).
+// checkpoint.hpp — trainer checkpoint/restore.
 //
 // A checkpoint captures everything the trainer loop threads through a
 // round boundary: the model parameters, the server's momentum buffer,
@@ -10,11 +10,9 @@
 // RoundPipeline::acquire), so the captured streams are quiescent and the
 // barrier pattern is the same whether or not the process died.
 //
-// File format: a magic line ("DPBYZCKP1"), then named length-prefixed
-// blobs — text headers with raw byte payloads (doubles travel as their
-// exact 8-byte representations).  Writes are atomic: the blob goes to
-// `path + ".tmp"` and is renamed over `path`, so a crash mid-write never
-// corrupts an existing checkpoint.
+// File format: a utils/codec.hpp framed file — magic "DPBYZCK2", one
+// CRC-32'd record holding every field, nothing after it — written by
+// codec::write_framed (tmp file, fsync, rename).
 //
 // The signature ties a checkpoint to the trajectory-shaping configuration
 // (every knob except `steps`, the checkpoint file location, the resume
@@ -57,12 +55,12 @@ struct TrainerCheckpoint {
 /// comment for the deliberate exclusions).
 std::string checkpoint_signature(const ExperimentConfig& config);
 
-/// Atomically write `ckpt` to `path` (tmp + rename).  Throws
+/// Atomically write `ckpt` to `path` (tmp + fsync + rename).  Throws
 /// std::runtime_error on I/O failure.
 void save_checkpoint(const std::string& path, const TrainerCheckpoint& ckpt);
 
 /// Load `path`; nullopt when the file does not exist.  Throws
-/// std::runtime_error on a corrupt or truncated file.
+/// std::runtime_error naming the file when it is corrupt or truncated.
 std::optional<TrainerCheckpoint> load_checkpoint(const std::string& path);
 
 }  // namespace dpbyz

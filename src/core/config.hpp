@@ -269,7 +269,7 @@ struct ExperimentConfig {
   double reputation_evict = 0.05;   ///< active workers below this are evicted
   size_t quarantine_epochs = 1;     ///< min epochs a joiner is audited
   /// Trainer checkpoint/restore (independent of churn; see
-  /// core/checkpoint.hpp).  Non-empty = write an atomic (tmp+rename)
+  /// core/checkpoint.hpp).  Non-empty = write an atomic, CRC-32-checked
   /// checkpoint of the full trainer state — θ, optimizer momentum, every
   /// RNG stream, membership epoch + reputation — every
   /// `checkpoint_every` rounds, and resume from the file when it already

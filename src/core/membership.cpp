@@ -1,10 +1,9 @@
 #include "core/membership.hpp"
 
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 
+#include "utils/codec.hpp"
 #include "utils/errors.hpp"
 
 namespace dpbyz {
@@ -124,52 +123,47 @@ void MembershipManager::advance(size_t t, ReputationBook& rep) {
 }
 
 void MembershipManager::save(std::ostream& os) const {
-  os << "mem " << epoch_ << ' ' << next_join_ << ' ' << states_.size();
-  for (WorkerState s : states_) os << ' ' << static_cast<int>(s);
-  for (uint32_t je : joined_epoch_) os << ' ' << je;
-  os << '\n';
+  codec::put_u64(os, epoch_);
+  codec::put_u64(os, next_join_);
+  codec::put_u64(os, states_.size());
+  for (size_t i = 0; i < states_.size(); ++i) {
+    codec::put_u64(os, static_cast<uint64_t>(states_[i]));
+    codec::put_u64(os, joined_epoch_[i]);
+  }
   rng_.save(os);
-  os << "trace " << trace_.size();
-  for (const ChurnEvent& ev : trace_)
-    os << ' ' << ev.epoch << ' ' << static_cast<int>(ev.kind) << ' ' << ev.worker;
-  os << '\n';
+  codec::put_u64(os, trace_.size());
+  for (const ChurnEvent& ev : trace_) {
+    codec::put_u64(os, ev.epoch);
+    codec::put_u64(os, static_cast<uint64_t>(ev.kind));
+    codec::put_u64(os, ev.worker);
+  }
 }
 
 void MembershipManager::load(std::istream& is) {
-  std::string tag;
-  size_t n = 0;
-  is >> tag >> epoch_ >> next_join_ >> n;
+  codec::Reader in(is, "MembershipManager: truncated checkpoint state");
+  epoch_ = in.u64();
+  next_join_ = in.u64();
+  const uint64_t n = in.u64();
   // A checkpoint written under a shorter horizon carries a smaller pool
   // (pool_size_for depends on steps); its missing tail slots were
   // necessarily unborn then, so their constructed state is the restored
   // state.  A larger pool means steps shrank below the checkpointed
   // horizon — reject it.
-  require(is.good() && tag == "mem" && n <= states_.size() && next_join_ <= n,
+  require(n <= states_.size() && next_join_ <= n,
           "MembershipManager: checkpoint state does not match this configuration");
-  for (size_t i = 0; i < n; ++i) {
-    int v = 0;
-    is >> v;
-    require(v >= 0 && v <= static_cast<int>(WorkerState::kEvicted),
+  for (size_t i = 0; i < states_.size(); ++i) {
+    const uint64_t state = i < n ? in.u64() : 0;  // 0 is kUnborn
+    require(state <= static_cast<uint64_t>(WorkerState::kEvicted),
             "MembershipManager: corrupt worker state in checkpoint");
-    states_[i] = static_cast<WorkerState>(v);
-  }
-  for (size_t i = 0; i < n; ++i) is >> joined_epoch_[i];
-  for (size_t i = n; i < states_.size(); ++i) {
-    states_[i] = WorkerState::kUnborn;
-    joined_epoch_[i] = 0;
+    states_[i] = static_cast<WorkerState>(state);
+    joined_epoch_[i] = i < n ? static_cast<uint32_t>(in.u64()) : 0;
   }
   rng_.load(is);
-  size_t count = 0;
-  is >> tag >> count;
-  require(is.good() && tag == "trace",
-          "MembershipManager: corrupt churn trace in checkpoint");
-  trace_.resize(count);
-  for (ChurnEvent& ev : trace_) {
-    int kind = 0;
-    is >> ev.epoch >> kind >> ev.worker;
-    ev.kind = static_cast<ChurnEvent::Kind>(kind);
-  }
-  require(!is.fail(), "MembershipManager: truncated checkpoint state");
+  trace_.clear();
+  // An inflated count is a short read; braced initializers evaluate in order.
+  for (uint64_t k = in.u64(); k > 0; --k)
+    trace_.push_back({static_cast<uint32_t>(in.u64()), static_cast<ChurnEvent::Kind>(in.u64()),
+                      static_cast<uint32_t>(in.u64())});
   rebuild_view();
 }
 

@@ -1,10 +1,8 @@
 #include "core/reputation.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <istream>
-#include <ostream>
 
+#include "utils/codec.hpp"
 #include "utils/errors.hpp"
 
 namespace dpbyz {
@@ -59,30 +57,22 @@ void ReputationBook::observe_round(const GradientBatch& batch, size_t live_hones
 }
 
 void ReputationBook::save(std::ostream& os) const {
-  os << "rep " << (enabled_ ? 1 : 0) << ' ' << scores_.size();
-  for (double s : scores_) os << ' ' << std::bit_cast<uint64_t>(s);
-  os << '\n';
+  codec::put_u64(os, enabled_ ? 1 : 0);
+  codec::put_f64s(os, scores_);
 }
 
 void ReputationBook::load(std::istream& is) {
-  std::string tag;
-  int enabled = 0;
-  size_t n = 0;
-  is >> tag >> enabled >> n;
-  // n < scores_.size() happens when the checkpoint was written under a
-  // shorter horizon (smaller joiner pool); the tail slots were unborn
-  // then and keep the uncommitted 0.5.
-  require(is.good() && tag == "rep" && n <= scores_.size(),
+  codec::Reader in(is, "ReputationBook: truncated checkpoint state");
+  const bool enabled = in.u64() != 0;
+  std::vector<double> scores = in.f64s();
+  // Fewer scores than slots happens when the checkpoint was written
+  // under a shorter horizon (smaller joiner pool); the tail slots were
+  // unborn then and keep the uncommitted 0.5.
+  require(scores.size() <= scores_.size(),
           "ReputationBook: checkpoint state does not match this configuration");
-  require((enabled != 0) == enabled_,
-          "ReputationBook: checkpoint reputation mode mismatch");
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t bits = 0;
-    is >> bits;
-    scores_[i] = std::bit_cast<double>(bits);
-  }
-  for (size_t i = n; i < scores_.size(); ++i) scores_[i] = 0.5;
-  require(!is.fail(), "ReputationBook: truncated checkpoint state");
+  require(enabled == enabled_, "ReputationBook: checkpoint reputation mode mismatch");
+  scores.resize(scores_.size(), 0.5);
+  scores_ = std::move(scores);
 }
 
 }  // namespace dpbyz

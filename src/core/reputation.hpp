@@ -85,8 +85,7 @@ class ReputationBook {
   /// of the score semantics).
   void on_join(uint32_t worker) { scores_[worker] = 0.5; }
 
-  /// Checkpoint round trip (text; exact — scores travel as the decimal
-  /// rendering of their 8-byte bit patterns).
+  /// Checkpoint round trip (codec words: scores are bit-exact).
   void save(std::ostream& os) const;
   void load(std::istream& is);
 

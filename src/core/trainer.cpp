@@ -1,7 +1,6 @@
 #include "core/trainer.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "aggregation/hierarchical.hpp"
 #include "attacks/adaptive.hpp"
@@ -13,6 +12,7 @@
 #include "dp/gaussian_mechanism.hpp"
 #include "dp/laplace_mechanism.hpp"
 #include "math/statistics.hpp"
+#include "utils/codec.hpp"
 #include "utils/errors.hpp"
 #include "utils/stopwatch.hpp"
 
@@ -188,28 +188,14 @@ RunResult Trainer::run() {
     ckpt.params = server.parameters();
     ckpt.velocity = server.velocity();
     ckpt.worker_blobs.reserve(honest.size());
-    for (const HonestWorker& w : honest) {
-      std::ostringstream ss;
-      w.save_state(ss);
-      ckpt.worker_blobs.push_back(std::move(ss).str());
-    }
-    if (attack_) {
-      std::ostringstream ss;
-      attack_->save_state(ss);
-      ckpt.attack_blob = std::move(ss).str();
-    }
-    {
-      std::ostringstream ss;
-      pipeline.save_stream_state(ss);
-      ckpt.stream_blob = std::move(ss).str();
-    }
+    for (const HonestWorker& w : honest)
+      ckpt.worker_blobs.push_back(codec::encode([&](auto& os) { w.save_state(os); }));
+    if (attack_)
+      ckpt.attack_blob = codec::encode([&](auto& os) { attack_->save_state(os); });
+    ckpt.stream_blob = codec::encode([&](auto& os) { pipeline.save_stream_state(os); });
     if (membership) {
-      std::ostringstream ms;
-      membership->save(ms);
-      ckpt.membership_blob = std::move(ms).str();
-      std::ostringstream rs;
-      reputation.save(rs);
-      ckpt.reputation_blob = std::move(rs).str();
+      ckpt.membership_blob = codec::encode([&](auto& os) { membership->save(os); });
+      ckpt.reputation_blob = codec::encode([&](auto& os) { reputation.save(os); });
     }
     ckpt.train_loss = result.train_loss;
     ckpt.round_rows.assign(result.round_rows.begin(), result.round_rows.end());
@@ -253,23 +239,14 @@ RunResult Trainer::run() {
                   ckpt->round_f.size() == ckpt->round,
               "Trainer: checkpoint metrics length mismatch");
       server.restore(std::move(ckpt->params), ckpt->velocity);
-      for (size_t i = 0; i < ckpt->worker_blobs.size(); ++i) {
-        std::istringstream ss(ckpt->worker_blobs[i]);
-        honest[i].load_state(ss);
-      }
-      if (attack_) {
-        std::istringstream ss(ckpt->attack_blob);
-        attack_->load_state(ss);
-      }
-      {
-        std::istringstream ss(ckpt->stream_blob);
-        pipeline.load_stream_state(ss);
-      }
+      for (size_t i = 0; i < ckpt->worker_blobs.size(); ++i)
+        codec::decode(ckpt->worker_blobs[i], [&](auto& is) { honest[i].load_state(is); });
+      if (attack_)
+        codec::decode(ckpt->attack_blob, [&](auto& is) { attack_->load_state(is); });
+      codec::decode(ckpt->stream_blob, [&](auto& is) { pipeline.load_stream_state(is); });
       if (membership) {
-        std::istringstream ms(ckpt->membership_blob);
-        membership->load(ms);
-        std::istringstream rs(ckpt->reputation_blob);
-        reputation.load(rs);
+        codec::decode(ckpt->membership_blob, [&](auto& is) { membership->load(is); });
+        codec::decode(ckpt->reputation_blob, [&](auto& is) { reputation.load(is); });
         if (membership->view().epoch > 0) {
           const MembershipView& mv = membership->view();
           const size_t rows_e = mv.active.size() + (f > 0 ? mv.byzantine : 0);

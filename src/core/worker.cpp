@@ -1,11 +1,7 @@
 #include "core/worker.hpp"
 
-#include <bit>
-#include <istream>
-#include <ostream>
-#include <string>
-
 #include "models/clipping.hpp"
+#include "utils/codec.hpp"
 #include "utils/errors.hpp"
 
 namespace dpbyz {
@@ -61,25 +57,16 @@ Vector HonestWorker::submit(const Vector& w) {
 void HonestWorker::save_state(std::ostream& os) const {
   sample_rng_.save(os);
   noise_rng_.save(os);
-  os << "vel " << velocity_.size();
-  for (double v : velocity_) os << ' ' << std::bit_cast<uint64_t>(v);
-  os << '\n';
+  codec::put_f64s(os, velocity_);
 }
 
 void HonestWorker::load_state(std::istream& is) {
   sample_rng_.load(is);
   noise_rng_.load(is);
-  std::string tag;
-  size_t n = 0;
-  is >> tag >> n;
-  require(is.good() && tag == "vel" && n == velocity_.size(),
+  Vector velocity = codec::Reader(is, "HonestWorker: truncated checkpoint state").f64s();
+  require(velocity.size() == velocity_.size(),
           "HonestWorker: checkpoint state does not match this configuration");
-  for (double& v : velocity_) {
-    uint64_t bits = 0;
-    is >> bits;
-    v = std::bit_cast<double>(bits);
-  }
-  require(!is.fail(), "HonestWorker: truncated checkpoint state");
+  velocity_ = std::move(velocity);
 }
 
 }  // namespace dpbyz

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <random>
+#include <stdexcept>
 #include <string>
 
 #include "math/kernels_isa.hpp"
+#include "utils/codec.hpp"
 #include "utils/errors.hpp"
 
 namespace dpbyz {
@@ -47,28 +47,6 @@ void Mt64::twist() {
     state[k] = mix(state[k], state[k + 1], state[k + kShift - kStateWords]);
   state[kStateWords - 1] = mix(state[kStateWords - 1], state[0], state[kShift - 1]);
   index = 0;
-}
-
-std::ostream& operator<<(std::ostream& os, const Mt64& engine) {
-  const std::ios_base::fmtflags flags = os.flags();
-  const char fill = os.fill();
-  os.flags(std::ios_base::dec | std::ios_base::fixed | std::ios_base::left);
-  os.fill(' ');
-  for (const uint64_t word : engine.state) os << word << ' ';
-  os << engine.index;
-  os.flags(flags);
-  os.fill(fill);
-  return os;
-}
-
-std::istream& operator>>(std::istream& is, Mt64& engine) {
-  const std::ios_base::fmtflags flags = is.flags();
-  is.flags(std::ios_base::dec | std::ios_base::skipws);
-  for (uint64_t& word : engine.state) is >> word;
-  is >> engine.index;
-  if (engine.index > Mt64::kStateWords) is.setstate(std::ios_base::failbit);
-  is.flags(flags);
-  return is;
 }
 
 namespace detail {
@@ -249,15 +227,21 @@ Vector Rng::laplace_vector(size_t d, double scale) {
 }
 
 void Rng::save(std::ostream& os) const {
-  os << "rng " << seed_ << ' ' << engine_ << '\n';
+  codec::put_u64(os, seed_);
+  codec::put_u64s(os, engine_.state);
+  codec::put_u64(os, engine_.index);
 }
 
 void Rng::load(std::istream& is) {
-  std::string tag;
-  uint64_t seed = 0;
+  constexpr const char* kCorrupt = "Rng: corrupt checkpoint state";
+  codec::Reader in(is, kCorrupt);
+  const uint64_t seed = in.u64();
+  const std::vector<uint64_t> words = in.u64s();
   Mt64 engine(0);
-  is >> tag >> seed >> engine;
-  require(!is.fail() && tag == "rng", "Rng: corrupt checkpoint state");
+  engine.index = in.u64();
+  if (words.size() != Mt64::kStateWords || engine.index > Mt64::kStateWords)
+    throw std::runtime_error(kCorrupt);
+  std::copy(words.begin(), words.end(), engine.state);
   seed_ = seed;
   engine_ = engine;
 }

@@ -20,12 +20,11 @@
 namespace dpbyz {
 
 /// The 64-bit Mersenne Twister, output-for-output identical to
-/// std::mt19937_64: the same seeding, twist and tempering, and the same
-/// decimal text from operator<< / operator>> (312 words, then the index),
-/// so checkpoints written with either engine load into the other.  Unlike
-/// the std engine its state is visible: Rng::add_normal's kernel tempers
-/// the untwisted words of the current block in bulk and then advances
-/// `index` by exactly the words it consumed.
+/// std::mt19937_64: the same seeding, twist and tempering.  Unlike the
+/// std engine its state is visible: Rng::add_normal's kernel tempers the
+/// untwisted words of the current block in bulk and then advances
+/// `index` by exactly the words it consumed, and Rng::save writes the
+/// 312 words and the index as raw codec words.
 struct Mt64 {
   using result_type = uint64_t;
   static constexpr size_t kStateWords = 312;
@@ -57,12 +56,6 @@ struct Mt64 {
   /// Next word to hand out; kStateWords means "twist first".
   size_t index;
 };
-
-/// std::mt19937_64's text format.  Reading an index above kStateWords
-/// (which the block kernel would walk past the state array with) sets
-/// failbit, like a truncated state does.
-std::ostream& operator<<(std::ostream& os, const Mt64& engine);
-std::istream& operator>>(std::istream& is, Mt64& engine);
 
 /// Deterministic RNG over Mt64 with hierarchical seed derivation.
 class Rng {
@@ -130,11 +123,10 @@ class Rng {
   uint64_t seed() const { return seed_; }
 
   /// Checkpoint round trip.  An Rng's observable state is exactly
-  /// (seed_, engine_): every distribution is constructed fresh per draw,
-  /// so serialising the engine via its operator<< (the standard's decimal
-  /// rendering of the Mersenne state) restores the stream draw-for-draw.
-  /// load() throws "Rng: corrupt checkpoint state" on a wrong tag, a
-  /// truncated state or an out-of-range index, and leaves *this unchanged.
+  /// (seed_, engine_), so the seed, the 312 state words and the index
+  /// (utils/codec.hpp words) restore the stream draw-for-draw.  load()
+  /// throws std::runtime_error "Rng: corrupt checkpoint state" on a
+  /// truncated state or an index above 312, leaving *this unchanged.
   void save(std::ostream& os) const;
   void load(std::istream& is);
 

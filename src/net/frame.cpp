@@ -1,11 +1,11 @@
 #include "net/frame.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 
 #include "math/vector_ops.hpp"
+#include "utils/codec.hpp"
 #include "utils/errors.hpp"
 
 namespace dpbyz::net {
@@ -26,18 +26,6 @@ T load_le(const uint8_t* src) {
   std::memcpy(&value, src, sizeof(T));
   return value;
 }
-
-constexpr std::array<uint32_t, 256> make_crc_table() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
-  }
-  return table;
-}
-
-constexpr std::array<uint32_t, 256> kCrcTable = make_crc_table();
 
 size_t payload_value_bytes(WireMode mode) {
   switch (mode) {
@@ -67,12 +55,6 @@ std::string wire_mode_name(WireMode mode) {
   return "?";
 }
 
-uint32_t crc32(std::span<const uint8_t> bytes) {
-  uint32_t c = 0xFFFFFFFFu;
-  for (uint8_t b : bytes) c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
-
 DecodeStatus decode_frame(std::span<const uint8_t> frame, FrameView& out) {
   if (frame.size() < kFrameOverheadBytes) return DecodeStatus::kTooShort;
   const uint8_t* p = frame.data();
@@ -85,7 +67,7 @@ DecodeStatus decode_frame(std::span<const uint8_t> frame, FrameView& out) {
   // ever reading past frame.end().
   if (payload_bytes != frame.size() - kFrameOverheadBytes) return DecodeStatus::kTooShort;
   const uint32_t stored_crc = load_le<uint32_t>(p + kFrameHeaderBytes + payload_bytes);
-  if (crc32(frame.first(kFrameHeaderBytes + payload_bytes)) != stored_crc)
+  if (codec::crc32(frame.first(kFrameHeaderBytes + payload_bytes)) != stored_crc)
     return DecodeStatus::kBadChecksum;
 
   const uint8_t mode_byte = p[6];
@@ -183,8 +165,8 @@ void FrameEncoder::emit_frame(uint32_t seq, uint32_t total, uint32_t dim,
   store_le<uint32_t>(p + 28, static_cast<uint32_t>(payload.size()));
   store_le<double>(p + 32, scale);
   if (!payload.empty()) std::memcpy(p + kFrameHeaderBytes, payload.data(), payload.size());
-  store_le<uint32_t>(p + kFrameHeaderBytes + payload.size(),
-                     crc32(std::span<const uint8_t>(p, kFrameHeaderBytes + payload.size())));
+  const size_t framed = kFrameHeaderBytes + payload.size();
+  store_le<uint32_t>(p + framed, codec::crc32(std::span<const uint8_t>(p, framed)));
 }
 
 size_t FrameEncoder::encode_row(std::span<const double> row, FrameBuffer& out) {

@@ -7,7 +7,7 @@
 // outright (a corrupted frame is indistinguishable from a dropped one).
 //
 // Frame layout (little-endian, kFrameHeaderBytes of header, then the
-// payload, then a trailing CRC-32 over header + payload):
+// payload, then a trailing CRC-32 over header + payload, utils/codec.hpp's):
 //
 //   off  size  field
 //     0     4  magic 0x44504258 ("DPBX")
@@ -60,10 +60,6 @@ enum class WireMode : uint8_t { kRaw64 = 0, kInt8 = 1, kTopK = 2 };
 /// Parses "raw64" | "int8" | "topk"; throws std::invalid_argument else.
 WireMode parse_wire_mode(const std::string& name);
 std::string wire_mode_name(WireMode mode);
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the frame
-/// checksum.  Local table implementation, no external dependency.
-uint32_t crc32(std::span<const uint8_t> bytes);
 
 /// Parsed header of a validated frame; `payload` aliases the frame bytes.
 struct FrameView {

@@ -307,7 +307,7 @@ TEST(CampaignGrid, SignatureTracksEveryAxis) {
 
 TEST(CampaignManifest, SaveLoadRoundTripsAndMissingFileIsEmpty) {
   const std::string dir = fresh_dir("manifest");
-  const std::string path = dir + "/manifest.csv";
+  const std::string path = dir + "/manifest.bin";
   EXPECT_TRUE(load_manifest(path).completed.empty());
 
   Manifest m;
@@ -325,7 +325,7 @@ TEST(CampaignManifest, SaveLoadRoundTripsAndMissingFileIsEmpty) {
 
 TEST(CampaignManifest, TruncatedTailIsDroppedNotFatal) {
   const std::string dir = fresh_dir("truncated");
-  const std::string path = dir + "/manifest.csv";
+  const std::string path = dir + "/manifest.bin";
   Manifest m;
   m.signature = "sig-1";
   CellArtifact a = sample_artifact();
@@ -345,7 +345,7 @@ TEST(CampaignManifest, TruncatedTailIsDroppedNotFatal) {
 
   // A non-manifest file is loudly rejected, not silently emptied.
   write_file(path, "not,a,manifest\n1,2,3\n");
-  EXPECT_THROW(load_manifest(path), std::invalid_argument);
+  EXPECT_THROW(load_manifest(path), std::runtime_error);
 }
 
 TEST(CampaignResume, KilledAndResumedCampaignIsByteIdentical) {
@@ -377,8 +377,8 @@ TEST(CampaignResume, KilledAndResumedCampaignIsByteIdentical) {
   EXPECT_EQ(pending, 9u);
 
   // Torn write on top of the kill: drop the final byte of the manifest
-  // (its last row loses the '\n' terminator and with it durability).
-  const std::string manifest_path = options.out_dir + "/manifest.csv";
+  // (its last record loses a byte of its CRC and with it durability).
+  const std::string manifest_path = options.out_dir + "/manifest.bin";
   const std::string blob = read_file(manifest_path);
   write_file(manifest_path, blob.substr(0, blob.size() - 1));
 
@@ -425,7 +425,7 @@ TEST(CampaignResume, ManifestWithTheRetiredSchemaIsRejected) {
   options.privacy_samples = 50;
   Manifest m;
   m.signature = old_signature;
-  save_manifest(options.out_dir + "/manifest.csv", m);
+  save_manifest(options.out_dir + "/manifest.bin", m);
   try {
     (void)run_campaign(spec, options);
     FAIL() << "a campaign-v3 manifest was resumed";

@@ -178,8 +178,12 @@ TEST(GaussianMechanismGolden, PerturbIntoAndEngineStateReproduceThePins) {
     for (int k = 0; k < 3; ++k) (void)rng.uniform();
     Vector out(d);
     mech.perturb_into(g, rng, out);
+    // The engine state as the decimal text the pins were recorded from:
+    // "rng <seed> <312 state words> <index>\n".
     std::ostringstream state;
-    rng.save(state);
+    state << "rng " << rng.seed();
+    for (const uint64_t word : rng.engine().state) state << ' ' << word;
+    state << ' ' << rng.engine().index << '\n';
     EXPECT_EQ(testing_support::text_digest(state.str(), testing_support::bits_digest(out)),
               pin)
         << "d = " << d;

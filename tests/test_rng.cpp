@@ -5,7 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
+#include <cstring>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -186,9 +186,10 @@ TEST(Mt64, RngEngineRightAfterDeriveIsTheStdEngine) {
   for (int i = 0; i < 1000; ++i) ASSERT_EQ(child.engine()(), ref()) << "draw " << i;
 }
 
-TEST(Mt64, TextStateIsByteEqualInBothDirections) {
-  // Written by one engine, read by the other, written again: the same
-  // bytes, at every index position including "twist pending" (312).
+TEST(Mt64, StateWordsEqualTheStdEngineText) {
+  // The std engine's text is its 312 state words, then the index; parsed
+  // here, they must equal Mt64's visible state at every index position,
+  // including "twist pending" (312).
   for (const int draws : {0, 1, 2, 155, 311, 312, 313, 1000}) {
     std::mt19937_64 ref(42);
     Mt64 mine(42);
@@ -196,85 +197,78 @@ TEST(Mt64, TextStateIsByteEqualInBothDirections) {
       (void)ref();
       (void)mine();
     }
-    std::ostringstream ref_text, mine_text;
-    ref_text << ref;
-    mine_text << mine;
-    ASSERT_EQ(mine_text.str(), ref_text.str()) << "draws " << draws;
-
-    Mt64 from_ref(0);
-    std::istringstream(ref_text.str()) >> from_ref;
-    EXPECT_TRUE(from_ref == mine) << "draws " << draws;
-    std::mt19937_64 from_mine;
-    std::istringstream(mine_text.str()) >> from_mine;
-    EXPECT_TRUE(from_mine == ref) << "draws " << draws;
-    for (int i = 0; i < 400; ++i) ASSERT_EQ(from_ref(), from_mine());
+    std::stringstream text;
+    text << ref;
+    for (size_t k = 0; k < Mt64::kStateWords; ++k) {
+      uint64_t word = 0;
+      text >> word;
+      ASSERT_EQ(word, mine.state[k]) << "draws " << draws << ", word " << k;
+    }
+    size_t index = 0;
+    text >> index;
+    ASSERT_FALSE(text.fail());
+    EXPECT_EQ(index, mine.index) << "draws " << draws;
+    for (int i = 0; i < 400; ++i) ASSERT_EQ(mine(), ref());
   }
 }
 
-TEST(Mt64, TextFormatLeavesTheStreamFlagsAlone) {
-  std::ostringstream os;
-  os << std::hex << std::setfill('*');
-  os << Mt64(3);
-  EXPECT_EQ(os.flags() & std::ios_base::basefield, std::ios_base::hex);
-  EXPECT_EQ(os.fill(), '*');
-}
-
-TEST(RngCheckpoint, LoadsAStateWrittenThroughTheStdEngine) {
-  // What a checkpoint from a build on std::mt19937_64 contains.
-  std::mt19937_64 ref(splitmix64(9));
-  for (int i = 0; i < 77; ++i) (void)ref();
-  std::ostringstream text;
-  text << "rng " << 9 << ' ' << ref << '\n';
-  Rng loaded(0);
-  std::istringstream is(text.str());
-  loaded.load(is);
-  EXPECT_EQ(loaded.seed(), 9u);
-  std::ostringstream again;
-  loaded.save(again);
-  EXPECT_EQ(again.str(), text.str());
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(loaded.engine()(), ref());
-}
-
-/// Rng::load of `text`; the error message, or "" when it loads.
-std::string load_error(const std::string& text, Rng& into) {
-  std::istringstream is(text);
+/// Rng::load of `bytes`; the error message, or "" when it loads.
+std::string load_error(const std::string& bytes, Rng& into) {
+  std::istringstream is(bytes);
   try {
     into.load(is);
-  } catch (const std::invalid_argument& e) {
+  } catch (const std::runtime_error& e) {
     return e.what();
   }
   return "";
 }
 
+/// Rng::save's bytes.
+std::string saved_bytes(const Rng& rng) {
+  std::ostringstream os;
+  rng.save(os);
+  return os.str();
+}
+
 TEST(RngCheckpoint, LoadRejectsAnOutOfRangeIndexOrATruncatedState) {
   Rng rng(4);
   (void)rng.uniform();
-  std::ostringstream saved;
-  rng.save(saved);
-  const std::string good = saved.str();
+  const std::string good = saved_bytes(rng);
+  // The seed, the 312 state words (length-prefixed) and the index.
+  ASSERT_EQ(good.size(), (1 + 1 + Mt64::kStateWords + 1) * sizeof(uint64_t));
   Rng probe(1);
   ASSERT_EQ(load_error(good, probe), "");
+  EXPECT_EQ(probe.seed(), 4u);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(probe.engine()(), rng.engine()());
 
-  // The index is the last field: 312 is valid ("twist first"), 313 is not.
-  const size_t idx_at = good.find_last_of(' ') + 1;
-  const std::string prefix = good.substr(0, idx_at);
-  EXPECT_EQ(load_error(prefix + "312\n", probe), "");
-  for (const char* bad : {"313", "999999", "18446744073709551615"}) {
-    Rng target(2);
-    std::ostringstream before;
-    target.save(before);
-    EXPECT_EQ(load_error(prefix + bad + "\n", target), "Rng: corrupt checkpoint state")
+  // The index is the last word: 312 is valid ("twist first"), 313 is not.
+  const std::string prefix = good.substr(0, good.size() - sizeof(uint64_t));
+  const auto with_index = [&](uint64_t index) {
+    std::string bytes = prefix;
+    bytes.append(reinterpret_cast<const char*>(&index), sizeof index);
+    return bytes;
+  };
+  EXPECT_EQ(load_error(with_index(312), probe), "");
+  const Rng untouched(2);
+  const std::string before = saved_bytes(untouched);
+  for (const uint64_t bad : {uint64_t{313}, uint64_t{999999}, ~uint64_t{0}}) {
+    Rng target = untouched;
+    EXPECT_EQ(load_error(with_index(bad), target), "Rng: corrupt checkpoint state")
         << bad;
-    std::ostringstream after;
-    target.save(after);
-    EXPECT_EQ(after.str(), before.str()) << "a rejected load must leave the Rng as it was";
+    EXPECT_EQ(saved_bytes(target), before) << "a rejected load must leave the Rng as it was";
   }
-  // Truncated anywhere inside the 312 words or before the index.
-  for (const size_t cut : {size_t{4}, good.size() / 2, idx_at - 1}) {
-    EXPECT_EQ(load_error(good.substr(0, cut), probe), "Rng: corrupt checkpoint state")
+  // A state array of any other length than 312 is corrupt too.
+  std::string short_state = good;
+  const uint64_t count = Mt64::kStateWords - 1;
+  std::memcpy(short_state.data() + sizeof(uint64_t), &count, sizeof count);
+  EXPECT_EQ(load_error(short_state, probe), "Rng: corrupt checkpoint state");
+  // Cut at every length: inside the seed, the 312 words or the index.
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    Rng target = untouched;
+    ASSERT_EQ(load_error(good.substr(0, cut), target), "Rng: corrupt checkpoint state")
         << "cut at " << cut;
+    ASSERT_EQ(saved_bytes(target), before) << "cut at " << cut;
   }
-  EXPECT_EQ(load_error("mt " + good.substr(4), probe), "Rng: corrupt checkpoint state");
 }
 
 // ---- the add_normal block kernel ---------------------------------------------

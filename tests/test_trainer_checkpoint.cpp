@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -17,6 +18,7 @@
 #include "core/experiment.hpp"
 #include "core/trainer.hpp"
 #include "scratch_dir.hpp"
+#include "utils/codec.hpp"
 
 namespace dpbyz {
 namespace {
@@ -162,35 +164,63 @@ TEST(TrainerCheckpoint, FileRoundTripsAllFields) {
 TEST(TrainerCheckpoint, MissingFileIsNulloptCorruptFileThrows) {
   EXPECT_FALSE(load_checkpoint(temp_ckpt("absent")).has_value());
   const std::string path = temp_ckpt("corrupt");
-  {
-    std::ofstream os(path);
-    os << "DPBYZCKP1\nsig 3\nabc\ntruncated";
-  }
-  EXPECT_THROW(load_checkpoint(path), std::runtime_error);
-  {
-    std::ofstream os(path);
-    os << "not a checkpoint\n";
-  }
-  EXPECT_THROW(load_checkpoint(path), std::runtime_error);
-  // Inflated length/count fields are rejected by name before they size an
-  // allocation (not std::bad_alloc, not a multi-GB buffer first).
-  const auto expect_named_error = [&](const std::string& body, const std::string& needle) {
-    {
-      std::ofstream os(path, std::ios::binary);
-      os << "DPBYZCKP1\nsig 3\nabc\nround 1\n" << body;
-    }
+  const auto write = [&](const std::string& bytes) {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes;
+  };
+  const auto expect_named_error = [&](const std::string& needle) {
     try {
       load_checkpoint(path);
       ADD_FAILURE() << "expected std::runtime_error naming " << needle;
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
+      EXPECT_NE(what.find("checkpoint '" + path + "'"), std::string::npos) << what;
       EXPECT_NE(what.find(needle), std::string::npos) << what;
     }
   };
-  expect_named_error("params 99999999999999999\n", "truncated blob 'params'");
-  expect_named_error("params 4000000000\n", "truncated blob 'params'");
-  expect_named_error("params 0\n\nvelocity 0\n\nworkers 99999999999999999\n",
-                     "worker count");
+  write("not a checkpoint\n");
+  expect_named_error("wrong magic");
+
+  // Inflated length and count fields are rejected by name before they
+  // size an allocation (not std::bad_alloc, not a multi-GB buffer first):
+  // the record length against the bytes left in the file, the counts
+  // inside a CRC-valid record as a short read.
+  std::string inflated_record = "DPBYZCK2";
+  const uint64_t huge = uint64_t{1} << 60;
+  inflated_record.append(reinterpret_cast<const char*>(&huge), sizeof huge);
+  inflated_record += "abcdefgh";
+  write(inflated_record);
+  expect_named_error("is truncated");
+
+  const auto write_record = [&](const auto& fill) {
+    codec::write_framed(path, "DPBYZCK2", std::vector<std::string>{codec::encode(fill)});
+  };
+  write_record([](std::ostream& os) { codec::put_u64(os, uint64_t{1} << 60); });
+  expect_named_error("a field overruns its record");
+  write_record([](std::ostream& os) {
+    codec::put_bytes(os, "sig");
+    codec::put_u64(os, 1);
+    codec::put_u64(os, 4000000000);  // params count
+  });
+  expect_named_error("a field overruns its record");
+  write_record([](std::ostream& os) {
+    codec::put_bytes(os, "sig");
+    codec::put_u64(os, 1);
+    codec::put_f64s(os, std::vector<double>{});
+    codec::put_f64s(os, std::vector<double>{});
+    codec::put_u64(os, ~uint64_t{0});  // worker count
+  });
+  expect_named_error("a field overruns its record");
+
+  // A whole checkpoint followed by stray bytes is not a checkpoint.
+  TrainerCheckpoint ckpt;
+  ckpt.signature = "s";
+  save_checkpoint(path, ckpt);
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::app);
+    os << 'x';
+  }
+  expect_named_error("trailing bytes");
   std::remove(path.c_str());
 }
 
