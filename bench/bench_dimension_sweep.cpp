@@ -2,10 +2,11 @@
 //
 // Section 3 (general, non-convex case): at fixed batch size and privacy
 // budget, the DP-noise term of the VN ratio grows like sqrt(d), so the
-// larger the model, the less Byzantine resilience survives.  The theory
-// benches verify this analytically; here we verify it *empirically* by
-// training one-hidden-layer MLPs of increasing width on the phishing-like
-// task (d = 141 ... 8961) under the four standard configurations.
+// larger the model, the less Byzantine resilience survives.  bench_paper's
+// table1_prop1 and vn_ratio sections verify this analytically; here we
+// verify it *empirically* by training one-hidden-layer MLPs of increasing
+// width on the phishing-like task (d = 141 ... 8961) under the four
+// standard configurations.
 //
 // Calibration: b = 200 and eps = 0.5 put the noise-to-signal crossover
 // inside the sweep (at the paper's b = 50, eps = 0.2 the per-coordinate
@@ -31,8 +32,8 @@ using namespace dpbyz;
 
 int main(int argc, char** argv) {
   flags::Parser p(argc, argv, {"steps", "seeds", "fast"});
-  size_t steps = static_cast<size_t>(p.get_int("steps", 600));
-  size_t seeds = static_cast<size_t>(p.get_int("seeds", 3));
+  size_t steps = p.get_count("steps", 600);
+  size_t seeds = p.get_count("seeds", 3);
   if (p.get_bool("fast", false)) {
     steps = 200;
     seeds = 2;
@@ -79,6 +80,7 @@ int main(int argc, char** argv) {
       "\nReading: the benign column is flat in d while the DP columns sink as d\n"
       "grows — the empirical face of Propositions 1-3: at fixed (eps, b) the\n"
       "noise contributes sqrt(d)-worth of VN ratio, and the model pays for its\n"
-      "own size.  (The theory benches show the same crossover analytically.)\n");
+      "own size.  (bench_paper's theory tables show the same crossover\n"
+      "analytically.)\n");
   return 0;
 }

@@ -22,11 +22,11 @@ int main(int argc, char** argv) {
   using namespace dpbyz;
 
   flags::Parser args(argc, argv, {"d", "steps", "batch", "eps", "seeds"});
-  const size_t d = static_cast<size_t>(args.get_int("d", 32));
-  const size_t steps = static_cast<size_t>(args.get_int("steps", 400));
-  const size_t batch = static_cast<size_t>(args.get_int("batch", 10));
+  const size_t d = args.get_count("d", 32);
+  const size_t steps = args.get_count("steps", 400);
+  const size_t batch = args.get_count("batch", 10);
   const double eps = args.get_double("eps", 0.5);
-  const size_t seeds = static_cast<size_t>(args.get_int("seeds", 5));
+  const size_t seeds = args.get_count("seeds", 5);
 
   ExperimentConfig c;
   c.num_workers = 4;

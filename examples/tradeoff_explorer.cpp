@@ -36,10 +36,10 @@ int main(int argc, char** argv) {
 
   ExperimentConfig config;
   config.gar = args.get_string("gar", "mda");
-  config.num_byzantine = static_cast<size_t>(args.get_int("f", 5));
-  config.batch_size = static_cast<size_t>(args.get_int("batch", 50));
-  config.steps = static_cast<size_t>(args.get_int("steps", 500));
-  config.seed = static_cast<uint64_t>(args.get_int("seed", 1));
+  config.num_byzantine = args.get_count("f", 5);
+  config.batch_size = args.get_count("batch", 50);
+  config.steps = args.get_count("steps", 500);
+  config.seed = args.get_count("seed", 1);
   if (!args.get_bool("no-dp", false)) {
     config.dp_enabled = true;
     config.epsilon = args.get_double("eps", 0.2);

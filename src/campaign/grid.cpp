@@ -1,7 +1,6 @@
 #include "campaign/grid.hpp"
 
 #include <array>
-#include <charconv>
 #include <cmath>
 #include <stdexcept>
 
@@ -25,16 +24,13 @@ std::pair<std::string, double> parse_attack(const std::string& value) {
   return {parts[0], parse_metric(parts[1])};
 }
 
-/// The integer fields of axis value `value` (counts, levels, epochs):
-/// decimal digits only, no sign, no overflow.
+/// The integer fields of axis value `value` (counts, levels, epochs).
 size_t parse_count(const std::string& digits, const std::string& value) {
-  size_t out = 0;
-  const char* end = digits.data() + digits.size();
-  const auto [ptr, ec] = std::from_chars(digits.data(), end, out);
-  if (ec != std::errc() || ptr != end)
+  const std::optional<size_t> count = strings::parse_count(digits);
+  if (!count)
     throw std::invalid_argument("campaign: '" + digits + "' in axis value '" + value +
                                 "' is not a decimal count");
-  return out;
+  return *count;
 }
 
 /// Splits "2x4" (canonical) or "2,4" (accepted on input) into two sizes.

@@ -45,24 +45,46 @@ std::string Parser::get_string(const std::string& name, const std::string& fallb
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+[[noreturn]] void malformed(const std::string& name, const std::string& value,
+                            const char* expected) {
+  throw std::invalid_argument("flag --" + name + " expects " + expected + ", got '" + value +
+                              "'");
+}
+
+}  // namespace
+
 int64_t Parser::get_int(const std::string& name, int64_t fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  size_t pos = 0;
   try {
-    return std::stoll(it->second);
+    const int64_t value = std::stoll(it->second, &pos);
+    if (pos == it->second.size()) return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" + it->second + "'");
   }
+  malformed(name, it->second, "an integer");
 }
 
 double Parser::get_double(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  size_t pos = 0;
   try {
-    return std::stod(it->second);
+    const double value = std::stod(it->second, &pos);
+    if (pos == it->second.size()) return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" + it->second + "'");
   }
+  malformed(name, it->second, "a number");
+}
+
+size_t Parser::get_count(const std::string& name, size_t fallback) const {
+  auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  const std::optional<size_t> count = strings::parse_count(it->second);
+  if (!count) malformed(name, it->second, "a decimal count");
+  return *count;
 }
 
 bool Parser::get_bool(const std::string& name, bool fallback) const {
@@ -71,7 +93,7 @@ bool Parser::get_bool(const std::string& name, bool fallback) const {
   const auto v = strings::to_lower(it->second);
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("flag --" + name + " expects a boolean, got '" + it->second + "'");
+  malformed(name, it->second, "a boolean");
 }
 
 }  // namespace dpbyz::flags

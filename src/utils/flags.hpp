@@ -21,11 +21,16 @@ class Parser {
 
   bool has(const std::string& name) const;
 
-  /// Typed getters returning `fallback` when the flag is absent.
+  /// Typed getters returning `fallback` when the flag is absent.  A
+  /// present value must parse whole: "12abc" or "0.2x" throws.
   std::string get_string(const std::string& name, const std::string& fallback) const;
   int64_t get_int(const std::string& name, int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
+
+  /// A count, seed or size: decimal digits only (strings::parse_count),
+  /// so "-1" throws instead of wrapping to 2^64 - 1.
+  size_t get_count(const std::string& name, size_t fallback) const;
 
   /// Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }

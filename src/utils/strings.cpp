@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <sstream>
 
 namespace dpbyz::strings {
@@ -39,6 +40,14 @@ std::string format_double(double v, int precision) {
   out.precision(precision);
   out << v;
   return out.str();
+}
+
+std::optional<size_t> parse_count(std::string_view digits) {
+  size_t out = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, out);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return out;
 }
 
 std::string join(const std::vector<std::string>& parts, const std::string& sep) {

@@ -273,6 +273,43 @@ TEST(CampaignGrid, IntegerFieldsAcceptOnlyDecimalCounts) {
   EXPECT_EQ(cells[0].config.tree_branch, 3u);
 }
 
+TEST(CampaignGrid, BaseFieldsReachEveryCell) {
+  // The eps axis sets only dp_enabled and epsilon, so a spec picks the
+  // Laplace mechanism (and the dropout rate) on its base.
+  GridSpec spec;
+  spec.attacks = {"none", "little"};
+  spec.dp_eps = {2.0, 8.0};
+  spec.base.mechanism = "laplace";
+  spec.base.dropout_prob = 0.3;
+  for (const GridCell& cell : expand_grid(spec)) {
+    EXPECT_TRUE(cell.admissible()) << cell.id << ": " << cell.skip_reason;
+    EXPECT_EQ(cell.config.mechanism, "laplace");
+    EXPECT_TRUE(cell.config.dp_enabled);
+    EXPECT_DOUBLE_EQ(cell.config.epsilon, cell.eps);
+    EXPECT_DOUBLE_EQ(cell.config.dropout_prob, 0.3);
+  }
+
+  // The Gaussian mechanism admits only eps < 1: the same cells are
+  // skipped with validate()'s own message.
+  ExperimentConfig gaussian;
+  gaussian.dp_enabled = true;
+  gaussian.epsilon = 2.0;
+  std::string reason;
+  try {
+    gaussian.validate();
+  } catch (const std::exception& e) {
+    reason = sanitize_field(e.what());
+  }
+  ASSERT_FALSE(reason.empty());
+  spec.base.mechanism = "gaussian";
+  const auto cells = expand_grid(spec);
+  ASSERT_EQ(cells.size(), 4u);
+  for (const GridCell& cell : cells) {
+    EXPECT_EQ(cell.skip_reason, reason) << cell.id;
+    EXPECT_DOUBLE_EQ(cell.config.dropout_prob, 0.3);
+  }
+}
+
 TEST(CampaignGrid, SignatureTracksEveryAxis) {
   const GridSpec a = small_spec();
   GridSpec b = small_spec();

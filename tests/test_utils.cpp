@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 
 #include "scratch_dir.hpp"
@@ -102,6 +103,33 @@ TEST(Flags, MalformedValuesThrow) {
   EXPECT_THROW(p.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(p.get_double("n", 0), std::invalid_argument);
   EXPECT_THROW(p.get_bool("n", false), std::invalid_argument);
+  EXPECT_THROW(p.get_count("n", 0), std::invalid_argument);
+}
+
+TEST(Flags, ValuesMustParseWhole) {
+  const char* argv[] = {"prog", "--steps=12abc", "--seeds=-1", "--eps=0.2x", "--n=+3",
+                        "--ok=12", "--x=0.25"};
+  flags::Parser p(7, argv, {"steps", "seeds", "eps", "n", "ok", "x"});
+  // Trailing characters were silently dropped: "12abc" read 12, "0.2x" 0.2.
+  EXPECT_THROW(p.get_int("steps", 0), std::invalid_argument);
+  EXPECT_THROW(p.get_count("steps", 0), std::invalid_argument);
+  EXPECT_THROW(p.get_double("eps", 0), std::invalid_argument);
+  // A negative count used to wrap to 2^64 - 1 seeds through static_cast.
+  EXPECT_EQ(p.get_int("seeds", 0), -1);
+  EXPECT_THROW(p.get_count("seeds", 0), std::invalid_argument);
+  EXPECT_THROW(p.get_count("n", 0), std::invalid_argument);
+  EXPECT_EQ(p.get_count("ok", 0), 12u);
+  EXPECT_EQ(p.get_count("absent", 7), 7u);
+  EXPECT_DOUBLE_EQ(p.get_double("x", 0), 0.25);
+}
+
+TEST(Strings, ParseCountTakesDecimalDigitsOnly) {
+  EXPECT_EQ(strings::parse_count("0"), std::optional<size_t>(0));
+  EXPECT_EQ(strings::parse_count("18446744073709551615"),
+            std::optional<size_t>(18446744073709551615ull));
+  for (const char* bad : {"", "-1", "+2", " 3", "3 ", "1x", "0x10", "1.0",
+                          "18446744073709551616"})
+    EXPECT_EQ(strings::parse_count(bad), std::nullopt) << bad;
 }
 
 TEST(Stopwatch, MeasuresElapsedTimeMonotonically) {

@@ -74,21 +74,21 @@ int main(int argc, char** argv) {
     spec.topologies = split_list(flags.get_string("topologies", "flat"));
     spec.channels = split_list(flags.get_string("channels", "off"));
     spec.churn = split_list(flags.get_string("churn", "off"));
-    spec.base.churn_seed = static_cast<uint64_t>(flags.get_int("churn-seed", 1));
+    spec.base.churn_seed = flags.get_count("churn-seed", 1);
     spec.prune = split_list(flags.get_string("prune", "off"));
-    spec.seeds = static_cast<size_t>(flags.get_int("seeds", 3));
-    spec.data_seed = static_cast<uint64_t>(flags.get_int("data-seed", 42));
-    spec.base.steps = static_cast<size_t>(flags.get_int("steps", 300));
-    spec.base.batch_size = static_cast<size_t>(flags.get_int("batch", 50));
-    spec.base.num_workers = static_cast<size_t>(flags.get_int("workers", 11));
-    spec.base.num_byzantine = static_cast<size_t>(flags.get_int("byzantine", 5));
-    spec.base.pipeline_depth = static_cast<size_t>(flags.get_int("depth", 0));
+    spec.seeds = flags.get_count("seeds", 3);
+    spec.data_seed = flags.get_count("data-seed", 42);
+    spec.base.steps = flags.get_count("steps", 300);
+    spec.base.batch_size = flags.get_count("batch", 50);
+    spec.base.num_workers = flags.get_count("workers", 11);
+    spec.base.num_byzantine = flags.get_count("byzantine", 5);
+    spec.base.pipeline_depth = flags.get_count("depth", 0);
     // "clean" (the attack papers' observation model) or "wire" (Remark 1:
     // the adversary reads the cleartext submissions, so under DP the
     // adaptive strategies tune against the batch the server aggregates).
     spec.base.attack_observes = flags.get_string("observes", "clean");
-    spec.base.adapt_probes = static_cast<size_t>(flags.get_int("adapt-probes", 8));
-    spec.base.adapt_budget = static_cast<size_t>(flags.get_int("adapt-budget", 0));
+    spec.base.adapt_probes = flags.get_count("adapt-probes", 8);
+    spec.base.adapt_budget = flags.get_count("adapt-budget", 0);
 
     // --dry-run / --list-cells: print the expanded grid with per-cell
     // verdicts and exit without training anything.
@@ -112,9 +112,9 @@ int main(int argc, char** argv) {
 
     campaign::CampaignOptions options;
     options.out_dir = flags.get_string("out", "bench_out/campaign");
-    options.threads = static_cast<size_t>(flags.get_int("threads", 0));
-    options.max_cells = static_cast<size_t>(flags.get_int("max-cells", 0));
-    options.privacy_samples = static_cast<size_t>(flags.get_int("privacy-samples", 400));
+    options.threads = flags.get_count("threads", 0);
+    options.max_cells = flags.get_count("max-cells", 0);
+    options.privacy_samples = flags.get_count("privacy-samples", 400);
 
     const campaign::CampaignReport report = campaign::run_campaign(spec, options);
     std::printf("campaign: %zu cells (%zu admissible, %zu skipped)\n",

@@ -46,14 +46,14 @@ int main(int argc, char** argv) {
     config.attack = "little";
     config.num_workers = 11;
     config.num_byzantine = 3;
-    config.steps = static_cast<size_t>(flags.get_int("steps", 300));
+    config.steps = flags.get_count("steps", 300);
     config.eval_every = 50;
     config.churn = "epoch";
-    config.churn_epoch_rounds = static_cast<size_t>(flags.get_int("epoch-rounds", 20));
+    config.churn_epoch_rounds = flags.get_count("epoch-rounds", 20);
     config.churn_join_prob = flags.get_double("join", 0.6);
     config.churn_leave_prob = flags.get_double("leave", 0.1);
-    config.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
-    config.churn_seed = static_cast<uint64_t>(flags.get_int("churn-seed", 7));
+    config.seed = flags.get_count("seed", 1);
+    config.churn_seed = flags.get_count("churn-seed", 7);
     config.checkpoint_path = flags.get_string("ckpt", "");
     if (!config.checkpoint_path.empty()) config.checkpoint_every = 25;
 
