@@ -457,13 +457,13 @@ struct TreeGateRow {
 };
 
 struct WireRow {
-  std::string mode;  // raw64 | int8 | topk
+  std::string mode;  // raw64 | int8
   size_t d, bytes_per_row, frames_per_row;
   double encode_ms, decode_ms;      // one full row, median
   size_t codec_allocs;              // encode+decode cycle after warmup
   bool round_trip_exact;            // decoded row == source (raw64 only)
   bool corrupt_rejected;            // one flipped byte fails the checksum
-  double max_abs_err;               // decoded vs source (int8/topk)
+  double max_abs_err;               // decoded vs source (int8)
   uint64_t tree_bytes_per_round;    // framed L=1 B=4 n=48 tree, one round
 };
 
@@ -1267,7 +1267,7 @@ int main(int argc, char** argv) {
   // One d = 1e4 row per mode: median encode and decode+apply wall-clock,
   // the steady-state allocation count of a full codec cycle (must be 0),
   // the checksum gates (raw64 round trip byte-exact; one flipped byte
-  // always rejected), the decode error of the lossy modes, and — from
+  // always rejected), the int8 decode error, and — from
   // the framed n = 48 L = 1 tree above — the actual bytes one
   // aggregation round puts on the wire per mode (4 edges × d = 4096).
   std::vector<WireRow> wire_rows;
@@ -1285,8 +1285,7 @@ int main(int argc, char** argv) {
         "--------------------------------------------------------------------------"
         "--------------------------\n");
     for (const dpbyz::net::WireMode mode :
-         {dpbyz::net::WireMode::kRaw64, dpbyz::net::WireMode::kInt8,
-          dpbyz::net::WireMode::kTopK}) {
+         {dpbyz::net::WireMode::kRaw64, dpbyz::net::WireMode::kInt8}) {
       dpbyz::net::FrameEncoder enc(mode, 1024);
       dpbyz::net::FrameBuffer frames;
       Vector decoded(wd, 0.0);

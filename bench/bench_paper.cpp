@@ -27,9 +27,11 @@
 // Theorem 1's seed count) --fast (each spec's smoke-run horizon and seed
 // count, and 2 seeds for Theorem 1).  Exits nonzero when a cell does not
 // run, so the sweep doubles as a CI gate.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,6 +64,13 @@ struct PaperSpec {
   size_t fast_steps;
   size_t fast_seeds;
 };
+
+/// Specs whose one cell is the same training configuration as a cell of
+/// another spec (name, cell index): it is read from that run instead of
+/// trained again.  No straggler and no drop is one configuration under
+/// both straggler conventions below.
+const std::map<std::string, std::pair<std::string, size_t>> kSameAs{
+    {"straggler_zeroed_k0", {"straggler_excluded", 0}}};
 
 /// MDA at the paper's (n, f) = (11, 5) and batch b, under `attacks` x
 /// `eps` (0 = DP off), for `steps` rounds over seeds 1..`seeds`.
@@ -260,23 +269,63 @@ struct RatePoint {
   size_t steps = 400;
   size_t batch = 10;
   double eps = 0.5;
+  friend bool operator==(const RatePoint&, const RatePoint&) = default;
 };
 
-/// One table of Theorem 1's rate: `vary` sets the swept variable of a
+/// One table of Theorem 1's rate: `vary` sets the swept variable of the
 /// default RatePoint to each of `values`.
-void rate_sweep(csv::Writer& out, size_t seeds, const std::string& title,
-                const std::string& varied, const std::vector<double>& values,
-                void (*vary)(RatePoint&, double)) {
-  constexpr double sigma = 1.0, g_max = 3.0;
-  constexpr size_t workers = 4;
-  const auto point = [&](size_t i) {
+struct RateSweep {
+  std::string title;
+  std::string varied;
+  std::vector<double> values;
+  void (*vary)(RatePoint&, double);
+
+  RatePoint point(size_t i) const {
     RatePoint s;
     vary(s, values[i]);
     return s;
+  }
+};
+
+/// Theorem 1 (strongly convex): with any (alpha, f)-Byzantine-resilient
+/// GAR and DP noise, E[Q(w_{T+1})] - Q* is Theta(d log(1/delta) /
+/// (T b^2 eps^2)); without DP the same algorithm achieves O(1/T),
+/// independent of d.  Trains the paper's own lower-bound construction —
+/// Q(w) = 1/2 E||w - x||^2, D = N(x_bar, sigma^2/d I) — with the
+/// Theorem's schedule gamma_t = 1/(lambda t), and measures the exact
+/// excess loss 1/2 ||w - x_bar||^2 while sweeping each variable of the
+/// rate in turn, beside the Cramér–Rao lower bound and the Eq. 12 upper
+/// bound (per-worker bounds scaled by 1/n for the honest averaging of n
+/// iid submissions).  Reading: in every sweep the DP column tracks the
+/// Theta rate (up to the bounded constants) while the no-DP column only
+/// moves with T — the curse of dimensionality is introduced by the
+/// privacy noise alone.
+void thm1_rates(size_t seeds) {
+  constexpr double sigma = 1.0, g_max = 3.0;
+  constexpr size_t workers = 4;
+  table::banner("thm1_rates: Theorem 1, error Theta(d log(1/delta) / (T b^2 eps^2)); "
+                "Gaussian-mean quadratic, lambda = mu = 1, gamma_t = 1/t, n = 4 honest "
+                "workers, " + std::to_string(seeds) + " seeds");
+  const std::vector<RateSweep> sweeps{
+      {"(1) dimension sweep — DP error grows ~ linearly in d; no-DP stays flat", "d",
+       {8, 16, 32, 64, 128}, [](RatePoint& s, double v) { s.d = static_cast<size_t>(v); }},
+      {"(2) horizon sweep — error ~ 1/T", "T", {100, 200, 400, 800, 1600},
+       [](RatePoint& s, double v) { s.steps = static_cast<size_t>(v); }},
+      {"(3) batch sweep — DP error ~ 1/b^2", "b", {5, 10, 20, 40, 80},
+       [](RatePoint& s, double v) { s.batch = static_cast<size_t>(v); }},
+      {"(4) epsilon sweep — DP error ~ 1/eps^2", "eps", {0.1, 0.2, 0.4, 0.8},
+       [](RatePoint& s, double v) { s.eps = v; }},
   };
-  // Each (point, DP on / off) pair is an independent run: one task each.
-  const std::vector<double> measured = parallel_map(2 * values.size(), [&](size_t i) {
-    const RatePoint s = point(i / 2);
+
+  // The sweeps cross at the default point, so each distinct point is
+  // trained once; each (point, DP on / off) pair is one task.
+  std::vector<RatePoint> points;
+  for (const RateSweep& sweep : sweeps)
+    for (size_t i = 0; i < sweep.values.size(); ++i)
+      if (std::find(points.begin(), points.end(), sweep.point(i)) == points.end())
+        points.push_back(sweep.point(i));
+  const std::vector<double> measured = parallel_map(2 * points.size(), [&](size_t i) {
+    const RatePoint& s = points[i / 2];
     ExperimentConfig c;
     c.num_workers = workers;
     c.num_byzantine = 0;
@@ -294,54 +343,30 @@ void rate_sweep(csv::Writer& out, size_t seeds, const std::string& title,
     return task.mean_excess_loss(i % 2 == 0 ? c.with_dp(s.eps) : c, seeds);
   });
 
-  table::banner(title);
-  table::Printer t({varied, "measured (DP)", "measured (no DP)", "CR lower/n", "Eq.12 upper/n",
-                    "Theta rate"});
-  for (size_t i = 0; i < values.size(); ++i) {
-    const RatePoint s = point(i);
-    const double with_dp = measured[2 * i], without = measured[2 * i + 1];
-    theory::Theorem1Params p{s.d, s.steps, s.batch, s.eps, kDelta, sigma, g_max};
-    p.c = 2.0;
-    const double lower = theory::theorem1_lower_bound(p) / workers;
-    const double upper = theory::theorem1_upper_bound(p) / workers;
-    const double rate = theory::theorem1_rate(p);
-    t.row({strings::format_double(values[i], 6), strings::format_double(with_dp, 4),
-           strings::format_double(without, 4), strings::format_double(lower, 4),
-           strings::format_double(upper, 4), strings::format_double(rate, 4)});
-    out.row({static_cast<double>(s.d), static_cast<double>(s.steps),
-             static_cast<double>(s.batch), s.eps, with_dp, without, lower, upper, rate});
-  }
-  t.print();
-}
-
-/// Theorem 1 (strongly convex): with any (alpha, f)-Byzantine-resilient
-/// GAR and DP noise, E[Q(w_{T+1})] - Q* is Theta(d log(1/delta) /
-/// (T b^2 eps^2)); without DP the same algorithm achieves O(1/T),
-/// independent of d.  Trains the paper's own lower-bound construction —
-/// Q(w) = 1/2 E||w - x||^2, D = N(x_bar, sigma^2/d I) — with the
-/// Theorem's schedule gamma_t = 1/(lambda t), and measures the exact
-/// excess loss 1/2 ||w - x_bar||^2 while sweeping each variable of the
-/// rate in turn, beside the Cramér–Rao lower bound and the Eq. 12 upper
-/// bound (per-worker bounds scaled by 1/n for the honest averaging of n
-/// iid submissions).  Reading: in every sweep the DP column tracks the
-/// Theta rate (up to the bounded constants) while the no-DP column only
-/// moves with T — the curse of dimensionality is introduced by the
-/// privacy noise alone.
-void thm1_rates(size_t seeds) {
-  table::banner("thm1_rates: Theorem 1, error Theta(d log(1/delta) / (T b^2 eps^2)); "
-                "Gaussian-mean quadratic, lambda = mu = 1, gamma_t = 1/t, n = 4 honest "
-                "workers, " + std::to_string(seeds) + " seeds");
   csv::Writer out(kOut + "thm1_rates.csv", {"d", "T", "b", "eps", "measured_dp",
                                              "measured_nodp", "lower", "upper", "rate"});
-  rate_sweep(out, seeds,
-             "(1) dimension sweep — DP error grows ~ linearly in d; no-DP stays flat", "d",
-             {8, 16, 32, 64, 128}, [](RatePoint& s, double v) { s.d = static_cast<size_t>(v); });
-  rate_sweep(out, seeds, "(2) horizon sweep — error ~ 1/T", "T", {100, 200, 400, 800, 1600},
-             [](RatePoint& s, double v) { s.steps = static_cast<size_t>(v); });
-  rate_sweep(out, seeds, "(3) batch sweep — DP error ~ 1/b^2", "b", {5, 10, 20, 40, 80},
-             [](RatePoint& s, double v) { s.batch = static_cast<size_t>(v); });
-  rate_sweep(out, seeds, "(4) epsilon sweep — DP error ~ 1/eps^2", "eps", {0.1, 0.2, 0.4, 0.8},
-             [](RatePoint& s, double v) { s.eps = v; });
+  for (const RateSweep& sweep : sweeps) {
+    table::banner(sweep.title);
+    table::Printer t({sweep.varied, "measured (DP)", "measured (no DP)", "CR lower/n",
+                      "Eq.12 upper/n", "Theta rate"});
+    for (size_t i = 0; i < sweep.values.size(); ++i) {
+      const RatePoint s = sweep.point(i);
+      const size_t k = static_cast<size_t>(
+          std::find(points.begin(), points.end(), s) - points.begin());
+      const double with_dp = measured[2 * k], without = measured[2 * k + 1];
+      theory::Theorem1Params p{s.d, s.steps, s.batch, s.eps, kDelta, sigma, g_max};
+      p.c = 2.0;
+      const double lower = theory::theorem1_lower_bound(p) / workers;
+      const double upper = theory::theorem1_upper_bound(p) / workers;
+      const double rate = theory::theorem1_rate(p);
+      t.row({strings::format_double(sweep.values[i], 6), strings::format_double(with_dp, 4),
+             strings::format_double(without, 4), strings::format_double(lower, 4),
+             strings::format_double(upper, 4), strings::format_double(rate, 4)});
+      out.row({static_cast<double>(s.d), static_cast<double>(s.steps),
+               static_cast<double>(s.batch), s.eps, with_dp, without, lower, upper, rate});
+    }
+    t.print();
+  }
 }
 
 /// Table 1: per GAR, the necessary condition for the VN-ratio condition
@@ -570,14 +595,30 @@ void gradient_inversion(const PhishingExperiment& exp) {
   mi.print();
 }
 
+/// The artifact of `spec`'s one cell, taken from `trained` — the cell
+/// of another spec with the same training configuration — under
+/// `spec`'s own coordinates, and written to `dir` as run_campaign would.
+campaign::CellArtifact reuse_cell(const PaperSpec& spec, campaign::CellArtifact trained,
+                                  const std::string& dir) {
+  const campaign::GridCell own = campaign::expand_grid(spec.grid).at(0);
+  trained.cell = own.index;
+  trained.id = own.id;
+  trained.participation = own.participation;
+  std::filesystem::create_directories(dir);
+  campaign::write_csv(dir + "/campaign.csv", {&trained, 1});
+  campaign::write_json(dir + "/campaign.json", spec.grid.signature(), {&trained, 1});
+  return trained;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   flags::Parser flags(argc, argv, {"steps", "seeds", "fast"});
   const bool fast = flags.get_bool("fast", false);
   Stopwatch watch;
-  size_t not_run = 0;
-  for (PaperSpec& spec : paper_specs()) {
+  std::vector<PaperSpec> specs = paper_specs();
+  std::map<std::string, std::vector<campaign::CellArtifact>> cells_of;
+  for (PaperSpec& spec : specs) {
     campaign::GridSpec& grid = spec.grid;
     if (fast) {
       grid.base.steps = spec.fast_steps;
@@ -585,17 +626,24 @@ int main(int argc, char** argv) {
     }
     grid.base.steps = flags.get_count("steps", grid.base.steps);
     grid.seeds = flags.get_count("seeds", grid.seeds);
-
+    std::filesystem::remove_all(kOut + spec.name);
+    if (kSameAs.count(spec.name)) continue;
     campaign::CampaignOptions options;
     options.out_dir = kOut + spec.name;
-    std::filesystem::remove_all(options.out_dir);
-    const campaign::CampaignReport report = campaign::run_campaign(grid, options);
+    cells_of[spec.name] = campaign::run_campaign(grid, options).cells;
+  }
 
+  size_t not_run = 0;
+  for (const PaperSpec& spec : specs) {
+    if (const auto same = kSameAs.find(spec.name); same != kSameAs.end())
+      cells_of[spec.name] = {reuse_cell(
+          spec, cells_of.at(same->second.first).at(same->second.second), kOut + spec.name)};
+    const campaign::GridSpec& grid = spec.grid;
     const ExperimentConfig& b = grid.base;
     table::banner(spec.name + ": b = " + std::to_string(b.batch_size) + ", T = " +
                   std::to_string(b.steps) + ", " + std::to_string(grid.seeds) + " seeds");
     table::Printer t({"cell", "final acc", "acc std", "final loss", "min loss"});
-    for (const campaign::CellArtifact& cell : report.cells) {
+    for (const campaign::CellArtifact& cell : cells_of.at(spec.name)) {
       if (!cell.skip_reason.empty()) {
         ++not_run;
         t.row({cell.id, cell.skip_reason});

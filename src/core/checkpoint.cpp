@@ -4,6 +4,10 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/membership.hpp"
+#include "core/reputation.hpp"
+#include "core/trainer.hpp"
+#include "net/transport.hpp"
 #include "utils/codec.hpp"
 
 namespace dpbyz {
@@ -20,6 +24,9 @@ std::string bits_of(double x) {
 }  // namespace
 
 std::string checkpoint_signature(const ExperimentConfig& c) {
+  // Retired knobs keep their keys, so older signatures still match:
+  // topk, cdup, cc and cm print the only value each could take, and the
+  // others print the constant that replaced the field.
   std::ostringstream sig;
   sig << "ckpt-v1"
       << ";n=" << c.num_workers << ";f=" << c.num_byzantine << ";b=" << c.batch_size
@@ -27,7 +34,7 @@ std::string checkpoint_signature(const ExperimentConfig& c) {
       << ";mom=" << bits_of(c.momentum) << ";clip=" << bits_of(c.clip_norm)
       << ";clip_on=" << c.clip_enabled << ";eval=" << c.eval_every
       << ";drop=" << bits_of(c.dropout_prob) << ";wmom=" << bits_of(c.worker_momentum)
-      << ";part=" << c.data_partition << ";skew=" << bits_of(c.label_skew_fraction)
+      << ";part=" << c.data_partition << ";skew=" << bits_of(kLabelSkewFraction)
       << ";depth=" << c.pipeline_depth
       << ";live=" << c.participation << ";lp=" << bits_of(c.participation_prob)
       << ";ns=" << c.num_stragglers << ";sp=" << c.straggler_period
@@ -35,22 +42,22 @@ std::string checkpoint_signature(const ExperimentConfig& c) {
       << ";eps=" << bits_of(c.epsilon) << ";delta=" << bits_of(c.delta)
       << ";gar=" << c.gar << ";prune=" << c.prune
       << ";merge=" << c.shard_merge_gar << ";tl=" << c.tree_levels
-      << ";tb=" << c.tree_branch << ";wire=" << c.wire << ";topk=" << c.wire_topk
-      << ";chunk=" << c.wire_chunk << ";chan=" << c.channel
-      << ";cdrop=" << bits_of(c.channel_drop) << ";cdup=" << bits_of(c.channel_duplicate)
+      << ";tb=" << c.tree_branch << ";wire=" << c.wire << ";topk=0"
+      << ";chunk=" << net::kDefaultChunkValues << ";chan=" << c.channel
+      << ";cdrop=" << bits_of(c.channel_drop) << ";cdup=" << bits_of(0.0)
       << ";ccor=" << bits_of(c.channel_corrupt) << ";creo=" << bits_of(c.channel_reorder)
-      << ";cseed=" << c.channel_seed << ";cretx=" << c.channel_retransmit
+      << ";cseed=" << c.channel_seed << ";cretx=" << net::kDefaultRetransmitLimit
       << ";atk=" << c.attack_enabled << ";atkname=" << c.attack
       << ";nu=" << bits_of(c.attack_nu) << ";probes=" << c.adapt_probes
       << ";budget=" << c.adapt_budget << ";obs=" << c.attack_observes
       << ";churn=" << c.churn << ";ce=" << c.churn_epoch_rounds
       << ";cs=" << c.churn_seed << ";cj=" << bits_of(c.churn_join_prob)
-      << ";cl=" << bits_of(c.churn_leave_prob) << ";cc=" << bits_of(c.churn_crash_prob)
-      << ";cm=" << c.churn_max_joins
-      << ";rep=" << c.reputation << ";rb=" << bits_of(c.reputation_beta)
-      << ";ro=" << bits_of(c.reputation_outlier)
-      << ";ra=" << bits_of(c.reputation_admit)
-      << ";re=" << bits_of(c.reputation_evict) << ";qe=" << c.quarantine_epochs
+      << ";cl=" << bits_of(c.churn_leave_prob) << ";cc=" << bits_of(0.0) << ";cm=0"
+      << ";rep=" << c.reputation << ";rb=" << bits_of(ReputationBook::kBeta)
+      << ";ro=" << bits_of(ReputationBook::kOutlier)
+      << ";ra=" << bits_of(ReputationBook::kAdmit)
+      << ";re=" << bits_of(ReputationBook::kEvict)
+      << ";qe=" << MembershipManager::kQuarantineEpochs
       << ";ck=" << c.checkpoint_every << ";seed=" << c.seed;
   return sig.str();
 }

@@ -59,9 +59,8 @@ struct ExperimentConfig {
   ///   "iid"        — random equal shards, one per worker
   ///   "contiguous" — equal shards in dataset order
   ///   "label-skew" — each worker's shard is dominated by one class
-  ///                  (fraction `label_skew_fraction`, best effort)
+  ///                  (fraction kLabelSkewFraction = 0.8, best effort)
   std::string data_partition = "shared";
-  double label_skew_fraction = 0.8;  ///< majority share for "label-skew"
   /// Thread budget for one training step: honest-worker submission runs
   /// one pipeline per thread on the process-wide ThreadPool, the flat
   /// GARs split their pairwise-distance matrix across the same width,
@@ -170,30 +169,23 @@ struct ExperimentConfig {
   ///   "int8"  — per-row symmetric int8 quantization (error ≤ ||row||∞/254
   ///             per coordinate — see the robustness contract in
   ///             docs/ARCHITECTURE.md)
-  ///   "topk"  — only the wire_topk largest-|x| coordinates travel
+  /// Rows travel in frames of net::kDefaultChunkValues coordinates.
   std::string wire = "off";
-  /// Coordinates kept per row under wire == "topk"; 0 = dim/10 (min 1).
-  size_t wire_topk = 0;
-  /// Coordinates (raw64/int8) or entries (topk) per frame — the chunking
-  /// granularity drop/reorder faults act on.
-  size_t wire_chunk = 1024;
   /// Edge transport faults (requires wire != "off"):
   ///   "off"   — ideal delivery, frames arrive intact and in order
-  ///   "lossy" — the seeded SimulatedChannel drops / duplicates /
-  ///             corrupts / reorders frames per the probabilities below.
-  ///             Missing chunks are retransmitted up to
-  ///             channel_retransmit rounds; an unreassemblable child
-  ///             aggregate is zero-substituted against the level's
-  ///             merge_f budget (exceeding it throws).  The run stays a
-  ///             pure function of (config, seed, channel_seed) and its
-  ///             channel counters land in RunResult::channel.
+  ///   "lossy" — the seeded SimulatedChannel drops / corrupts / reorders
+  ///             frames per the probabilities below.  Missing chunks are
+  ///             retransmitted up to net::kDefaultRetransmitLimit rounds;
+  ///             an unreassemblable child aggregate is zero-substituted
+  ///             against the level's merge_f budget (exceeding it
+  ///             throws).  The run stays a pure function of (config,
+  ///             seed, channel_seed) and its channel counters land in
+  ///             RunResult::channel.
   std::string channel = "off";
-  double channel_drop = 0.0;       ///< per-frame drop probability, [0,1]
-  double channel_duplicate = 0.0;  ///< per-frame duplication probability, [0,1]
-  double channel_corrupt = 0.0;    ///< per-frame byte-flip probability, [0,1]
-  double channel_reorder = 0.0;    ///< per-frame delay/reorder probability, [0,1]
-  uint64_t channel_seed = 1;       ///< root of the per-edge fault streams
-  size_t channel_retransmit = 2;   ///< extra delivery rounds for missing chunks
+  double channel_drop = 0.0;     ///< per-frame drop probability, [0,1]
+  double channel_corrupt = 0.0;  ///< per-frame byte-flip probability, [0,1]
+  double channel_reorder = 0.0;  ///< per-frame delay/reorder probability, [0,1]
+  uint64_t channel_seed = 1;     ///< root of the per-edge fault streams
   bool attack_enabled = false;
   std::string attack = "little";  ///< "little" | "empire" | auxiliary names
   /// Attack factor nu; NaN = the attack's paper default (1.5 / 1.1).
@@ -233,7 +225,7 @@ struct ExperimentConfig {
   ///             into epochs of `churn_epoch_rounds` rounds, and at every
   ///             epoch boundary the MembershipManager applies a
   ///             deterministic churn trace drawn from `churn_seed`
-  ///             (join/leave/crash events), admits or evicts workers
+  ///             (join/leave events), admits or evicts workers
   ///             through the reputation gate, and renegotiates the round
   ///             budget f_e = min(f0, floor(h_e * f0 / h0)) — the initial
   ///             Byzantine *ratio* is the invariant, never exceeding the
@@ -246,28 +238,20 @@ struct ExperimentConfig {
   uint64_t churn_seed = 1;         ///< root of the churn event stream
   double churn_join_prob = 0.5;    ///< P(one joiner appears) per epoch boundary
   double churn_leave_prob = 0.1;   ///< per active worker per boundary
-  double churn_crash_prob = 0.0;   ///< per active worker per boundary
-  /// Cap on workers that can ever join (pool beyond the initial roster).
-  /// 0 = one candidate slot per epoch boundary (the trace's natural max).
-  size_t churn_max_joins = 0;
   /// Admission gate for joiners (requires churn == "epoch"):
   ///   "distance" — per-worker EMA of an aggregation-derived inlier
   ///                signal (squared distance to the round's selected
   ///                aggregate vs. the live-roster median — the krum-score
-  ///                surrogate; see core/reputation.hpp).  Joiners are
-  ///                quarantined (submitting, never aggregated) for >=
-  ///                `quarantine_epochs` epochs and admitted only once
-  ///                their score reaches `reputation_admit`; active
-  ///                workers falling below `reputation_evict` are evicted
-  ///                at the next boundary.
-  ///   "off"      — joiners are admitted purely by quarantine_epochs
-  ///                elapsing; nobody is ever evicted.
+  ///                surrogate; see core/reputation.hpp, which owns the
+  ///                gate's constants).  Joiners are quarantined
+  ///                (submitting, never aggregated) for at least one
+  ///                epoch and admitted only once their score reaches
+  ///                ReputationBook::kAdmit; active workers falling below
+  ///                ReputationBook::kEvict are evicted at the next
+  ///                boundary.
+  ///   "off"      — joiners are admitted after one epoch of quarantine;
+  ///                nobody is ever evicted.
   std::string reputation = "distance";
-  double reputation_beta = 0.2;     ///< EMA step toward this round's 0/1 verdict
-  double reputation_outlier = 4.0;  ///< inlier iff d^2 <= outlier^2 x median d^2
-  double reputation_admit = 0.8;    ///< min score for quarantine -> active
-  double reputation_evict = 0.05;   ///< active workers below this are evicted
-  size_t quarantine_epochs = 1;     ///< min epochs a joiner is audited
   /// Trainer checkpoint/restore (independent of churn; see
   /// core/checkpoint.hpp).  Non-empty = write an atomic, CRC-32-checked
   /// checkpoint of the full trainer state — θ, optimizer momentum, every

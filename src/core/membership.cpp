@@ -12,7 +12,6 @@ const char* churn_kind_name(ChurnEvent::Kind kind) {
   switch (kind) {
     case ChurnEvent::Kind::kJoin: return "join";
     case ChurnEvent::Kind::kLeave: return "leave";
-    case ChurnEvent::Kind::kCrash: return "crash";
     case ChurnEvent::Kind::kAdmit: return "admit";
     case ChurnEvent::Kind::kEvict: return "evict";
   }
@@ -26,10 +25,7 @@ size_t MembershipManager::pool_size_for(const ExperimentConfig& config,
   // run are t = E, 2E, ... < steps.
   const size_t boundaries =
       config.steps >= 1 ? (config.steps - 1) / config.churn_epoch_rounds : 0;
-  const size_t joins = config.churn_max_joins > 0
-                           ? std::min(config.churn_max_joins, boundaries)
-                           : boundaries;
-  return initial_honest + joins;
+  return initial_honest + boundaries;
 }
 
 MembershipManager::MembershipManager(const ExperimentConfig& config,
@@ -37,8 +33,6 @@ MembershipManager::MembershipManager(const ExperimentConfig& config,
     : epoch_rounds_(config.churn_epoch_rounds),
       join_prob_(config.churn_join_prob),
       leave_prob_(config.churn_leave_prob),
-      crash_prob_(config.churn_crash_prob),
-      quarantine_epochs_(config.quarantine_epochs),
       f0_(config.num_byzantine),
       h0_(initial_honest),
       rng_(std::move(churn_rng)),
@@ -71,9 +65,11 @@ void MembershipManager::advance(size_t t, ReputationBook& rep) {
   const uint32_t e = static_cast<uint32_t>(++epoch_);
 
   // 1. Churn draws, in a fixed order so the stream is exact under replay:
-  //    one join draw per boundary, then one leave and one crash draw per
-  //    active worker in ascending pool id (both always drawn, so the
-  //    stream length depends only on the roster, not the outcomes).
+  //    one join draw per boundary, then one leave draw per active worker
+  //    in ascending pool id, each followed by one discarded draw (the
+  //    retired crash event's; bernoulli(0) still consumes an engine word,
+  //    and dropping it would change every churn trace).  The stream
+  //    length depends only on the roster, not the outcomes.
   if (next_join_ < states_.size() && rng_.bernoulli(join_prob_)) {
     const uint32_t w = static_cast<uint32_t>(next_join_++);
     states_[w] = WorkerState::kQuarantined;
@@ -84,13 +80,10 @@ void MembershipManager::advance(size_t t, ReputationBook& rep) {
   for (uint32_t w = 0; w < states_.size(); ++w) {
     if (states_[w] != WorkerState::kActive) continue;
     const bool leaves = rng_.bernoulli(leave_prob_);
-    const bool crashes = rng_.bernoulli(crash_prob_);
+    rng_.bernoulli(0.0);
     if (leaves) {
       states_[w] = WorkerState::kLeft;
       trace_.push_back({e, ChurnEvent::Kind::kLeave, w});
-    } else if (crashes) {
-      states_[w] = WorkerState::kCrashed;
-      trace_.push_back({e, ChurnEvent::Kind::kCrash, w});
     }
   }
 
@@ -109,7 +102,7 @@ void MembershipManager::advance(size_t t, ReputationBook& rep) {
   }
   for (uint32_t w = 0; w < states_.size(); ++w) {
     if (states_[w] != WorkerState::kQuarantined) continue;
-    if (e - joined_epoch_[w] < quarantine_epochs_ || !rep.admits(w)) continue;
+    if (e - joined_epoch_[w] < kQuarantineEpochs || !rep.admits(w)) continue;
     states_[w] = WorkerState::kActive;
     ++active_count;
     trace_.push_back({e, ChurnEvent::Kind::kAdmit, w});
@@ -140,6 +133,9 @@ void MembershipManager::save(std::ostream& os) const {
 }
 
 void MembershipManager::load(std::istream& is) {
+  // The checkpoint words of the retired crash event: rejected like any
+  // other word outside the enums.
+  constexpr uint64_t kRetiredCrashed = 4, kRetiredCrash = 2;
   codec::Reader in(is, "MembershipManager: truncated checkpoint state");
   epoch_ = in.u64();
   next_join_ = in.u64();
@@ -153,17 +149,23 @@ void MembershipManager::load(std::istream& is) {
           "MembershipManager: checkpoint state does not match this configuration");
   for (size_t i = 0; i < states_.size(); ++i) {
     const uint64_t state = i < n ? in.u64() : 0;  // 0 is kUnborn
-    require(state <= static_cast<uint64_t>(WorkerState::kEvicted),
+    require(state <= static_cast<uint64_t>(WorkerState::kEvicted) && state != kRetiredCrashed,
             "MembershipManager: corrupt worker state in checkpoint");
     states_[i] = static_cast<WorkerState>(state);
     joined_epoch_[i] = i < n ? static_cast<uint32_t>(in.u64()) : 0;
   }
   rng_.load(is);
   trace_.clear();
-  // An inflated count is a short read; braced initializers evaluate in order.
-  for (uint64_t k = in.u64(); k > 0; --k)
-    trace_.push_back({static_cast<uint32_t>(in.u64()), static_cast<ChurnEvent::Kind>(in.u64()),
-                      static_cast<uint32_t>(in.u64())});
+  // An inflated count is a short read.
+  for (uint64_t k = in.u64(); k > 0; --k) {
+    const uint64_t epoch = in.u64(), kind = in.u64(), worker = in.u64();
+    require(kind <= static_cast<uint64_t>(ChurnEvent::Kind::kEvict) && kind != kRetiredCrash,
+            "MembershipManager: corrupt churn event kind in checkpoint");
+    require(worker < states_.size(),
+            "MembershipManager: churn event worker id outside the pool in checkpoint");
+    trace_.push_back({static_cast<uint32_t>(epoch), static_cast<ChurnEvent::Kind>(kind),
+                      static_cast<uint32_t>(worker)});
+  }
   rebuild_view();
 }
 

@@ -15,10 +15,10 @@
 //
 //   * MembershipManager — advances epochs at round boundaries
 //     (t % churn_epoch_rounds == 0).  Each boundary consumes a
-//     deterministic, seeded churn trace of join/leave/crash events drawn
-//     from `churn_seed` (one join draw per boundary; one leave and one
-//     crash draw per active worker, ascending pool id — the draw count
-//     is fixed per roster so the stream replays exactly), runs the
+//     deterministic, seeded churn trace of join/leave events drawn from
+//     `churn_seed` (one join draw per boundary; one leave draw and one
+//     discarded draw per active worker, ascending pool id — the draw
+//     count is fixed per roster so the stream replays exactly), runs the
 //     reputation gate (core/reputation.hpp) for admissions/evictions,
 //     and renegotiates the budget:
 //
@@ -33,10 +33,10 @@
 //
 //   * Joiners are quarantined: they submit every round (shadow rows
 //     behind the aggregated prefix — audited, never aggregated) and
-//     become active only after >= quarantine_epochs epochs with a
-//     reputation score >= reputation_admit.  Active workers below
-//     reputation_evict are evicted at the next boundary.  A pool slot is
-//     used at most once (left/crashed/evicted workers never return).
+//     become active only after >= kQuarantineEpochs epochs with a
+//     reputation score >= ReputationBook::kAdmit.  Active workers below
+//     ReputationBook::kEvict are evicted at the next boundary.  A pool
+//     slot is used at most once (left/evicted workers never return).
 //
 // Determinism contract: the applied event trace (RunResult::churn_trace)
 // and the whole trajectory are pure functions of (config, seed,
@@ -56,19 +56,16 @@
 namespace dpbyz {
 
 /// Lifecycle of one pool slot.  kUnborn slots are future joiners; the
-/// terminal states (kLeft, kCrashed, kEvicted) are absorbing.
+/// terminal states (kLeft, kEvicted) are absorbing.  The values are
+/// checkpoint words: 4 was the retired crashed state and stays unused.
 enum class WorkerState : uint8_t {
-  kUnborn = 0,
-  kQuarantined,
-  kActive,
-  kLeft,
-  kCrashed,
-  kEvicted,
+  kUnborn = 0, kQuarantined = 1, kActive = 2, kLeft = 3, kEvicted = 5
 };
 
 /// One applied membership event, recorded in epoch order.
 struct ChurnEvent {
-  enum class Kind : uint8_t { kJoin, kLeave, kCrash, kAdmit, kEvict };
+  /// Checkpoint words: 2 was the retired crash event and stays unused.
+  enum class Kind : uint8_t { kJoin = 0, kLeave = 1, kAdmit = 3, kEvict = 4 };
   uint32_t epoch = 0;  ///< 1-based epoch the event opened
   Kind kind = Kind::kJoin;
   uint32_t worker = 0;  ///< pool id
@@ -91,6 +88,9 @@ struct MembershipView {
 
 class MembershipManager {
  public:
+  /// Minimum epochs a joiner is audited in quarantine before admission.
+  static constexpr size_t kQuarantineEpochs = 1;
+
   /// `initial_honest` workers start active (pool ids [0, initial_honest));
   /// the remaining pool slots up to pool_size_for() are future joiners.
   /// `churn_rng` feeds the event draws (derive it from churn_seed).
@@ -98,10 +98,9 @@ class MembershipManager {
                     Rng churn_rng);
 
   /// Worker slots a run of `config` can ever see: the initial roster
-  /// plus one candidate joiner per epoch boundary (capped by
-  /// churn_max_joins when set).  The trainer sizes its worker vector —
-  /// and every per-worker RNG stream — off this, so join events never
-  /// construct state mid-run.
+  /// plus one candidate joiner per epoch boundary.  The trainer sizes
+  /// its worker vector — and every per-worker RNG stream — off this, so
+  /// join events never construct state mid-run.
   static size_t pool_size_for(const ExperimentConfig& config, size_t initial_honest);
 
   size_t pool_size() const { return states_.size(); }
@@ -122,6 +121,8 @@ class MembershipManager {
   const std::vector<ChurnEvent>& trace() const { return trace_; }
 
   /// Checkpoint round trip: roster states, epoch, churn RNG and trace.
+  /// load() rejects by name a state or event kind outside its enum and
+  /// an event worker id outside the pool (std::invalid_argument).
   void save(std::ostream& os) const;
   void load(std::istream& is);
 
@@ -131,8 +132,6 @@ class MembershipManager {
   size_t epoch_rounds_ = 1;
   double join_prob_ = 0.0;
   double leave_prob_ = 0.0;
-  double crash_prob_ = 0.0;
-  size_t quarantine_epochs_ = 1;
   size_t f0_ = 0;  ///< configured Byzantine budget (the cap)
   size_t h0_ = 1;  ///< initial admitted roster size (the ratio anchor)
 

@@ -9,10 +9,6 @@ namespace dpbyz {
 
 ReputationBook::ReputationBook(const ExperimentConfig& config, size_t pool_size)
     : enabled_(config.reputation == "distance"),
-      beta_(config.reputation_beta),
-      outlier_sq_(config.reputation_outlier * config.reputation_outlier),
-      admit_(config.reputation_admit),
-      evict_(config.reputation_evict),
       scores_(pool_size, 0.5) {
   dist_scratch_.reserve(pool_size);
   median_scratch_.reserve(pool_size);
@@ -20,7 +16,7 @@ ReputationBook::ReputationBook(const ExperimentConfig& config, size_t pool_size)
 
 void ReputationBook::update(uint32_t worker, double dist_sq, double threshold) {
   const double verdict = dist_sq <= threshold ? 1.0 : 0.0;
-  scores_[worker] = (1.0 - beta_) * scores_[worker] + beta_ * verdict;
+  scores_[worker] = (1.0 - kBeta) * scores_[worker] + kBeta * verdict;
 }
 
 void ReputationBook::observe_round(const GradientBatch& batch, size_t live_honest,
@@ -43,7 +39,7 @@ void ReputationBook::observe_round(const GradientBatch& batch, size_t live_hones
   const size_t mid = live_honest / 2;  // upper median for even counts
   std::nth_element(median_scratch_.begin(), median_scratch_.begin() + mid,
                    median_scratch_.end());
-  const double threshold = outlier_sq_ * median_scratch_[mid];
+  const double threshold = kOutlier * kOutlier * median_scratch_[mid];
 
   for (size_t k = 0; k < live_honest; ++k)
     update(live_ids[k], dist_scratch_[k], threshold);

@@ -15,17 +15,17 @@
 //
 // Per round, per scored worker i:
 //     d_i^2   = || row_i - aggregate ||^2
-//     inlier  = d_i^2 <= reputation_outlier^2 * median_{j live}(d_j^2)
-//     score_i = (1 - beta) * score_i + beta * [inlier]
+//     inlier  = d_i^2 <= kOutlier^2 * median_{j live}(d_j^2)
+//     score_i = (1 - kBeta) * score_i + kBeta * [inlier]
 //
 // The EMA starts at 0.5 (uncommitted), converges to 1 for workers whose
 // submissions consistently blend into the honest spread and to 0 for
 // persistent outliers.  MembershipManager consumes the scores at epoch
-// boundaries: a quarantined joiner needs score >= reputation_admit after
-// >= quarantine_epochs epochs of auditing; an active worker below
-// reputation_evict is evicted.  Quarantined workers submit every round
-// ("shadow participation": their rows sit behind the aggregated prefix
-// and never influence θ) so the book audits them with the same signal.
+// boundaries: a quarantined joiner needs score >= kAdmit after at least
+// one epoch of auditing; an active worker below kEvict is evicted.
+// Quarantined workers submit every round ("shadow participation": their
+// rows sit behind the aggregated prefix and never influence θ) so the
+// book audits them with the same signal.
 //
 // Determinism: pure arithmetic on the round batch — no RNG, no clocks —
 // so churn runs stay bit-reproducible per (config, seed, churn_seed).
@@ -46,6 +46,11 @@ namespace dpbyz {
 
 class ReputationBook {
  public:
+  static constexpr double kBeta = 0.2;     ///< EMA step toward the round's 0/1 verdict
+  static constexpr double kOutlier = 4.0;  ///< inlier iff d^2 <= kOutlier^2 x median d^2
+  static constexpr double kAdmit = 0.8;    ///< min score for quarantine -> active
+  static constexpr double kEvict = 0.05;   ///< active workers below this are evicted
+
   /// Inert book: enabled() == false, scores stay at the initial 0.5.
   ReputationBook() = default;
 
@@ -74,10 +79,10 @@ class ReputationBook {
 
   /// Threshold verdicts (always permissive when not enabled()).
   bool admits(uint32_t worker) const {
-    return !enabled_ || scores_[worker] >= admit_;
+    return !enabled_ || scores_[worker] >= kAdmit;
   }
   bool evicts(uint32_t worker) const {
-    return enabled_ && scores_[worker] < evict_;
+    return enabled_ && scores_[worker] < kEvict;
   }
 
   /// Reset a slot to the uncommitted 0.5 when its worker joins (a pool
@@ -93,10 +98,6 @@ class ReputationBook {
   void update(uint32_t worker, double dist_sq, double threshold);
 
   bool enabled_ = false;
-  double beta_ = 0.2;
-  double outlier_sq_ = 16.0;  ///< reputation_outlier squared
-  double admit_ = 0.8;
-  double evict_ = 0.05;
   std::vector<double> scores_;
   std::vector<double> dist_scratch_;    ///< per-live-row d^2 this round
   std::vector<double> median_scratch_;  ///< reordered by nth_element

@@ -38,14 +38,13 @@ std::unique_ptr<Aggregator> make_round_aggregator(const ExperimentConfig& config
     net::LinkConfig link;
     const bool framed = config.wire != "off";
     if (framed) {
+      // Chunking and the retransmit limit stay at LinkConfig's defaults.
       link.wire = net::parse_wire_mode(config.wire);
-      link.topk = config.wire_topk;
-      link.chunk_values = config.wire_chunk;
       link.channel_seed = config.channel_seed;
-      link.retransmit_limit = config.channel_retransmit;
       if (config.channel == "lossy")
-        link.channel = {config.channel_drop, config.channel_duplicate,
-                        config.channel_corrupt, config.channel_reorder};
+        link.channel = {.drop = config.channel_drop,
+                        .corrupt = config.channel_corrupt,
+                        .reorder = config.channel_reorder};
     }
     return std::make_unique<HierarchicalAggregator>(
         config.gar, config.shard_merge_gar, rows, f,
@@ -96,7 +95,7 @@ RunResult Trainer::run() {
     else if (config_.data_partition == "contiguous")
       shards = partition_contiguous(train_, active_honest);
     else
-      shards = partition_label_skew(train_, active_honest, config_.label_skew_fraction,
+      shards = partition_label_skew(train_, active_honest, kLabelSkewFraction,
                                     partition_rng);
   }
 

@@ -48,6 +48,10 @@
 
 namespace dpbyz {
 
+/// Majority-class share of each worker's shard under data_partition ==
+/// "label-skew" (partition_label_skew's majority_fraction).
+inline constexpr double kLabelSkewFraction = 0.8;
+
 class Trainer {
  public:
   /// `test` may equal `train` for tasks without a test split (the

@@ -17,9 +17,8 @@
 //     8     4  seq           chunk index within the row, [0, total)
 //    12     4  total         chunks this row was split into
 //    16     4  dim           full row dimension (receiver-side check)
-//    20     4  offset        first coordinate (raw64/int8) or first
-//                            entry index (topk) carried by this chunk
-//    24     4  count         coordinates / entries in this chunk
+//    20     4  offset        first coordinate carried by this chunk
+//    24     4  count         coordinates in this chunk
 //    28     4  payload_bytes
 //    32     8  scale         int8 dequantization scale (0 otherwise)
 //    40     …  payload
@@ -33,9 +32,7 @@
 //   int8  — count bytes; x ≈ q·scale with scale = max|x| / 127 and
 //           q = clamp(round(x / scale), ±127), so the per-coordinate
 //           error is ≤ scale/2 = ‖row‖∞ / 254.
-//   topk  — count (u32 index, f64 value) entries: the k largest-|x|
-//           coordinates exactly (ties broken toward the lower index),
-//           every other coordinate decodes to 0.
+// Mode byte 2 (the retired top-k encoding) and above decode as kMalformed.
 //
 // decode_frame never throws and never reads outside the given span —
 // arbitrary garbage (fuzzed, truncated, bit-flipped) yields a non-kOk
@@ -54,10 +51,12 @@ inline constexpr uint16_t kWireVersion = 1;
 inline constexpr size_t kFrameHeaderBytes = 40;
 /// Header + trailing CRC: the fixed per-frame byte overhead.
 inline constexpr size_t kFrameOverheadBytes = kFrameHeaderBytes + 4;
+/// Coordinates per frame on the trainer's tree edges.
+inline constexpr size_t kDefaultChunkValues = 1024;
 
-enum class WireMode : uint8_t { kRaw64 = 0, kInt8 = 1, kTopK = 2 };
+enum class WireMode : uint8_t { kRaw64 = 0, kInt8 = 1 };
 
-/// Parses "raw64" | "int8" | "topk"; throws std::invalid_argument else.
+/// Parses "raw64" | "int8"; throws std::invalid_argument else.
 WireMode parse_wire_mode(const std::string& name);
 std::string wire_mode_name(WireMode mode);
 
@@ -86,10 +85,9 @@ enum class DecodeStatus : uint8_t {
 /// `frame`; on any non-kOk status `out` is unspecified.
 DecodeStatus decode_frame(std::span<const uint8_t> frame, FrameView& out);
 
-/// Scatters one validated chunk into `row` (`row.size()` must equal
-/// `chunk.dim`; top-k receivers zero the row before the first chunk).
-/// Returns false — without touching `row` — when the chunk's coordinate
-/// range or entry indices do not fit the row (a forged-but-checksummed
+/// Writes one validated chunk into `row` (`row.size()` must equal
+/// `chunk.dim`).  Returns false — without touching `row` — when the
+/// chunk's coordinate range does not fit the row (a forged-but-checksummed
 /// frame cannot over-write).
 bool apply_chunk(const FrameView& chunk, std::span<double> row);
 
@@ -109,14 +107,12 @@ class FrameBuffer {
 };
 
 /// Stateful row encoder: splits one row into `chunk_values` coordinates
-/// (raw64/int8) or entries (topk) per frame.  Scratch (top-k candidate
-/// order, int8 staging) is retained across calls — zero allocations
-/// after warmup at a fixed dimension.
+/// per frame.  The int8 staging buffer is retained across calls — zero
+/// allocations after warmup at a fixed dimension.
 class FrameEncoder {
  public:
-  /// `topk` = entries kept per row in kTopK mode (0 picks dim/10, min 1,
-  /// capped at dim).  Throws std::invalid_argument when chunk_values == 0.
-  FrameEncoder(WireMode mode, size_t chunk_values = 1024, size_t topk = 0);
+  /// Throws std::invalid_argument when chunk_values == 0.
+  FrameEncoder(WireMode mode, size_t chunk_values = kDefaultChunkValues);
 
   /// Encodes `row` as frames appended to `out` (not cleared first).
   /// Returns the number of frames appended (== chunks(row.size())).
@@ -128,7 +124,6 @@ class FrameEncoder {
   size_t bytes_per_row(size_t dim) const;
 
   WireMode mode() const { return mode_; }
-  size_t topk_for(size_t dim) const;
 
  private:
   void emit_frame(uint32_t seq, uint32_t total, uint32_t dim, uint32_t offset,
@@ -137,9 +132,7 @@ class FrameEncoder {
 
   WireMode mode_;
   size_t chunk_values_;
-  size_t topk_;
-  std::vector<uint32_t> order_;    // top-k candidate indices
-  std::vector<uint8_t> payload_;   // staging for int8 / topk payloads
+  std::vector<uint8_t> payload_;  // staging for int8 payloads
 };
 
 }  // namespace dpbyz::net

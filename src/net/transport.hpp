@@ -27,16 +27,18 @@
 
 namespace dpbyz::net {
 
+/// Extra delivery rounds for missing chunks on the trainer's tree edges.
+inline constexpr size_t kDefaultRetransmitLimit = 2;
+
 /// Everything that parameterizes a tree edge: the wire encoding and the
 /// channel behaviour.  A default-constructed LinkConfig is a lossless,
 /// in-order raw64 link (framing + checksums exercised, no faults).
 struct LinkConfig {
   WireMode wire = WireMode::kRaw64;
-  size_t topk = 0;             ///< kTopK entries per row (0 = dim/10)
-  size_t chunk_values = 1024;  ///< coordinates / entries per frame
-  ChannelConfig channel;       ///< all-zero = ideal
-  uint64_t channel_seed = 1;   ///< root of the per-node seed derivation
-  size_t retransmit_limit = 2; ///< extra delivery rounds for missing chunks
+  size_t chunk_values = kDefaultChunkValues;  ///< coordinates per frame
+  ChannelConfig channel;                      ///< all-zero = ideal
+  uint64_t channel_seed = 1;  ///< root of the per-node seed derivation
+  size_t retransmit_limit = kDefaultRetransmitLimit;  ///< extra delivery rounds
 };
 
 class EdgeTransport {
@@ -47,7 +49,7 @@ class EdgeTransport {
 
   /// Transfers `row` into `out` (equal lengths).  Returns true when the
   /// row was fully reassembled — byte-exact under raw64, within the
-  /// documented quantization contract under int8/topk.  Returns false
+  /// documented quantization contract under int8.  Returns false
   /// when chunks were still missing after every retransmission: `out` is
   /// left fully zeroed for the caller's substitution.  Fault and byte
   /// counters accumulate into `stats`.

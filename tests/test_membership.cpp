@@ -8,6 +8,7 @@
 // depth-k churn runs drive the fill thread across epoch barriers.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -65,8 +66,6 @@ void drive(MembershipManager& m, const ExperimentConfig& c) {
 TEST(Membership, PoolSizeCoversOneJoinerPerBoundary) {
   ExperimentConfig c = churn_config();  // 40 steps, E = 5: boundaries 5..35
   EXPECT_EQ(MembershipManager::pool_size_for(c, 6), 6u + 7u);
-  c.churn_max_joins = 3;
-  EXPECT_EQ(MembershipManager::pool_size_for(c, 6), 6u + 3u);
   c.churn = "off";
   EXPECT_EQ(MembershipManager::pool_size_for(c, 6), 6u);
 }
@@ -93,7 +92,6 @@ TEST(Membership, QuarantineIsTimeGatedAndTerminalStatesAbsorb) {
   c.churn_epoch_rounds = 10;
   c.churn_join_prob = 1.0;  // a joiner every boundary until the pool runs out
   c.churn_leave_prob = 0.3;
-  c.quarantine_epochs = 2;
   ExperimentConfig off = c;
   off.reputation = "off";
 
@@ -107,22 +105,22 @@ TEST(Membership, QuarantineIsTimeGatedAndTerminalStatesAbsorb) {
       if (ev.epoch != epoch) continue;
       if (ev.kind == ChurnEvent::Kind::kJoin) quarantined_since[ev.worker] = ev.epoch;
       // With reputation off, admission is purely time-based: never
-      // before quarantine_epochs full epochs of auditing.
+      // before kQuarantineEpochs full epochs of auditing.
       if (ev.kind == ChurnEvent::Kind::kAdmit) {
-        EXPECT_GE(ev.epoch - quarantined_since[ev.worker], c.quarantine_epochs);
+        EXPECT_GE(ev.epoch - quarantined_since[ev.worker],
+                  MembershipManager::kQuarantineEpochs);
       }
     }
   }
   // Terminal states absorb: no event may name a worker that already
-  // left/crashed/was evicted, and pool slots are never reused.
+  // left or was evicted, and pool slots are never reused.
   std::vector<bool> dead(m.pool_size(), false);
   std::vector<size_t> joins(m.pool_size(), 0);
   for (const ChurnEvent& ev : m.trace()) {
     EXPECT_FALSE(dead[ev.worker])
         << churn_kind_name(ev.kind) << " after terminal state, worker " << ev.worker;
     if (ev.kind == ChurnEvent::Kind::kJoin) joins[ev.worker]++;
-    if (ev.kind == ChurnEvent::Kind::kLeave || ev.kind == ChurnEvent::Kind::kCrash ||
-        ev.kind == ChurnEvent::Kind::kEvict)
+    if (ev.kind == ChurnEvent::Kind::kLeave || ev.kind == ChurnEvent::Kind::kEvict)
       dead[ev.worker] = true;
   }
   for (size_t w = 0; w < m.pool_size(); ++w) EXPECT_LE(joins[w], 1u);
@@ -189,13 +187,41 @@ TEST(Membership, SaveLoadRoundTripsRosterRngAndTrace) {
     b.advance(t, rep);
   }
   EXPECT_EQ(b.trace(), a.trace());
+
+  // Hostile words in an intact record are rejected by name.  The blob
+  // opens with epoch, next_join, the pool size and slot 0's state, and
+  // ends with the last event's (epoch, kind, worker).
+  std::ostringstream os;
+  a.save(os);
+  const std::string blob = os.str();
+  ASSERT_FALSE(a.trace().empty());
+  const size_t state0 = 3 * 8, kind = blob.size() - 16, worker = blob.size() - 8;
+  const auto load_with = [&](size_t offset, uint64_t word) -> std::string {
+    std::string bytes = blob;
+    std::memcpy(bytes.data() + offset, &word, sizeof word);  // codec words are LE
+    std::istringstream is(bytes);
+    MembershipManager m(c, 6, Rng(0));
+    try {
+      m.load(is);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "loaded";
+  };
+  for (const uint64_t state : {4u, 6u, 1u << 8})  // 4 was the retired crashed state
+    EXPECT_NE(load_with(state0, state).find("worker state"), std::string::npos) << state;
+  for (const uint64_t k : {2u, 5u, 1u << 8})  // 2 was the retired crash event
+    EXPECT_NE(load_with(kind, k).find("event kind"), std::string::npos) << k;
+  EXPECT_NE(load_with(worker, a.pool_size()).find("outside the pool"), std::string::npos);
+  EXPECT_EQ(load_with(worker, a.pool_size() - 1), "loaded");
 }
 
 // ---- reputation gate ------------------------------------------------------
 
 TEST(Membership, ReputationScoresInliersUpAndOutliersDown) {
-  ExperimentConfig c = churn_config();
-  c.reputation_outlier = 2.0;
+  // Live d^2 = 0.5 for every row; the shadow row's d^2 = 4900.5 is far
+  // past the inlier bar kOutlier^2 x 0.5 = 8.
+  const ExperimentConfig c = churn_config();
   ReputationBook rep(c, 4);
   ASSERT_TRUE(rep.enabled());
 
@@ -323,8 +349,7 @@ TEST(MembershipTraining, RoundRowsTrackTheRosterAcrossEpochs) {
   for (const ChurnEvent& ev : r.churn_trace) {
     while (h_of_epoch.size() <= ev.epoch) h_of_epoch.push_back(h);
     if (ev.kind == ChurnEvent::Kind::kAdmit) ++h;
-    if (ev.kind == ChurnEvent::Kind::kLeave || ev.kind == ChurnEvent::Kind::kCrash ||
-        ev.kind == ChurnEvent::Kind::kEvict)
+    if (ev.kind == ChurnEvent::Kind::kLeave || ev.kind == ChurnEvent::Kind::kEvict)
       --h;
     h_of_epoch.back() = h;
   }

@@ -1,9 +1,10 @@
 // Tests for src/net/: frame round trips (raw64 byte-exact on every
-// GradientBatch view row, int8/topk within their documented contracts),
-// checksum rejection of every byte flip, a fuzz sweep over mutated
-// frames (never crash, never over-read — the ASAN CI leg runs this
-// file), the seeded channel's fault properties, and the edge transport's
-// reassembly / retransmit / zero-substitution behaviour.
+// GradientBatch view row, int8 within its documented contract),
+// checksum rejection of every byte flip, rejection of retired wire-mode
+// bytes, a fuzz sweep over mutated frames (never crash, never over-read
+// — the ASAN CI leg runs this file), the seeded channel's fault
+// properties, and the edge transport's reassembly / retransmit /
+// zero-substitution behaviour.
 #include "net/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "math/vector_ops.hpp"
 #include "net/channel.hpp"
 #include "net/frame.hpp"
+#include "utils/codec.hpp"
 
 namespace dpbyz {
 namespace {
@@ -122,33 +124,12 @@ TEST(Frame, Int8ZeroRowStaysZero) {
   EXPECT_EQ(round_trip(enc, row), row);
 }
 
-TEST(Frame, TopKKeepsTheLargestCoordinatesExactly) {
-  Vector row(50, 0.01);
-  row[3] = -9.0;
-  row[17] = 5.5;
-  row[31] = 7.25;
-  row[49] = -6.125;
-  FrameEncoder enc(WireMode::kTopK, /*chunk_values=*/3, /*topk=*/4);
-  const Vector out = round_trip(enc, row);
-  EXPECT_EQ(out[3], -9.0);     // exact — values travel as raw doubles
-  EXPECT_EQ(out[17], 5.5);
-  EXPECT_EQ(out[31], 7.25);
-  EXPECT_EQ(out[49], -6.125);
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (i != 3 && i != 17 && i != 31 && i != 49) {
-      EXPECT_EQ(out[i], 0.0) << "coordinate " << i;
-    }
-  }
-}
-
 TEST(Frame, BytesPerRowAccountsOverheadPerMode) {
   FrameEncoder raw(WireMode::kRaw64, 1024);
   FrameEncoder int8(WireMode::kInt8, 1024);
-  FrameEncoder topk(WireMode::kTopK, 1024, 100);
   const size_t d = 1000;
   EXPECT_EQ(raw.bytes_per_row(d), d * 8 + net::kFrameOverheadBytes);
   EXPECT_EQ(int8.bytes_per_row(d), d + net::kFrameOverheadBytes);
-  EXPECT_EQ(topk.bytes_per_row(d), 100 * 12 + net::kFrameOverheadBytes);
   EXPECT_LT(int8.bytes_per_row(d), raw.bytes_per_row(d) / 7);
 }
 
@@ -188,16 +169,41 @@ TEST(Frame, TruncationAndGarbageAreRejectedWithoutReadingPast) {
   EXPECT_NE(net::decode_frame(std::span<const uint8_t>{}, chunk), DecodeStatus::kOk);
 }
 
+TEST(Frame, RetiredAndUnknownModeBytesAreMalformed) {
+  // A checksummed frame whose mode byte names no live encoding — 2 was
+  // the retired top-k mode — passes the CRC and is rejected as malformed.
+  // The count is set to what a top-k frame of this payload carried (8
+  // entries of u32 index + f64 value in 96 bytes), so only the mode byte
+  // is wrong.
+  const Vector row = random_row(12, 19);
+  FrameEncoder enc(WireMode::kRaw64, 16);
+  FrameBuffer frames;
+  enc.encode_row(row, frames);
+  const std::span<const uint8_t> good = frames.frame(0);
+  for (const uint8_t mode : {uint8_t{2}, uint8_t{3}, uint8_t{0xFF}}) {
+    std::vector<uint8_t> forged(good.begin(), good.end());
+    forged[6] = mode;
+    const uint32_t entries = 8;
+    std::memcpy(forged.data() + 24, &entries, sizeof entries);
+    const size_t framed = forged.size() - 4;
+    const uint32_t crc = codec::crc32(std::span<const uint8_t>(forged.data(), framed));
+    std::memcpy(forged.data() + framed, &crc, sizeof crc);
+    FrameView chunk;
+    EXPECT_EQ(net::decode_frame(forged, chunk), DecodeStatus::kMalformed)
+        << "mode byte " << int(mode);
+  }
+}
+
 TEST(WireFuzz, MutatedFramesNeverCrashOrOverRead) {
   // Seeded fuzz: random byte flips, truncations and extensions over
   // valid frames of every mode.  The invariant is memory safety (ASAN
   // watches this file in CI) plus: whatever still decodes kOk must
   // apply_chunk without writing outside a correctly-sized row.
   Rng rng(2024);
-  for (const WireMode mode : {WireMode::kRaw64, WireMode::kInt8, WireMode::kTopK}) {
+  for (const WireMode mode : {WireMode::kRaw64, WireMode::kInt8}) {
     const size_t d = 64;
     const Vector row = random_row(d, 99);
-    FrameEncoder enc(mode, /*chunk_values=*/19, /*topk=*/13);
+    FrameEncoder enc(mode, /*chunk_values=*/19);
     FrameBuffer frames;
     enc.encode_row(row, frames);
     std::vector<uint8_t> mutated;

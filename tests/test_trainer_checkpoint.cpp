@@ -121,6 +121,48 @@ TEST(TrainerCheckpoint, SignatureCoversTrajectoryShapingKnobs) {
   EXPECT_TRUE(differs([](ExperimentConfig& m) { m.checkpoint_every = 7; }));
 }
 
+TEST(TrainerCheckpoint, SignatureBytesArePinned) {
+  // Keys of knobs that became constants (topk, chunk, cdup, cretx, cc,
+  // cm, rb, ro, ra, re, qe, skew) still print their old values, so older
+  // checkpoints and campaign manifests keep matching.
+  EXPECT_EQ(checkpoint_signature(ExperimentConfig{}),
+            "ckpt-v1;n=11;f=5;b=50;lr=4611686018427387904;sched=constant;mom=4607092346807469998;"
+            "clip=4576918229304087675;clip_on=1;eval=50;drop=0;wmom=0;part=shared;"
+            "skew=4605380978949069210;depth=0;live=full;lp=4606281698874543309;ns=0;sp=2;dp=0;"
+            "mech=gaussian;eps=4596373779694328218;delta=4517329193108106637;gar=mda;prune=off;"
+            "merge=median;tl=0;tb=0;wire=off;topk=0;chunk=1024;chan=off;cdrop=0;cdup=0;ccor=0;"
+            "creo=0;cseed=1;cretx=2;atk=0;atkname=little;nu=9221120237041090560;probes=8;budget=0;"
+            "obs=clean;churn=off;ce=50;cs=1;cj=4602678819172646912;cl=4591870180066957722;cc=0;"
+            "cm=0;rep=distance;rb=4596373779694328218;ro=4616189618054758400;"
+            "ra=4605380978949069210;re=4587366580439587226;qe=1;ck=0;seed=1");
+  ExperimentConfig c;
+  c.data_partition = "label-skew";
+  c.tree_levels = 2;
+  c.tree_branch = 8;
+  c.wire = "int8";
+  c.channel = "lossy";
+  c.channel_drop = 0.05;
+  c.channel_corrupt = 0.01;
+  c.channel_reorder = 0.1;
+  c.channel_seed = 7;
+  c.churn = "epoch";
+  c.churn_epoch_rounds = 20;
+  c.churn_seed = 3;
+  c.churn_join_prob = 0.7;
+  c.churn_leave_prob = 0.05;
+  EXPECT_EQ(checkpoint_signature(c),
+            "ckpt-v1;n=11;f=5;b=50;lr=4611686018427387904;sched=constant;mom=4607092346807469998;"
+            "clip=4576918229304087675;clip_on=1;eval=50;drop=0;wmom=0;part=label-skew;"
+            "skew=4605380978949069210;depth=0;live=full;lp=4606281698874543309;ns=0;sp=2;dp=0;"
+            "mech=gaussian;eps=4596373779694328218;delta=4517329193108106637;gar=mda;prune=off;"
+            "merge=median;tl=2;tb=8;wire=int8;topk=0;chunk=1024;chan=lossy;"
+            "cdrop=4587366580439587226;cdup=0;ccor=4576918229304087675;creo=4591870180066957722;"
+            "cseed=7;cretx=2;atk=0;atkname=little;nu=9221120237041090560;probes=8;budget=0;"
+            "obs=clean;churn=epoch;ce=20;cs=3;cj=4604480259023595110;cl=4587366580439587226;cc=0;"
+            "cm=0;rep=distance;rb=4596373779694328218;ro=4616189618054758400;"
+            "ra=4605380978949069210;re=4587366580439587226;qe=1;ck=0;seed=1");
+}
+
 // ---- file format ----------------------------------------------------------
 
 TEST(TrainerCheckpoint, FileRoundTripsAllFields) {
