@@ -69,10 +69,9 @@ int main() {
         a.topology = "flat";
         a.channel = "off";
         a.churn = "off";
-        a.prune = "off";
         a.seeds = seeds;
         a.id = gar + "/" + attack + "/eps=" + campaign::format_metric(a.eps) +
-               "/full/flat/off/off/prune=off";
+               "/full/flat/off/off";
         a.final_acc_mean = acc.mean;
         a.final_acc_std = acc.stddev;
         a.final_loss_mean = loss.mean;

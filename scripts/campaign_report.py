@@ -27,12 +27,12 @@ from pathlib import Path
 
 HEADER = [
     "cell", "id", "gar", "attack", "eps", "participation", "topology",
-    "channel", "churn", "prune", "seeds", "skip_reason", "final_acc_mean",
+    "channel", "churn", "seeds", "skip_reason", "final_acc_mean",
     "final_acc_std", "final_loss_mean", "final_loss_std", "min_loss_mean",
     "mi_auc", "inv_rel_error", "inv_label_acc",
 ]
 AXES = ["gar", "attack", "eps", "participation", "topology", "channel",
-        "churn", "prune"]
+        "churn"]
 METRIC_STRINGS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
 
@@ -110,7 +110,7 @@ def summary_section(rows, path):
 
 def metric_tables(rows, metric, title, note):
     """One GAR x attack table per (eps, secondary-axis combination): when
-    the grid also sweeps participation/topology/channel/churn/prune, each
+    the grid also sweeps participation/topology/channel/churn, each
     combination gets its own table rather than being silently collapsed
     into one cell."""
     out = [f"## {title}", "", note, ""]

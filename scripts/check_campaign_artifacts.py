@@ -31,7 +31,7 @@ from pathlib import Path
 
 HEADER = [
     "cell", "id", "gar", "attack", "eps", "participation", "topology",
-    "channel", "churn", "prune", "seeds", "skip_reason", "final_acc_mean",
+    "channel", "churn", "seeds", "skip_reason", "final_acc_mean",
     "final_acc_std", "final_loss_mean", "final_loss_std", "min_loss_mean",
     "mi_auc", "inv_rel_error", "inv_label_acc",
 ]

@@ -65,24 +65,9 @@ void Aggregator::validate_inputs(std::span<const Vector> gradients) const {
   }
 }
 
-PruneMode parse_prune_mode(const std::string& s) {
-  if (s == "off" || s == "exact") return PruneMode::kOff;
-  if (s == "approx") return PruneMode::kApprox;
-  throw std::invalid_argument("prune must be off|exact|approx, got '" + s + "'");
-}
-
-const char* prune_mode_name(PruneMode mode) {
-  return mode == PruneMode::kApprox ? "approx" : "off";
-}
-
-void fill_dist_sq(const GradientBatch& batch, PruneMode prune, AggregatorWorkspace& ws) {
+void fill_dist_sq(const GradientBatch& batch, AggregatorWorkspace& ws) {
   ws.dist_sq.resize(batch.rows() * batch.rows());
-  if (prune == PruneMode::kApprox) {
-    ws.sketch.compute(batch);
-    ws.sketch.fill_dist_sq(ws.dist_sq);
-  } else {
-    pairwise_dist_sq(batch, ws.dist_sq, ws.threads);
-  }
+  pairwise_dist_sq(batch, ws.dist_sq, ws.threads);
 }
 
 std::vector<std::string> aggregator_names() {
@@ -91,16 +76,15 @@ std::vector<std::string> aggregator_names() {
           "cge",     "geometric-median"};
 }
 
-std::unique_ptr<Aggregator> make_aggregator(const std::string& name, size_t n, size_t f,
-                                            PruneMode prune) {
+std::unique_ptr<Aggregator> make_aggregator(const std::string& name, size_t n, size_t f) {
   if (name == "average") return std::make_unique<Average>(n, f);
-  if (name == "krum") return std::make_unique<Krum>(n, f, prune);
-  if (name == "multi-krum") return std::make_unique<MultiKrum>(n, f, prune);
-  if (name == "mda") return std::make_unique<Mda>(n, f, prune);
-  if (name == "mda_greedy") return std::make_unique<MdaGreedy>(n, f, prune);
+  if (name == "krum") return std::make_unique<Krum>(n, f);
+  if (name == "multi-krum") return std::make_unique<MultiKrum>(n, f);
+  if (name == "mda") return std::make_unique<Mda>(n, f);
+  if (name == "mda_greedy") return std::make_unique<MdaGreedy>(n, f);
   if (name == "median") return std::make_unique<CoordinateMedian>(n, f);
   if (name == "trimmed-mean") return std::make_unique<TrimmedMean>(n, f);
-  if (name == "bulyan") return std::make_unique<Bulyan>(n, f, prune);
+  if (name == "bulyan") return std::make_unique<Bulyan>(n, f);
   if (name == "meamed") return std::make_unique<Meamed>(n, f);
   if (name == "phocas") return std::make_unique<Phocas>(n, f);
   if (name == "cge") return std::make_unique<Cge>(n, f);

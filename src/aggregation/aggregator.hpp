@@ -98,24 +98,10 @@ class Aggregator {
   size_t f_;
 };
 
-/// The ExperimentConfig::prune knob, parsed: where the selection GARs
-/// (krum, multi-krum, mda, mda_greedy, bulyan) get pairwise distances.
-enum class PruneMode {
-  kOff,     ///< exact pairwise_dist_sq matrix (default; golden-pinned)
-  kApprox,  ///< JL sketch distances replace it (measured envelope)
-};
-
-/// Parse "off" / "approx"; "exact" is accepted as a spelling of "off".
-/// Throws std::invalid_argument otherwise.
-PruneMode parse_prune_mode(const std::string& s);
-
-/// Canonical name of a mode ("off" / "approx").
-const char* prune_mode_name(PruneMode mode);
-
 /// The selection GARs' one source of pairwise distances: fill ws.dist_sq
-/// (n×n, row-major) with exact squared distances under kOff (computed at
-/// ws.threads width), or with ws.sketch's JL estimates under kApprox.
-void fill_dist_sq(const GradientBatch& batch, PruneMode prune, AggregatorWorkspace& ws);
+/// (n×n, row-major) with the exact squared distances, computed at
+/// ws.threads width.
+void fill_dist_sq(const GradientBatch& batch, AggregatorWorkspace& ws);
 
 /// Names accepted by make_aggregator.
 std::vector<std::string> aggregator_names();
@@ -125,11 +111,8 @@ std::vector<std::string> aggregator_names();
 /// "cge", "geometric-median"} — the list aggregator_names() returns, catalogued
 /// with budgets/complexities/citations in docs/AGGREGATORS.md.  Throws
 /// std::invalid_argument for unknown names or inadmissible (n, f).
-/// `prune` selects where the selection GARs get distances (fill_dist_sq);
-/// the other rules consume no pairwise distances and ignore it.
 /// (The HierarchicalAggregator tree is constructed directly — it needs
 /// inner/merge names, levels and a branch; see aggregation/hierarchical.hpp.)
-std::unique_ptr<Aggregator> make_aggregator(const std::string& name, size_t n, size_t f,
-                                            PruneMode prune = PruneMode::kOff);
+std::unique_ptr<Aggregator> make_aggregator(const std::string& name, size_t n, size_t f);
 
 }  // namespace dpbyz

@@ -11,7 +11,7 @@
 
 namespace dpbyz {
 
-Bulyan::Bulyan(size_t n, size_t f, PruneMode prune) : Aggregator(n, f), prune_(prune) {
+Bulyan::Bulyan(size_t n, size_t f) : Aggregator(n, f) {
   require(n >= 4 * f + 3, "Bulyan: requires n >= 4f + 3");
 }
 
@@ -22,7 +22,7 @@ void Bulyan::select_indices_view(const GradientBatch& batch, AggregatorWorkspace
   // One distance matrix for the whole selection: every inner Krum round
   // rescores the surviving pool from it instead of recomputing O(n²d)
   // distances over copied vectors.
-  fill_dist_sq(batch, prune_, ws);
+  fill_dist_sq(batch, ws);
 
   ws.active.resize(count);
   std::iota(ws.active.begin(), ws.active.end(), size_t{0});

@@ -23,7 +23,7 @@ namespace dpbyz {
 
 class Bulyan final : public Aggregator {
  public:
-  Bulyan(size_t n, size_t f, PruneMode prune = PruneMode::kOff);
+  Bulyan(size_t n, size_t f);
 
   std::string name() const override { return "bulyan"; }
   double vn_threshold() const override;
@@ -37,9 +37,6 @@ class Bulyan final : public Aggregator {
 
  protected:
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
-
- private:
-  PruneMode prune_;
 };
 
 }  // namespace dpbyz

@@ -37,15 +37,14 @@ uint64_t child_seed(uint64_t parent_seed, size_t b) {
 HierarchicalAggregator::HierarchicalAggregator(const std::string& inner,
                                                const std::string& merge, size_t n,
                                                size_t f, size_t levels, size_t branch,
-                                               size_t threads, PruneMode prune,
-                                               const net::LinkConfig* link)
-    : HierarchicalAggregator(inner, merge, n, f, levels, branch, threads, prune, link,
+                                               size_t threads, const net::LinkConfig* link)
+    : HierarchicalAggregator(inner, merge, n, f, levels, branch, threads, link,
                              link != nullptr ? link->channel_seed : 0, "root") {}
 
 HierarchicalAggregator::HierarchicalAggregator(
     const std::string& inner, const std::string& merge, size_t n, size_t f,
-    size_t levels, size_t branch, size_t threads, PruneMode prune,
-    const net::LinkConfig* link, uint64_t node_seed, const std::string& node_path)
+    size_t levels, size_t branch, size_t threads, const net::LinkConfig* link,
+    uint64_t node_seed, const std::string& node_path)
     : Aggregator(n, f),
       levels_(levels),
       branch_(branch),
@@ -80,12 +79,12 @@ HierarchicalAggregator::HierarchicalAggregator(
         ", B=" + std::to_string(branch) + "))";
     if (levels_ == 1) {
       children_.push_back(with_budget_context(
-          context, [&] { return make_aggregator(inner, hi - lo, child_f_, prune); }));
+          context, [&] { return make_aggregator(inner, hi - lo, child_f_); }));
     } else {
       auto sub = with_budget_context(context, [&] {
         return std::unique_ptr<HierarchicalAggregator>(new HierarchicalAggregator(
-            inner, merge, hi - lo, child_f_, levels_ - 1, branch_, threads_, prune,
-            link, child_seed(node_seed, b), node_path_ + "." + std::to_string(b)));
+            inner, merge, hi - lo, child_f_, levels_ - 1, branch_, threads_, link,
+            child_seed(node_seed, b), node_path_ + "." + std::to_string(b)));
       });
       tree_children_.push_back(sub.get());
       children_.push_back(std::move(sub));
@@ -99,7 +98,7 @@ HierarchicalAggregator::HierarchicalAggregator(
       std::to_string(n) + ", f=" + std::to_string(f) + "), f_child " +
       std::to_string(child_f_) + ")";
   merge_ = with_budget_context(
-      merge_context, [&] { return make_aggregator(merge, branch_, merge_f_, prune); });
+      merge_context, [&] { return make_aggregator(merge, branch_, merge_f_); });
 
   // See weighted_merge(): at deeper levels the test is local (this
   // node's own n % B), and a weighted-average node composes with

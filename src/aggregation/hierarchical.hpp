@@ -58,16 +58,15 @@ class HierarchicalAggregator final : public Aggregator {
   /// make_aggregator names); `threads` is the top-level child dispatch
   /// width (0 = hardware concurrency; nested levels run serially inside
   /// their task, and every child workspace keeps the serial pairwise
-  /// budget); `prune` is forwarded to every stage factory.  `link` !=
-  /// nullptr puts the framed wire + simulated channel on every edge (the
-  /// config is copied).  Throws std::invalid_argument when levels or
-  /// branch is 0, when branch^levels exceeds n (an empty leaf), or when
-  /// any level's stage is inadmissible at its derived budget — the
-  /// message names the failing node's path and derived (count, f) pair.
+  /// budget).  `link` != nullptr puts the framed wire + simulated
+  /// channel on every edge (the config is copied).  Throws
+  /// std::invalid_argument when levels or branch is 0, when branch^levels
+  /// exceeds n (an empty leaf), or when any level's stage is inadmissible
+  /// at its derived budget — the message names the failing node's path
+  /// and derived (count, f) pair.
   HierarchicalAggregator(const std::string& inner, const std::string& merge,
                          size_t n, size_t f, size_t levels, size_t branch,
-                         size_t threads = 1, PruneMode prune = PruneMode::kOff,
-                         const net::LinkConfig* link = nullptr);
+                         size_t threads = 1, const net::LinkConfig* link = nullptr);
 
   std::string name() const override;
 
@@ -115,8 +114,7 @@ class HierarchicalAggregator final : public Aggregator {
  private:
   HierarchicalAggregator(const std::string& inner, const std::string& merge,
                          size_t n, size_t f, size_t levels, size_t branch,
-                         size_t threads, PruneMode prune,
-                         const net::LinkConfig* link, uint64_t node_seed,
+                         size_t threads, const net::LinkConfig* link, uint64_t node_seed,
                          const std::string& node_path);
 
   size_t levels_;

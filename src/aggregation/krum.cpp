@@ -29,7 +29,7 @@ double nearest_neighbour_sum(std::vector<double>& row, size_t len, size_t neighb
 
 }  // namespace
 
-Krum::Krum(size_t n, size_t f, PruneMode prune) : Aggregator(n, f), prune_(prune) {
+Krum::Krum(size_t n, size_t f) : Aggregator(n, f) {
   require(n >= 2 * f + 3, "Krum: requires n >= 2f + 3");
 }
 
@@ -75,11 +75,6 @@ void krum_scores_from_matrix(std::span<const double> dist_sq, size_t stride,
   }
 }
 
-std::vector<double> Krum::scores(std::span<const Vector> gradients) const {
-  validate_inputs(gradients);
-  return krum_scores(gradients, f());
-}
-
 size_t krum_argmin(std::span<const Vector> gradients, const std::vector<double>& scores) {
   require(gradients.size() == scores.size(), "krum_argmin: size mismatch");
   size_t best = 0;
@@ -106,13 +101,9 @@ size_t krum_argmin_view(const GradientBatch& batch, std::span<const size_t> acti
   return best;
 }
 
-size_t Krum::select(std::span<const Vector> gradients) const {
-  return krum_argmin(gradients, scores(gradients));
-}
-
 size_t Krum::score_batch(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   const size_t count = batch.rows();
-  fill_dist_sq(batch, prune_, ws);
+  fill_dist_sq(batch, ws);
   ws.active.resize(count);
   std::iota(ws.active.begin(), ws.active.end(), size_t{0});
   ws.scores.resize(count);
@@ -128,7 +119,7 @@ void Krum::aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) c
 
 double Krum::vn_threshold() const { return kf::krum(n(), f()); }
 
-MultiKrum::MultiKrum(size_t n, size_t f, PruneMode prune) : Krum(n, f, prune) {}
+MultiKrum::MultiKrum(size_t n, size_t f) : Krum(n, f) {}
 
 void MultiKrum::aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   const size_t m = n() - f();

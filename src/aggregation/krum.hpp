@@ -54,35 +54,23 @@ size_t krum_argmin_view(const GradientBatch& batch, std::span<const size_t> acti
 
 class Krum : public Aggregator {
  public:
-  Krum(size_t n, size_t f, PruneMode prune = PruneMode::kOff);
+  Krum(size_t n, size_t f);
 
   std::string name() const override { return "krum"; }
   double vn_threshold() const override;
-
-  /// Krum scores for each input (sum of sq. distances to the n-f-2
-  /// nearest neighbours); exposed for tests and for Bulyan's selection.
-  std::vector<double> scores(std::span<const Vector> gradients) const;
-
-  /// Index of the winning (minimum-score) gradient.
-  size_t select(std::span<const Vector> gradients) const;
 
  protected:
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
 
   /// Fill ws.dist_sq / ws.active / ws.scores for the full batch and
   /// return the number of gradients (shared by Krum and Multi-Krum).
-  /// The matrix comes from fill_dist_sq, so under prune=approx its
-  /// entries are JL sketch distances; everything downstream is unchanged.
   size_t score_batch(const GradientBatch& batch, AggregatorWorkspace& ws) const;
-
- private:
-  PruneMode prune_;
 };
 
 /// Multi-Krum: average of the m = n - f smallest-score gradients.
 class MultiKrum final : public Krum {
  public:
-  MultiKrum(size_t n, size_t f, PruneMode prune = PruneMode::kOff);
+  MultiKrum(size_t n, size_t f);
 
   std::string name() const override { return "multi-krum"; }
 

@@ -19,7 +19,7 @@ double Mda::subset_count(size_t n, size_t f) {
   return c;
 }
 
-Mda::Mda(size_t n, size_t f, PruneMode prune) : Aggregator(n, f), prune_(prune) {
+Mda::Mda(size_t n, size_t f) : Aggregator(n, f) {
   require(f >= 1, "Mda: requires f >= 1 (use Average when f = 0)");
   require(n >= 2 * f + 1, "Mda: requires n >= 2f + 1");
   require(subset_count(n, f) <= kMaxSubsets,
@@ -79,7 +79,7 @@ struct SubsetSearch {
 
 void Mda::select_subset_view(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   const size_t count = batch.rows();
-  fill_dist_sq(batch, prune_, ws);
+  fill_dist_sq(batch, ws);
   // Square-root in place: the search must compare the exact doubles the
   // seed implementation compared (see SubsetSearch).  MDA owns the
   // matrix for the rest of this call, so clobbering it is fine.
@@ -108,8 +108,8 @@ double Mda::vn_threshold() const { return kf::mda(n(), f()); }
 
 // ---- MdaGreedy ------------------------------------------------------------
 
-MdaGreedy::MdaGreedy(size_t n, size_t f, PruneMode prune)
-    : Aggregator(n, f), prune_(prune) {
+MdaGreedy::MdaGreedy(size_t n, size_t f)
+    : Aggregator(n, f) {
   require(f >= 1, "MdaGreedy: requires f >= 1 (use Average when f = 0)");
   require(n >= 2 * f + 1, "MdaGreedy: requires n >= 2f + 1");
 }
@@ -129,7 +129,7 @@ void MdaGreedy::select_subset_view(const GradientBatch& batch,
   const size_t d = batch.dim();
   const size_t target = count - f();
 
-  fill_dist_sq(batch, prune_, ws);
+  fill_dist_sq(batch, ws);
   for (double& x : ws.dist_sq) x = std::sqrt(x);
 
   // Seed: distance of every row to the coordinate-wise median, computed

@@ -30,7 +30,7 @@ namespace dpbyz {
 class Mda final : public Aggregator {
  public:
   /// Requires 1 <= f and n >= 2f + 1, and C(n, f) within the search cap.
-  Mda(size_t n, size_t f, PruneMode prune = PruneMode::kOff);
+  Mda(size_t n, size_t f);
 
   std::string name() const override { return "mda"; }
   double vn_threshold() const override;
@@ -50,9 +50,6 @@ class Mda final : public Aggregator {
 
  protected:
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
-
- private:
-  PruneMode prune_;
 };
 
 /// Greedy/approximate MDA for committee sizes beyond the exact search's
@@ -78,7 +75,7 @@ class Mda final : public Aggregator {
 class MdaGreedy final : public Aggregator {
  public:
   /// Requires 1 <= f and n >= 2f + 1 (no subset-count cap).
-  MdaGreedy(size_t n, size_t f, PruneMode prune = PruneMode::kOff);
+  MdaGreedy(size_t n, size_t f);
 
   std::string name() const override { return "mda_greedy"; }
 
@@ -94,9 +91,6 @@ class MdaGreedy final : public Aggregator {
 
  protected:
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
-
- private:
-  PruneMode prune_;
 };
 
 }  // namespace dpbyz

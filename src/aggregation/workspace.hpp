@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "math/sketch.hpp"
 #include "math/vector_ops.hpp"
 
 namespace dpbyz {
@@ -60,10 +59,6 @@ struct AggregatorWorkspace {
   Vector output;
   /// Length-d vector scratch (Weiszfeld numerator).
   Vector scratch_d;
-  /// JL sketch behind prune=approx distances (see fill_dist_sq in
-  /// aggregator.hpp).  Its buffers are sized by sketch.compute(), NOT by
-  /// reserve() below, so prune=off aggregations never pay for them.
-  BatchSketch sketch;
 
   /// Grow every buffer's capacity to what an (n, d) aggregation can need.
   /// Never shrinks; calling again with smaller extents is a no-op.

@@ -39,7 +39,7 @@ const Aggregator* ShadowProbe::shadow_for(size_t n_round, size_t f) const {
   if (it == shadows_.end()) {
     std::unique_ptr<Aggregator> built;
     try {
-      built = make_aggregator(spec_.gar, n_round, f, parse_prune_mode(spec_.prune));
+      built = make_aggregator(spec_.gar, n_round, f);
     } catch (const std::invalid_argument&) {
       // Inadmissible (n_round, f) for the shadow rule (e.g. krum at
       // n < 2f + 3): the adversary cannot simulate the defense and falls

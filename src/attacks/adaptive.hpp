@@ -60,10 +60,10 @@
 namespace dpbyz {
 
 /// What the adaptive adversary knows about the defense, plus its compute
-/// knobs (ExperimentConfig::{gar, prune, adapt_probes, adapt_budget}).
+/// knobs (ExperimentConfig::{gar, adapt_probes, adapt_budget}).
 struct AdaptiveSpec {
   std::string gar = "mda";    ///< server rule to shadow (make_aggregator name)
-  std::string prune = "off";  ///< the shadow's prune mode (match the server)
+  std::string prune = "off";  ///< read by nothing (ExperimentConfig::prune)
   size_t probes = 8;          ///< line-search / bisection iterations per round
   size_t budget = 0;          ///< total shadow-GAR evaluations allowed (0 = unlimited)
 };

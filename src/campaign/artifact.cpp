@@ -47,16 +47,16 @@ std::string sanitize_field(std::string s) {
 
 const std::vector<std::string>& csv_header() {
   static const std::vector<std::string> header{
-      "cell",            "id",
-      "gar",             "attack",
-      "eps",             "participation",
-      "topology",        "channel",
-      "churn",           "prune",
-      "seeds",           "skip_reason",
-      "final_acc_mean",  "final_acc_std",
-      "final_loss_mean", "final_loss_std",
-      "min_loss_mean",   "mi_auc",
-      "inv_rel_error",   "inv_label_acc"};
+      "cell",           "id",
+      "gar",            "attack",
+      "eps",            "participation",
+      "topology",       "channel",
+      "churn",          "seeds",
+      "skip_reason",    "final_acc_mean",
+      "final_acc_std",  "final_loss_mean",
+      "final_loss_std", "min_loss_mean",
+      "mi_auc",         "inv_rel_error",
+      "inv_label_acc"};
   return header;
 }
 
@@ -70,7 +70,6 @@ std::vector<std::string> csv_cells(const CellArtifact& a) {
           sanitize_field(a.topology),
           sanitize_field(a.channel),
           sanitize_field(a.churn),
-          sanitize_field(a.prune),
           std::to_string(a.seeds),
           sanitize_field(a.skip_reason),
           format_metric(a.final_acc_mean),
@@ -98,7 +97,6 @@ CellArtifact from_csv_cells(const std::vector<std::string>& cells) {
   a.topology = cells[i++];
   a.channel = cells[i++];
   a.churn = cells[i++];
-  a.prune = cells[i++];
   a.seeds = static_cast<size_t>(std::stoull(cells[i++]));
   a.skip_reason = cells[i++];
   a.final_acc_mean = parse_metric(cells[i++]);
@@ -170,7 +168,6 @@ void write_json(const std::string& path, const std::string& signature,
     body += ", \"topology\": " + json_string(a.topology);
     body += ", \"channel\": " + json_string(a.channel);
     body += ", \"churn\": " + json_string(a.churn);
-    body += ", \"prune\": " + json_string(a.prune);
     body += ", \"seeds\": " + std::to_string(a.seeds);
     body += ", \"skip_reason\": " + json_string(a.skip_reason);
     body += ", \"final_acc_mean\": " + json_metric(a.final_acc_mean);

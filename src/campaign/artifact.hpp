@@ -44,7 +44,6 @@ struct CellArtifact {
   std::string topology;     ///< "flat" | "shards:S" | "tree:LxB"
   std::string channel = "off";  ///< "off" | "lossy:<drop>x<corrupt>x<reorder>"
   std::string churn = "off";    ///< "off" | "epoch:<E>x<join>x<leave>"
-  std::string prune;
   size_t seeds = 0;         ///< seeded repetitions aggregated below
 
   // --- status ------------------------------------------------------------

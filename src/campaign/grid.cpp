@@ -182,7 +182,7 @@ std::string GridSpec::signature() const {
   // checkpoint_signature is the one list of trajectory-shaping knobs; it
   // leaves out the horizon, which a campaign's results do depend on.
   const std::vector<std::string> parts{
-      "campaign-v4",
+      "campaign-v5",
       "steps=" + std::to_string(base.steps),
       checkpoint_signature(base),
       "seeds=" + std::to_string(seeds),
@@ -193,16 +193,14 @@ std::string GridSpec::signature() const {
       "participation=" + strings::join(participation, "|"),
       "topologies=" + strings::join(topo_s, "|"),
       "channels=" + strings::join(channels, "|"),
-      "churn=" + strings::join(churn, "|"),
-      "prune=" + strings::join(prune, "|")};
+      "churn=" + strings::join(churn, "|")};
   return sanitize_field(strings::join(parts, ";"));
 }
 
 std::vector<GridCell> expand_grid(const GridSpec& spec) {
   require(!spec.gars.empty() && !spec.attacks.empty() && !spec.dp_eps.empty() &&
               !spec.participation.empty() && !spec.topologies.empty() &&
-              !spec.channels.empty() && !spec.churn.empty() &&
-              !spec.prune.empty(),
+              !spec.channels.empty() && !spec.churn.empty(),
           "campaign: every grid axis needs at least one value");
   require(spec.seeds >= 1, "campaign: seeds must be at least 1");
   for (double eps : spec.dp_eps)
@@ -218,76 +216,72 @@ std::vector<GridCell> expand_grid(const GridSpec& spec) {
         for (const std::string& part : spec.participation)
           for (const std::string& topo_raw : spec.topologies)
             for (const std::string& channel : spec.channels)
-              for (const std::string& churn : spec.churn)
-                for (const std::string& prune : spec.prune) {
-                  const std::string topo = canonical_topology(topo_raw);
-                  GridCell cell;
-                  cell.index = index++;
-                  cell.gar = gar;
-                  cell.attack = attack;
-                  cell.eps = eps;
-                  cell.participation = part;
-                  cell.topology = topo;
-                  cell.channel = channel;
-                  cell.churn = churn;
-                  cell.prune = prune;
+              for (const std::string& churn : spec.churn) {
+                const std::string topo = canonical_topology(topo_raw);
+                GridCell cell;
+                cell.index = index++;
+                cell.gar = gar;
+                cell.attack = attack;
+                cell.eps = eps;
+                cell.participation = part;
+                cell.topology = topo;
+                cell.channel = channel;
+                cell.churn = churn;
 
-                  ExperimentConfig cfg = spec.base;
-                  cfg.gar = gar;
-                  cfg.prune = prune;
-                  const auto [attack_name, attack_nu] = parse_attack(attack);
-                  if (attack_name == "none") {
-                    cfg.attack_enabled = false;
-                  } else {
-                    cfg.attack_enabled = true;
-                    cfg.attack = attack_name;
-                    cfg.attack_nu = attack_nu;
-                  }
-                  cfg.dp_enabled = eps > 0;
-                  if (eps > 0) cfg.epsilon = eps;
-                  apply_participation(cfg, part);
-                  apply_topology(cfg, topo);
-                  apply_channel(cfg, channel);
-                  apply_churn(cfg, churn);
-
-                  cell.id = gar + "/" + attack + "/eps=" + format_metric(eps) +
-                            "/" + part + "/" + topo + "/" + channel + "/" +
-                            churn + "/prune=" + prune;
-                  cell.config = cfg;
-
-                  // Admissibility pre-screen: materialize everything
-                  // the trainer would construct, at full rows and —
-                  // for the deterministic straggler schedule — at the
-                  // worst-case round size, so inadmissible
-                  // combinations surface here as skip reasons instead
-                  // of exceptions mid-campaign.  (A churn cell whose
-                  // roster later renegotiates into an inadmissible
-                  // (n', f) is a *runtime* property of its trace; the
-                  // runner records those as "error: ..." rows.)
-                  try {
-                    cfg.validate();
-                    // shards:S names the tree without wire edges to fault.
-                    if (topo.starts_with("shards:"))
-                      require(cfg.wire == "off",
-                              "config: wire requires tree_levels >= 1");
-                    (void)make_round_aggregator(cfg, cfg.num_workers);
-                    if (cfg.attack_enabled)
-                      (void)make_attack(cfg.attack, cfg.attack_nu,
-                                        AdaptiveSpec{cfg.gar, cfg.prune,
-                                                     cfg.adapt_probes,
-                                                     cfg.adapt_budget});
-                    if (cfg.participation == "stragglers" &&
-                        cfg.num_stragglers > 0) {
-                      require(cfg.num_stragglers < cfg.num_workers,
-                              "campaign: more stragglers than workers");
-                      (void)make_round_aggregator(
-                          cfg, cfg.num_workers - cfg.num_stragglers);
-                    }
-                  } catch (const std::exception& e) {
-                    cell.skip_reason = sanitize_field(e.what());
-                  }
-                  cells.push_back(std::move(cell));
+                ExperimentConfig cfg = spec.base;
+                cfg.gar = gar;
+                const auto [attack_name, attack_nu] = parse_attack(attack);
+                if (attack_name == "none") {
+                  cfg.attack_enabled = false;
+                } else {
+                  cfg.attack_enabled = true;
+                  cfg.attack = attack_name;
+                  cfg.attack_nu = attack_nu;
                 }
+                cfg.dp_enabled = eps > 0;
+                if (eps > 0) cfg.epsilon = eps;
+                apply_participation(cfg, part);
+                apply_topology(cfg, topo);
+                apply_channel(cfg, channel);
+                apply_churn(cfg, churn);
+
+                cell.id = gar + "/" + attack + "/eps=" + format_metric(eps) +
+                          "/" + part + "/" + topo + "/" + channel + "/" + churn;
+                cell.config = cfg;
+
+                // Admissibility pre-screen: materialize everything
+                // the trainer would construct, at full rows and —
+                // for the deterministic straggler schedule — at the
+                // worst-case round size, so inadmissible
+                // combinations surface here as skip reasons instead
+                // of exceptions mid-campaign.  (A churn cell whose
+                // roster later renegotiates into an inadmissible
+                // (n', f) is a *runtime* property of its trace; the
+                // runner records those as "error: ..." rows.)
+                try {
+                  cfg.validate();
+                  // shards:S names the tree without wire edges to fault.
+                  if (topo.starts_with("shards:"))
+                    require(cfg.wire == "off",
+                            "config: wire requires tree_levels >= 1");
+                  (void)make_round_aggregator(cfg, cfg.num_workers);
+                  if (cfg.attack_enabled)
+                    (void)make_attack(cfg.attack, cfg.attack_nu,
+                                      AdaptiveSpec{.gar = cfg.gar,
+                                                   .probes = cfg.adapt_probes,
+                                                   .budget = cfg.adapt_budget});
+                  if (cfg.participation == "stragglers" &&
+                      cfg.num_stragglers > 0) {
+                    require(cfg.num_stragglers < cfg.num_workers,
+                            "campaign: more stragglers than workers");
+                    (void)make_round_aggregator(
+                        cfg, cfg.num_workers - cfg.num_stragglers);
+                  }
+                } catch (const std::exception& e) {
+                  cell.skip_reason = sanitize_field(e.what());
+                }
+                cells.push_back(std::move(cell));
+              }
   return cells;
 }
 

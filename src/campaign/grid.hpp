@@ -2,9 +2,9 @@
 //
 // A GridSpec names one axis value list per experimental dimension the
 // paper's tables sweep (GAR x attack x DP-eps x participation x
-// topology x channel x churn x prune); expand_grid takes their
-// Cartesian product into a flat, stably-ordered cell list.  Each cell carries a
-// fully materialized ExperimentConfig, and expansion *pre-screens
+// topology x channel x churn); expand_grid takes their Cartesian product
+// into a flat, stably-ordered cell list.  Each cell carries a fully
+// materialized ExperimentConfig, and expansion *pre-screens
 // admissibility*: a combination the library would reject at run time
 // (Krum at n < 2f+3, a tree deeper than the row count, an unknown
 // attack name, ...) becomes a cell with a non-empty skip_reason instead
@@ -37,9 +37,9 @@
 //                   base.churn_seed and is part of the signature)
 //
 // Expansion order is the nested loop gar -> attack -> eps ->
-// participation -> topology -> channel -> churn -> prune (last axis
-// fastest) and is part of the checkpoint contract: cell indices key the
-// resumable manifest, so the order must be a pure function of the spec.
+// participation -> topology -> channel -> churn (last axis fastest) and
+// is part of the checkpoint contract: cell indices key the resumable
+// manifest, so the order must be a pure function of the spec.
 // GridSpec::signature() fingerprints the spec; the manifest stores it
 // and a resume against a different spec is rejected loudly.
 #pragma once
@@ -55,8 +55,8 @@ namespace dpbyz::campaign {
 struct GridSpec {
   /// Shared scalar knobs (n, f, steps, batch, lr, pipeline depth, ...).
   /// Axis-controlled fields of `base` (gar, attack*, dp_*, participation*,
-  /// tree_*, channel*, churn except churn_seed, prune, seed) are
-  /// overwritten per cell.
+  /// tree_*, channel*, churn except churn_seed, seed) are overwritten
+  /// per cell.
   ExperimentConfig base;
 
   std::vector<std::string> gars{"mda"};
@@ -66,7 +66,6 @@ struct GridSpec {
   std::vector<std::string> topologies{"flat"};
   std::vector<std::string> channels{"off"};
   std::vector<std::string> churn{"off"};
-  std::vector<std::string> prune{"off"};
 
   size_t seeds = 3;         ///< per-cell seeded repetitions (1..seeds)
   uint64_t data_seed = 42;  ///< PhishingExperiment dataset seed
@@ -84,7 +83,7 @@ struct GridSpec {
 struct GridCell {
   size_t index = 0;
   std::string id;
-  std::string gar, attack, participation, topology, channel, churn, prune;
+  std::string gar, attack, participation, topology, channel, churn;
   double eps = 0.0;
   ExperimentConfig config;
   /// Empty = admissible; otherwise the reason the cell will be skipped.

@@ -28,7 +28,6 @@ CellArtifact base_artifact(const GridCell& cell, const GridSpec& spec) {
   a.topology = cell.topology;
   a.channel = cell.channel;
   a.churn = cell.churn;
-  a.prune = cell.prune;
   a.seeds = spec.seeds;
   a.skip_reason = cell.skip_reason;
   const double nan = std::nan("");

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "aggregation/aggregator.hpp"
 #include "utils/errors.hpp"
 #include "utils/strings.hpp"
 
@@ -37,11 +36,11 @@ void ExperimentConfig::validate() const {
       require(epsilon > 0, "config: epsilon must be positive");
     }
   }
-  try {
-    parse_prune_mode(prune);
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(std::string("config: ") + e.what());
-  }
+  require(prune != "approx",
+          "config: prune = 'approx' was retired; the selection GARs always read the "
+          "exact distance matrix");
+  require(prune == "off" || prune == "exact",
+          "config: prune must be 'off' or 'exact', got '" + prune + "'");
   if (tree_levels > 0) {
     require(tree_branch >= 1, "config: tree_branch must be >= 1 when tree_levels > 0");
   } else {

@@ -128,18 +128,10 @@ struct ExperimentConfig {
 
   // --- robustness ----------------------------------------------------------
   std::string gar = "mda";
-  /// Distance pruning for the selection GARs (krum, multi-krum, mda,
-  /// mda_greedy, bulyan — see docs/ARCHITECTURE.md, "Distance pruning").
-  ///   "off"    — the full O(n²·d) exact pairwise matrix (default;
-  ///              byte-for-byte the golden-pinned code path).
-  ///   "exact"  — a spelling of "off", kept so existing configs parse;
-  ///              label() and checkpoints still record it as typed.
-  ///   "approx" — Johnson–Lindenstrauss sketch distances replace the
-  ///              exact matrix outright: O(n·d·k + n²·k) instead of
-  ///              O(n²·d), deterministic, but selections may differ (the
-  ///              measured disagreement envelope is committed in
-  ///              BENCH_gar_scaling.json and docs/AGGREGATORS.md).
-  /// Rules that consume no pairwise distances ignore the knob.
+  /// Read by nothing: the selection GARs (krum, multi-krum, mda,
+  /// mda_greedy, bulyan) always read the exact O(n²·d) pairwise matrix.
+  /// validate() accepts "off" and its old spelling "exact", which label()
+  /// and checkpoints still record as typed, and rejects the rest.
   std::string prune = "off";
   /// Per-node merge GAR of the hierarchical tree (tree_levels >= 1),
   /// applied across each node's B child aggregates.  "median" is

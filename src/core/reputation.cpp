@@ -1,6 +1,8 @@
 #include "core/reputation.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "utils/codec.hpp"
 #include "utils/errors.hpp"
@@ -67,6 +69,12 @@ void ReputationBook::load(std::istream& is) {
   require(scores.size() <= scores_.size(),
           "ReputationBook: checkpoint state does not match this configuration");
   require(enabled == enabled_, "ReputationBook: checkpoint reputation mode mismatch");
+  // Every update is a convex blend of [0, 1] values, so anything else
+  // (NaN included, which the negated test catches) is a forged blob.
+  for (size_t i = 0; i < scores.size(); ++i)
+    if (!(scores[i] >= 0.0 && scores[i] <= 1.0))
+      throw std::runtime_error("ReputationBook: checkpoint score of worker " +
+                               std::to_string(i) + " is outside [0, 1]");
   scores.resize(scores_.size(), 0.5);
   scores_ = std::move(scores);
 }

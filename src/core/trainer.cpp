@@ -33,7 +33,6 @@ std::unique_ptr<NoiseMechanism> make_mechanism(const ExperimentConfig& config, s
 
 std::unique_ptr<Aggregator> make_round_aggregator(const ExperimentConfig& config,
                                                   size_t rows, size_t f) {
-  const PruneMode prune = parse_prune_mode(config.prune);
   if (config.tree_levels > 0) {
     net::LinkConfig link;
     const bool framed = config.wire != "off";
@@ -48,10 +47,9 @@ std::unique_ptr<Aggregator> make_round_aggregator(const ExperimentConfig& config
     }
     return std::make_unique<HierarchicalAggregator>(
         config.gar, config.shard_merge_gar, rows, f,
-        config.tree_levels, config.tree_branch, config.threads, prune,
-        framed ? &link : nullptr);
+        config.tree_levels, config.tree_branch, config.threads, framed ? &link : nullptr);
   }
-  return make_aggregator(config.gar, rows, f, prune);
+  return make_aggregator(config.gar, rows, f);
 }
 
 std::unique_ptr<Aggregator> make_round_aggregator(const ExperimentConfig& config,
@@ -70,8 +68,8 @@ Trainer::Trainer(const ExperimentConfig& config, const Model& model, const Datas
     // own rule, so the spec carries the defense description alongside the
     // probe/budget knobs; the fixed attacks ignore it.
     attack_ = make_attack(config_.attack, config_.attack_nu,
-                          AdaptiveSpec{config_.gar, config_.prune,
-                                       config_.adapt_probes, config_.adapt_budget});
+                          AdaptiveSpec{.gar = config_.gar, .probes = config_.adapt_probes,
+                                       .budget = config_.adapt_budget});
 }
 
 RunResult Trainer::run() {

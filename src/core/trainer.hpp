@@ -82,7 +82,7 @@ std::unique_ptr<NoiseMechanism> make_mechanism(const ExperimentConfig& config, s
 /// Byzantine at the config's topology: flat (default) or the
 /// hierarchical tree with its wire/channel link (tree_levels >= 1).  The single construction path shared by the
 /// trainer's full-round rule, the round engine's per-(n', f) cache and
-/// ParameterServer::renegotiate — budgets, prune mode and link wiring
+/// ParameterServer::renegotiate — budgets and link wiring
 /// cannot drift between them.  Throws std::invalid_argument when any
 /// derived stage budget is inadmissible at (rows, f).
 std::unique_ptr<Aggregator> make_round_aggregator(const ExperimentConfig& config,

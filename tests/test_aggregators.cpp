@@ -190,12 +190,16 @@ TEST(Krum, ArgminTieBreaksLexicographically) {
   EXPECT_EQ(krum_argmin(g2, scores), 0u);
 }
 
-TEST(Krum, FreeScoresMatchMemberScores) {
+TEST(Krum, FreeScoresMatchMatrixScores) {
   Rng rng(3);
   std::vector<Vector> g;
   for (int i = 0; i < 9; ++i) g.push_back(rng.normal_vector(4, 1.0));
-  Krum agg(9, 3);
-  EXPECT_EQ(agg.scores(g), krum_scores(g, 3));
+  AggregatorWorkspace ws;
+  fill_dist_sq(GradientBatch::from_vectors(g), ws);
+  const std::vector<size_t> pool{0, 1, 2, 3, 4, 5, 6, 7, 8};
+  std::vector<double> scores(9);
+  krum_scores_from_matrix(ws.dist_sq, 9, pool, 3, scores, ws.row);
+  EXPECT_EQ(scores, krum_scores(g, 3));
 }
 
 TEST(Mda, MatchesBruteForceOnSmallInstance) {

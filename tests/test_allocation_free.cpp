@@ -67,8 +67,7 @@ namespace {
 /// rounds have populated every arena, workspace, and worker buffer.
 template <typename Mechanism>
 size_t steady_state_allocs(const std::string& gar_name, const Mechanism& mechanism,
-                           size_t warmup = 3, size_t steps = 2,
-                           PruneMode prune = PruneMode::kOff) {
+                           size_t warmup = 3, size_t steps = 2) {
   BlobsConfig bc;
   bc.num_samples = 200;
   bc.num_features = 6;
@@ -84,7 +83,7 @@ size_t steady_state_allocs(const std::string& gar_name, const Mechanism& mechani
     workers.emplace_back(model, data, batch_size, 1e-2, mechanism,
                          root.derive("worker-" + std::to_string(i)));
 
-  ParameterServer server(make_aggregator(gar_name, n, 2, prune),
+  ParameterServer server(make_aggregator(gar_name, n, 2),
                          SgdOptimizer(model.dim(), constant_lr(0.5), 0.99),
                          model.initial_parameters());
   GradientBatch submissions(n, model.dim());
@@ -120,12 +119,11 @@ TEST(AllocationFree, SteadyStateStepWithoutDpAndAverage) {
   EXPECT_EQ(steady_state_allocs("average", mech), 0u);
 }
 
-TEST(AllocationFree, SteadyStatePruneApproxIsAllocationFree) {
-  // The sketch path (sign table, projections, approx matrix fill) is
-  // grow-only after the first round, under every selection rule.
+TEST(AllocationFree, SteadyStateSelectionRulesAreAllocationFree) {
+  // Every rule that reads the pairwise matrix reuses ws.dist_sq.
   const NoNoise mech;
   for (const char* gar : {"krum", "multi-krum", "mda", "mda_greedy", "bulyan"})
-    EXPECT_EQ(steady_state_allocs(gar, mech, 3, 2, PruneMode::kApprox), 0u) << gar;
+    EXPECT_EQ(steady_state_allocs(gar, mech), 0u) << gar;
 }
 
 TEST(AllocationFree, WorkerMomentumPathIsAllocationFreeToo) {

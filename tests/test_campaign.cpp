@@ -51,7 +51,7 @@ GridSpec small_spec() {
 CellArtifact sample_artifact() {
   CellArtifact a;
   a.cell = 3;
-  a.id = "mda/little:1.5/eps=0.2/full/flat/off/off/prune=off";
+  a.id = "mda/little:1.5/eps=0.2/full/flat/off/off";
   a.gar = "mda";
   a.attack = "little:1.5";
   a.eps = 0.2;
@@ -59,7 +59,6 @@ CellArtifact sample_artifact() {
   a.topology = "flat";
   a.channel = "off";
   a.churn = "off";
-  a.prune = "off";
   a.seeds = 2;
   a.final_acc_mean = 0.9167608286252353;
   a.final_acc_std = 1.0 / 3.0;
@@ -138,6 +137,12 @@ TEST(CampaignGrid, InadmissibleCombinationsBecomeSkipReasons) {
     }
   }
   EXPECT_EQ(skipped, 6u);
+
+  // The retired prune mode on the base skips every cell by name.
+  spec.base.prune = "approx";
+  for (const auto& cell : expand_grid(spec))
+    EXPECT_EQ(cell.skip_reason.rfind("config: prune = 'approx' was retired", 0), 0u)
+        << cell.id << ": " << cell.skip_reason;
 }
 
 TEST(CampaignGrid, ParsesTopologyAndParticipationAxes) {
@@ -199,7 +204,7 @@ TEST(CampaignGrid, ParsesChannelAndChurnAxes) {
   EXPECT_EQ(cells[1].config.churn_epoch_rounds, 5u);
   EXPECT_DOUBLE_EQ(cells[1].config.churn_join_prob, 0.6);
   EXPECT_DOUBLE_EQ(cells[1].config.churn_leave_prob, 0.1);
-  EXPECT_NE(cells[1].id.find("/epoch:5x0.6x0.1/"), std::string::npos);
+  EXPECT_TRUE(cells[1].id.ends_with("/off/epoch:5x0.6x0.1")) << cells[1].id;
 
   // flat + lossy: pre-screened out — there is no tree wire to fault.
   EXPECT_FALSE(cells[2].admissible());
@@ -446,26 +451,26 @@ TEST(CampaignResume, ManifestFromDifferentGridIsRejected) {
 }
 
 TEST(CampaignResume, ManifestWithTheRetiredSchemaIsRejected) {
-  // A campaign-v3 manifest fingerprinted a hand-kept subset of the base
-  // knobs (it missed worker_momentum, for one); resuming it into the
-  // campaign-v4 grid must refuse rather than mix the two schemas.
+  // A campaign-v4 manifest's cells carry the retired prune column; resuming
+  // it into the campaign-v5 grid must refuse rather than mix the two
+  // schemas.
   GridSpec spec = small_spec();
   spec.gars = {"median"};
   spec.attacks = {"none"};
   spec.dp_eps = {0.0};
   std::string old_signature = spec.signature();
-  ASSERT_EQ(old_signature.rfind("campaign-v4;", 0), 0u) << old_signature;
-  old_signature.replace(0, std::string("campaign-v4").size(), "campaign-v3");
+  ASSERT_EQ(old_signature.rfind("campaign-v5;", 0), 0u) << old_signature;
+  old_signature.replace(0, std::string("campaign-v5").size(), "campaign-v4");
 
   CampaignOptions options;
-  options.out_dir = fresh_dir("v3");
+  options.out_dir = fresh_dir("v4");
   options.privacy_samples = 50;
   Manifest m;
   m.signature = old_signature;
   save_manifest(options.out_dir + "/manifest.bin", m);
   try {
     (void)run_campaign(spec, options);
-    FAIL() << "a campaign-v3 manifest was resumed";
+    FAIL() << "a campaign-v4 manifest was resumed";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("belongs to a different grid"), std::string::npos)
         << e.what();

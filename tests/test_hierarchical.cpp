@@ -135,16 +135,14 @@ TEST(HierarchicalGolden, IdealFramedLinkStaysBitIdentical) {
   const GradientBatch batch = honest_batch(n, d, 15);
   const net::LinkConfig link;  // raw64, no faults
   for (const std::string& gar : aggregator_names()) {
-    const HierarchicalAggregator framed(gar, "median", n, f, 1, 3, 1,
-                                        PruneMode::kOff, &link);
+    const HierarchicalAggregator framed(gar, "median", n, f, 1, 3, 1, &link);
     const HierarchicalAggregator plain(gar, "median", n, f, 1, 3);
     EXPECT_TRUE(framed.framed());
     EXPECT_FALSE(plain.framed());
     EXPECT_EQ(aggregate_with(framed, batch), aggregate_with(plain, batch)) << gar;
   }
   // The ideal link still pushes real frames: stats count them.
-  const HierarchicalAggregator framed("median", "median", n, f, 1, 3, 1,
-                                      PruneMode::kOff, &link);
+  const HierarchicalAggregator framed("median", "median", n, f, 1, 3, 1, &link);
   aggregate_with(framed, batch);
   const net::ChannelStats stats = framed.channel_stats();
   EXPECT_EQ(stats.frames_sent, 3u);  // one chunk per child edge at d = 23
@@ -554,8 +552,7 @@ TEST(HierarchicalChannel, MultiChunkLossyLinkReassemblesExactlyUnderAnySeed) {
   ASSERT_EQ(net::FrameEncoder(link.wire, link.chunk_values).chunks(d), 2u);
   const auto run = [&](uint64_t channel_seed) {
     link.channel_seed = channel_seed;
-    const HierarchicalAggregator tree("median", "median", n, f, 1, 3, 1,
-                                      PruneMode::kOff, &link);
+    const HierarchicalAggregator tree("median", "median", n, f, 1, 3, 1, &link);
     AggregatorWorkspace ws;
     for (size_t r = 0; r < rounds; ++r) {
       const auto out = tree.aggregate(batch, ws);
@@ -593,8 +590,7 @@ TEST(HierarchicalChannel, SubstitutionsWithinMergeBudgetDegradeElseThrow) {
   size_t degraded = 0, refused = 0;
   for (uint64_t seed = 0; seed < 400; ++seed) {
     link.channel_seed = seed;
-    const HierarchicalAggregator tree("median", "median", n, f, 1, 5, 1,
-                                      PruneMode::kOff, &link);
+    const HierarchicalAggregator tree("median", "median", n, f, 1, 5, 1, &link);
     ASSERT_EQ(tree.merge_f(), 2u);
     try {
       const Vector out = aggregate_with(tree, batch);
@@ -621,8 +617,7 @@ TEST(HierarchicalChannel, Int8EdgesStayWithinTheQuantizationContract) {
   const GradientBatch batch = honest_batch(n, d, 60);
   net::LinkConfig link;
   link.wire = net::WireMode::kInt8;
-  const HierarchicalAggregator framed("average", "average", n, 0, 1, 3, 1,
-                                      PruneMode::kOff, &link);
+  const HierarchicalAggregator framed("average", "average", n, 0, 1, 3, 1, &link);
   const HierarchicalAggregator plain("average", "average", n, 0, 1, 3);
   const Vector got = aggregate_with(framed, batch);
   const Vector want = aggregate_with(plain, batch);

@@ -8,6 +8,7 @@
 // depth-k churn runs drive the fill thread across epoch barriers.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -270,6 +271,29 @@ TEST(Membership, ReputationSaveLoadRoundTripsBitExactly) {
   ReputationBook b(c, 3);
   b.load(ss);
   EXPECT_EQ(b.scores(), a.scores());
+}
+
+TEST(Membership, ReputationLoadRejectsScoresOutsideTheUnitInterval) {
+  // CRC-valid blobs whose words decode to scores no update can produce:
+  // a NaN score would never be admitted nor evicted.
+  const ExperimentConfig c = churn_config();
+  ReputationBook a(c, 3);
+  std::ostringstream os;
+  a.save(os);
+  const std::string blob = os.str();  // enabled, count, then the 3 scores
+  for (const double forged : {std::nan(""), -5.0, 1e300}) {
+    std::string bytes = blob;
+    std::memcpy(bytes.data() + 3 * 8, &forged, sizeof forged);  // worker 1
+    std::istringstream is(bytes);
+    ReputationBook b(c, 3);
+    try {
+      b.load(is);
+      ADD_FAILURE() << "loaded score " << forged;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("score of worker 1"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- renegotiation --------------------------------------------------------

@@ -284,6 +284,63 @@ TEST(Config, LabelShowsThreadsKnob) {
   EXPECT_NE(c.label().find("+T4"), std::string::npos);
 }
 
+/// The message validate() throws for `prune`, or "" when it accepts it.
+std::string prune_rejection(const std::string& prune) {
+  ExperimentConfig c;
+  c.prune = prune;
+  try {
+    c.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Config, PruneAcceptsOffAndExactAndRejectsTheRestByName) {
+  // "exact" is a spelling of "off" that label() still records as typed.
+  ExperimentConfig c;
+  c.prune = "exact";
+  c.validate();
+  EXPECT_NE(c.label().find("+prune(exact)"), std::string::npos);
+  c.prune = "off";
+  c.validate();
+  EXPECT_EQ(c.label().find("+prune"), std::string::npos);
+
+  const std::string approx = prune_rejection("approx");
+  EXPECT_EQ(approx.rfind("config: prune", 0), 0u) << approx;
+  EXPECT_NE(approx.find("'approx' was retired"), std::string::npos) << approx;
+  const std::string banana = prune_rejection("banana");
+  EXPECT_EQ(banana.rfind("config: prune", 0), 0u) << banana;
+  EXPECT_NE(banana.find("'banana'"), std::string::npos) << banana;
+}
+
+TEST(Trainer, PruneExactMatchesOffAndApproxIsRejected) {
+  SmallTask task;
+  ExperimentConfig c;
+  c.num_workers = 11;
+  c.num_byzantine = 2;
+  c.gar = "krum";
+  c.steps = 6;
+  c.eval_every = 6;
+  c.batch_size = 5;
+  const RunResult off = Trainer(c, task.model, task.train, task.test).run();
+  ExperimentConfig ce = c;
+  ce.prune = "exact";
+  const RunResult exact = Trainer(ce, task.model, task.train, task.test).run();
+  EXPECT_EQ(exact.final_parameters, off.final_parameters);
+  EXPECT_EQ(exact.train_loss, off.train_loss);
+
+  ExperimentConfig ca = c;
+  ca.prune = "approx";
+  try {
+    Trainer(ca, task.model, task.train, task.test);
+    ADD_FAILURE() << "Trainer accepted prune = approx";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'approx' was retired"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Metrics, SummariesAggregateAcrossRuns) {
   RunResult a, b;
   a.train_loss = {1.0, 2.0};

@@ -1,7 +1,7 @@
 // dpbyz_campaign — declarative scenario-campaign CLI (ROADMAP item 4).
 //
 // Expands a GAR x attack x DP-eps x participation x topology x channel x
-// churn x prune grid, pre-screens admissibility, runs the admissible
+// churn grid, pre-screens admissibility, runs the admissible
 // cells in parallel with per-cell checkpointing, and writes the campaign
 // CSV/JSON artifacts.  A killed campaign resumes from its manifest and
 // produces byte-identical artifacts (see src/campaign/runner.hpp).
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     flags::Parser flags(
         argc, argv,
         {"gars", "attacks", "eps", "participation", "topologies", "channels",
-         "churn", "churn-seed", "prune", "seeds", "data-seed",
+         "churn", "churn-seed", "seeds", "data-seed",
          "steps", "batch", "workers", "byzantine", "depth", "observes",
          "adapt-probes", "adapt-budget", "out", "threads", "max-cells",
          "privacy-samples", "dry-run", "list-cells", "help"});
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
           "  [--eps=0,0.2] [--participation=full,iid:0.9,stragglers:2x3]\n"
           "  [--topologies=flat,shards:3,tree:2x3]   (shards:S runs as tree:1xS)\n"
           "  [--channels=off,lossy:0.05x0.01x0.1] [--churn=off,epoch:50x0.5x0.1]\n"
-          "  [--churn-seed=S] [--prune=off,approx]\n"
+          "  [--churn-seed=S]\n"
           "  [--seeds=N] [--data-seed=S] [--steps=T] [--batch=b] [--workers=n]\n"
           "  [--byzantine=f] [--depth=k] [--observes=clean|wire]\n"
           "  [--adapt-probes=P] [--adapt-budget=B]\n"
@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
     spec.channels = split_list(flags.get_string("channels", "off"));
     spec.churn = split_list(flags.get_string("churn", "off"));
     spec.base.churn_seed = flags.get_count("churn-seed", 1);
-    spec.prune = split_list(flags.get_string("prune", "off"));
     spec.seeds = flags.get_count("seeds", 3);
     spec.data_seed = flags.get_count("data-seed", 42);
     spec.base.steps = flags.get_count("steps", 300);
