@@ -47,7 +47,12 @@
 // A fifth probe checks the pairwise kernel (math/kernels.hpp) at a
 // threaded extent: the matrix must be bit-identical at threads = 1 and
 // threads = 4.  The JSON records which backend the binary *selected at
-// runtime* ("avx2" / "unrolled8").
+// runtime* ("avx2" / "unrolled8").  Its colluding-copies case runs the
+// selection rules' fill_dist_sq at krum_exact_n200's extent, (n, d) =
+// (200, 10001) with f = 20 colluding rows (one forged row and 19 bitwise
+// copies, as the trainer writes them): the matrix must equal a
+// brute-force vec::dist_sq matrix bit for bit at widths 1 and 4, and the
+// JSON records its ms next to pairwise_dist_sq's over all 200 rows.
 //
 // A forge sweep times the ALIE forge (mean − ν·σ over the observed rows,
 // math/gradient_batch.hpp's column_moments_into) at the e2e shapes
@@ -249,6 +254,14 @@ double time_call(Fn fn, double budget_s) {
   std::sort(times.begin(), times.end());
   return times[reps / 2];
 }
+
+/// The fifth probe's colluding-copies case (see the header).
+struct CollusionProbe {
+  size_t n = 200, d = 10001, colluding = 20, threads = 4;
+  size_t distinct = 0;
+  double full_s = 0, distinct_s = 0;  // pairwise_dist_sq / fill_dist_sq, median
+  bool identical = true;  // fill_dist_sq == brute force at threads 1 and 4, bitwise
+};
 
 struct Row {
   std::string gar;
@@ -601,6 +614,37 @@ int main(int argc, char** argv) {
     std::printf("\npairwise backend: %s  (threaded pairwise bit-identical: %s)\n",
                 dpbyz::kernels::fast_backend(),
                 scalar_pairwise_threads_identical ? "yes" : "NO");
+  }
+  // The colluding-copies case: the last f rows are one forged row and its
+  // copies, so fill_dist_sq pairs n - f + 1 distinct rows.
+  CollusionProbe collusion;
+  {
+    const size_t n = collusion.n, d = collusion.d, f = collusion.colluding;
+    GradientBatch probe = GradientBatch::from_vectors(make_gradients(n, d, 43));
+    for (size_t r = n - f + 1; r < n; ++r)
+      dpbyz::vec::copy(probe.row(n - f), probe.row(r));
+    std::vector<double> brute(n * n, 0.0);
+    for (size_t i = 0; i < n; ++i)
+      for (size_t j = 0; j < n; ++j)
+        if (i != j) brute[i * n + j] = dpbyz::vec::dist_sq(probe.row(i), probe.row(j));
+    dpbyz::AggregatorWorkspace ws;
+    for (const size_t threads : {1, 4}) {
+      ws.threads = threads;
+      dpbyz::fill_dist_sq(probe, ws);
+      collusion.identical = collusion.identical && ws.dist_sq.size() == n * n &&
+                            std::memcmp(ws.dist_sq.data(), brute.data(),
+                                        n * n * sizeof(double)) == 0;
+    }
+    collusion.distinct = ws.distinct.size();
+    std::vector<double> full(n * n);
+    collusion.full_s =
+        time_call([&] { dpbyz::pairwise_dist_sq(probe, full, collusion.threads); }, budget_s);
+    ws.threads = collusion.threads;
+    collusion.distinct_s = time_call([&] { dpbyz::fill_dist_sq(probe, ws); }, budget_s);
+    std::printf("colluding pairwise n=%zu d=%zu f=%zu (%zu distinct) threads=%zu: "
+                "all rows %.3f ms, distinct rows %.3f ms  (bit-identical: %s)\n",
+                n, d, f, collusion.distinct, collusion.threads, collusion.full_s * 1e3,
+                collusion.distinct_s * 1e3, collusion.identical ? "yes" : "NO");
   }
 
   // ---- forge sweep: the ALIE forge's column statistics -------------------
@@ -1376,8 +1420,14 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "  ],\n  \"scalar_pairwise_threads_identical\": %s,\n"
+               "  \"colluding_pairwise\": {\"n\": %zu, \"d\": %zu, \"colluding\": %zu, "
+               "\"distinct\": %zu, \"threads\": %zu, \"all_rows_ms\": %.6f, "
+               "\"distinct_rows_ms\": %.6f, \"bit_identical\": %s},\n"
                "  \"forge_sweep\": [\n",
-               scalar_pairwise_threads_identical ? "true" : "false");
+               scalar_pairwise_threads_identical ? "true" : "false", collusion.n, collusion.d,
+               collusion.colluding, collusion.distinct, collusion.threads,
+               collusion.full_s * 1e3, collusion.distinct_s * 1e3,
+               collusion.identical ? "true" : "false");
   for (size_t i = 0; i < forge_rows.size(); ++i) {
     const ForgeRow& r = forge_rows[i];
     std::fprintf(out,
@@ -1548,6 +1598,8 @@ int main(int argc, char** argv) {
     }
     if (!scalar_pairwise_threads_identical)
       fail("pairwise kernel drifts across thread widths");
+    if (!collusion.identical)
+      fail("fill_dist_sq over colluding copies diverged from the brute-force matrix");
     for (const ForgeRow& r : forge_rows) {
       const std::string shape =
           "ALIE forge rows=" + std::to_string(r.rows) + " d=" + std::to_string(r.d);

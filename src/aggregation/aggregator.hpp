@@ -67,9 +67,17 @@ class Aggregator {
  protected:
   /// The NVI hook every concrete GAR implements.  Contract (the public
   /// aggregate() wrapper guarantees the preconditions):
-  ///   * on entry the batch is validated (rows == n(), dim > 0, finite)
+  ///   * on entry the batch's shape is validated (rows == n(), dim > 0)
   ///     and ws is reserved for (rows, dim) with ws.output already sized
   ///     to batch.dim();
+  ///   * every row is finite, and exactly one party checks it: for a
+  ///     rule whose certifies_finite() is false, aggregate()'s sweep
+  ///     before the call; otherwise the rule itself, before it reads a
+  ///     row for anything else — the selection rules from their distance
+  ///     matrix (fill_certified_dist_sq), the tree with one root sweep
+  ///     before any child runs.  The tree's children and leaves get
+  ///     ws.rows_finite set and check nothing.  A non-finite batch throws
+  ///     std::invalid_argument with one message on every path;
   ///   * the implementation writes the aggregate into ws.output, using
   ///     any other ws buffer as scratch, and allocates nothing once ws
   ///     has warmed up at this (n, d) — measured by bench_gar_scaling's
@@ -84,24 +92,58 @@ class Aggregator {
   virtual void aggregate_into(const GradientBatch& batch,
                               AggregatorWorkspace& ws) const = 0;
 
-  /// Shared input validation: rows == n, dim > 0, no NaN/Inf (Byzantine
-  /// inputs may be anything *finite*; non-finite values are rejected to
-  /// keep downstream arithmetic well-defined — a real server would drop
-  /// such gradients as trivially malformed).
-  void validate_batch(const GradientBatch& batch) const;
+  /// True when aggregate_into establishes finiteness itself (see its
+  /// contract), so aggregate() skips its sweep.
+  virtual bool certifies_finite() const { return false; }
+
+  /// Shared shape validation: rows == n, dim > 0.
+  void validate_shape(const GradientBatch& batch) const;
+
+  /// The finiteness sweep, at `threads` width (GradientBatch::all_finite).
+  /// Byzantine inputs may be anything *finite*; non-finite values are
+  /// rejected with std::invalid_argument to keep downstream arithmetic
+  /// well-defined — a real server would drop such gradients as trivially
+  /// malformed.
+  static void require_finite(const GradientBatch& batch, size_t threads = 1);
+
+  /// fill_dist_sq, then require_finite when the matrix does not certify
+  /// the rows and ws.rows_finite is unset: the selection rules' first
+  /// read of the batch.
+  static void fill_certified_dist_sq(const GradientBatch& batch, AggregatorWorkspace& ws);
 
   /// Legacy-path validation with the same rules, on owning vectors.
   void validate_inputs(std::span<const Vector> gradients) const;
 
  private:
+  /// The tree hands its children views its root has already swept.
+  friend class HierarchicalAggregator;
+
+  /// aggregate() with ws.rows_finite = `rows_finite`; true skips every
+  /// finiteness check.
+  std::span<const double> run(const GradientBatch& batch, AggregatorWorkspace& ws,
+                              bool rows_finite) const;
+
   size_t n_;
   size_t f_;
 };
 
 /// The selection GARs' one source of pairwise distances: fill ws.dist_sq
 /// (n×n, row-major) with the exact squared distances, computed at
-/// ws.threads width.
-void fill_dist_sq(const GradientBatch& batch, AggregatorWorkspace& ws);
+/// ws.threads width.  Only distinct rows are paired: a row that is a
+/// bitwise copy of an earlier one (the f colluding Byzantine workers
+/// send one vector f times over) maps to its first occurrence, found by
+/// a filter on the first word and then memcmp, and the kernel runs over
+/// the m distinct rows (pairwise_dist_sq's index-list form, thread gate
+/// on m) before the m×m result is expanded in place to n×n.  An entry between
+/// two copies is +0.0, the kernel's value for a finite pair.  Rows that
+/// compare == but differ in bits (±0.0) stay distinct.  Bit-identical to
+/// pairwise_dist_sq over the whole batch whenever the rows are finite.
+/// Returns true when the matrix certifies that every row is finite:
+/// at least two distinct rows and every entry finite (a NaN or ±inf
+/// coordinate makes every distance of its row NaN or +inf, since the
+/// terms are squares).  False when the rows hold a non-finite value, or
+/// there is one distinct row, or finite distances overflowed to +inf.
+bool fill_dist_sq(const GradientBatch& batch, AggregatorWorkspace& ws);
 
 /// Names accepted by make_aggregator.
 std::vector<std::string> aggregator_names();

@@ -22,7 +22,7 @@ void Bulyan::select_indices_view(const GradientBatch& batch, AggregatorWorkspace
   // One distance matrix for the whole selection: every inner Krum round
   // rescores the surviving pool from it instead of recomputing O(n²d)
   // distances over copied vectors.
-  fill_dist_sq(batch, ws);
+  fill_certified_dist_sq(batch, ws);
 
   ws.active.resize(count);
   std::iota(ws.active.begin(), ws.active.end(), size_t{0});

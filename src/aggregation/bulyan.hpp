@@ -37,6 +37,7 @@ class Bulyan final : public Aggregator {
 
  protected:
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
+  bool certifies_finite() const override { return true; }
 };
 
 }  // namespace dpbyz

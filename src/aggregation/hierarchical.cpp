@@ -134,6 +134,7 @@ net::ChannelStats HierarchicalAggregator::channel_stats() const {
 
 void HierarchicalAggregator::aggregate_into(const GradientBatch& batch,
                                             AggregatorWorkspace& ws) const {
+  if (!ws.rows_finite) require_finite(batch, threads_);
   const size_t d = batch.dim();
   child_aggregates_.reshape(branch_, d);  // no-alloc after warmup
 
@@ -143,7 +144,7 @@ void HierarchicalAggregator::aggregate_into(const GradientBatch& batch,
     // The result stays in child_ws_[b].output until the serial gather
     // below — the workspace contract keeps it valid until the next
     // aggregate on that workspace.
-    children_[b]->aggregate(sub, child_ws_[b]);
+    children_[b]->run(sub, child_ws_[b], /*rows_finite=*/true);
   };
 
   // Child-per-task is the coarsest grain; nested tree levels run

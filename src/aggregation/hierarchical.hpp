@@ -102,7 +102,11 @@ class HierarchicalAggregator final : public Aggregator {
   net::ChannelStats channel_stats() const;
 
  protected:
-  /// Aggregates every child view (serially, or child-per-task on the
+  /// At the root (ws.rows_finite unset), sweeps the whole batch for
+  /// non-finite values once, chunked over the dispatch width, before any
+  /// child runs: a rejected batch advances no channel stream, and the
+  /// children and leaves below never sweep their views again.  Then
+  /// aggregates every child view (serially, or child-per-task on the
   /// process-wide ThreadPool when threads > 1), gathers the B results
   /// into the internal B×d merge arena — copied directly, or transferred
   /// edge-by-edge through the wire + channel when framed — then runs the
@@ -110,6 +114,7 @@ class HierarchicalAggregator final : public Aggregator {
   /// after warmup on every path.  Throws std::runtime_error when the
   /// channel forced more than merge_f() zero substitutions this round.
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
+  bool certifies_finite() const override { return true; }
 
  private:
   HierarchicalAggregator(const std::string& inner, const std::string& merge,

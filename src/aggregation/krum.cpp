@@ -103,7 +103,7 @@ size_t krum_argmin_view(const GradientBatch& batch, std::span<const size_t> acti
 
 size_t Krum::score_batch(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   const size_t count = batch.rows();
-  fill_dist_sq(batch, ws);
+  fill_certified_dist_sq(batch, ws);
   ws.active.resize(count);
   std::iota(ws.active.begin(), ws.active.end(), size_t{0});
   ws.scores.resize(count);

@@ -61,6 +61,7 @@ class Krum : public Aggregator {
 
  protected:
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
+  bool certifies_finite() const override { return true; }
 
   /// Fill ws.dist_sq / ws.active / ws.scores for the full batch and
   /// return the number of gradients (shared by Krum and Multi-Krum).

@@ -79,7 +79,7 @@ struct SubsetSearch {
 
 void Mda::select_subset_view(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   const size_t count = batch.rows();
-  fill_dist_sq(batch, ws);
+  fill_certified_dist_sq(batch, ws);
   // Square-root in place: the search must compare the exact doubles the
   // seed implementation compared (see SubsetSearch).  MDA owns the
   // matrix for the rest of this call, so clobbering it is fine.
@@ -129,7 +129,7 @@ void MdaGreedy::select_subset_view(const GradientBatch& batch,
   const size_t d = batch.dim();
   const size_t target = count - f();
 
-  fill_dist_sq(batch, ws);
+  fill_certified_dist_sq(batch, ws);
   for (double& x : ws.dist_sq) x = std::sqrt(x);
 
   // Seed: distance of every row to the coordinate-wise median, computed

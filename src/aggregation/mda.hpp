@@ -50,6 +50,7 @@ class Mda final : public Aggregator {
 
  protected:
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
+  bool certifies_finite() const override { return true; }
 };
 
 /// Greedy/approximate MDA for committee sizes beyond the exact search's
@@ -91,6 +92,7 @@ class MdaGreedy final : public Aggregator {
 
  protected:
   void aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const override;
+  bool certifies_finite() const override { return true; }
 };
 
 }  // namespace dpbyz

@@ -1,8 +1,9 @@
 // workspace.hpp — reusable scratch memory for the GAR hot path.
 //
 // Every GAR needs per-call scratch: the shared n×n pairwise-distance
-// matrix (Krum / MDA / Bulyan), per-coordinate gather columns (median
-// family), selection index buffers, and the output vector itself.  The
+// matrix (Krum / MDA / Bulyan) and its distinct-row index, per-coordinate
+// gather columns (median family), selection index buffers, and the output
+// vector itself.  The
 // seed implementation allocated all of this inside every aggregate()
 // call; AggregatorWorkspace hoists it into a caller-owned arena that is
 // grown once (reserve) and then recycled — after the first aggregation at
@@ -12,8 +13,9 @@
 // calls, any GAR may scribble over any scratch member, and a single
 // workspace can be shared across different GARs as long as calls are
 // sequential.  It is NOT thread-safe; concurrent aggregations need one
-// workspace each.  The one non-scratch member is `threads`, the thread
-// budget its owner grants the GAR's pairwise kernel.
+// workspace each.  The non-scratch members are `threads`, the thread
+// budget its owner grants the GAR's pairwise kernel, and `rows_finite`,
+// which aggregate() sets on entry to every call.
 //
 // Row counts may vary call to call on the same workspace: every buffer is
 // (re)sized by the rule per call and reserve() only ever grows capacity,
@@ -37,8 +39,18 @@ struct AggregatorWorkspace {
   /// sets it from ExperimentConfig::threads; the tree's child workspaces
   /// keep 1, since their children already run inside pool tasks.
   size_t threads = 1;
+  /// Set by Aggregator::aggregate on every call: true when the caller has
+  /// already established that every row is finite (the aggregation
+  /// tree's root sweep), so the rule must not check again.
+  bool rows_finite = false;
   /// Shared pairwise squared-distance matrix, n*n row-major.
   std::vector<double> dist_sq;
+  /// fill_dist_sq's distinct rows: the batch index of each distinct row's
+  /// first occurrence, ascending.
+  std::vector<size_t> distinct;
+  /// fill_dist_sq's row classes: row i is a bitwise copy of row
+  /// distinct[row_class[i]].
+  std::vector<size_t> row_class;
   /// Per-gradient scores (Krum score, CGE squared norm, ...).
   std::vector<double> scores;
   /// Length-n scalar scratch (a score row handed to nth_element).
@@ -64,6 +76,8 @@ struct AggregatorWorkspace {
   /// Never shrinks; calling again with smaller extents is a no-op.
   void reserve(size_t n, size_t d) {
     dist_sq.reserve(n * n);
+    distinct.reserve(n);
+    row_class.reserve(n);
     scores.reserve(n);
     row.reserve(n);
     column.reserve(n);

@@ -149,8 +149,9 @@ void MembershipManager::load(std::istream& is) {
           "MembershipManager: checkpoint state does not match this configuration");
   for (size_t i = 0; i < states_.size(); ++i) {
     const uint64_t state = i < n ? in.u64() : 0;  // 0 is kUnborn
-    require(state <= static_cast<uint64_t>(WorkerState::kEvicted) && state != kRetiredCrashed,
-            "MembershipManager: corrupt worker state in checkpoint");
+    require_intact(
+        state <= static_cast<uint64_t>(WorkerState::kEvicted) && state != kRetiredCrashed,
+        "MembershipManager: corrupt worker state in checkpoint");
     states_[i] = static_cast<WorkerState>(state);
     joined_epoch_[i] = i < n ? static_cast<uint32_t>(in.u64()) : 0;
   }
@@ -159,10 +160,11 @@ void MembershipManager::load(std::istream& is) {
   // An inflated count is a short read.
   for (uint64_t k = in.u64(); k > 0; --k) {
     const uint64_t epoch = in.u64(), kind = in.u64(), worker = in.u64();
-    require(kind <= static_cast<uint64_t>(ChurnEvent::Kind::kEvict) && kind != kRetiredCrash,
-            "MembershipManager: corrupt churn event kind in checkpoint");
-    require(worker < states_.size(),
-            "MembershipManager: churn event worker id outside the pool in checkpoint");
+    require_intact(kind <= static_cast<uint64_t>(ChurnEvent::Kind::kEvict) &&
+                       kind != kRetiredCrash,
+                   "MembershipManager: corrupt churn event kind in checkpoint");
+    require_intact(worker < states_.size(),
+                   "MembershipManager: churn event worker id outside the pool in checkpoint");
     trace_.push_back({static_cast<uint32_t>(epoch), static_cast<ChurnEvent::Kind>(kind),
                       static_cast<uint32_t>(worker)});
   }

@@ -231,10 +231,10 @@ RunResult Trainer::run() {
       require(ckpt->worker_blobs.size() <= honest.size(),
               "Trainer: checkpoint worker pool exceeds this run's (steps shrank "
               "below the checkpointed horizon?)");
-      require(ckpt->train_loss.size() == ckpt->round &&
-                  ckpt->round_rows.size() == ckpt->round &&
-                  ckpt->round_f.size() == ckpt->round,
-              "Trainer: checkpoint metrics length mismatch");
+      require_intact(ckpt->train_loss.size() == ckpt->round &&
+                         ckpt->round_rows.size() == ckpt->round &&
+                         ckpt->round_f.size() == ckpt->round,
+                     "Trainer: checkpoint metrics length mismatch");
       server.restore(std::move(ckpt->params), ckpt->velocity);
       for (size_t i = 0; i < ckpt->worker_blobs.size(); ++i)
         codec::decode(ckpt->worker_blobs[i], [&](auto& is) { honest[i].load_state(is); });

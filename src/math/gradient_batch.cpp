@@ -1,6 +1,7 @@
 #include "math/gradient_batch.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 
@@ -76,7 +77,27 @@ GradientBatch GradientBatch::from_vectors(std::span<const Vector> vs) {
   return batch;
 }
 
-bool GradientBatch::all_finite() const { return vec::all_finite(flat()); }
+bool GradientBatch::all_finite(size_t threads) const {
+  const std::span<const double> all = flat();
+  // Below this many elements the scan finishes before a pool dispatch
+  // pays off.
+  constexpr size_t kParallelMinWork = size_t{1} << 16;
+  threads = resolve_threads(threads);
+  if (threads <= 1 || all.size() < kParallelMinWork) return vec::all_finite(all);
+  // One contiguous chunk per thread; a chunk that meets a non-finite
+  // value stops its own scan only.
+  std::atomic<bool> finite{true};
+  ThreadPool::shared().run(
+      threads,
+      [&](size_t c) {
+        const size_t lo = all.size() * c / threads;
+        const size_t hi = all.size() * (c + 1) / threads;
+        if (!vec::all_finite(all.subspan(lo, hi - lo)))
+          finite.store(false, std::memory_order_relaxed);
+      },
+      threads);
+  return finite.load(std::memory_order_relaxed);
+}
 
 namespace {
 
@@ -189,10 +210,12 @@ void median_rows_into(const GradientBatch& batch, std::vector<double>& column_sc
   }
 }
 
-void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
-                      size_t threads) {
-  const size_t n = batch.rows();
-  const size_t d = batch.dim();
+namespace {
+
+/// pairwise_dist_sq over the n rows of length d at base + idx[r] * d
+/// (base + r * d when idx is null).
+void pairwise_rows(const double* base, const size_t* idx, size_t n, size_t d,
+                   std::span<double> out, size_t threads) {
   require(out.size() == n * n, "pairwise_dist_sq: output must be rows*rows");
   if (n == 0) return;
   require(d > 0, "pairwise_dist_sq: zero-dimensional rows");
@@ -204,13 +227,12 @@ void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
   // Blocks own disjoint entries, so they run on any thread in any order,
   // and each pair is computed by exactly one thread: the matrix is
   // bit-identical across `threads` widths.
-  const double* rows = batch.row(0).data();
   double* m = out.data();
   constexpr size_t kBlock = kernels::kPairLanes;
   auto block = [&](size_t b) {
     const size_t i0 = b * kBlock;
     const size_t i1 = std::min(n, i0 + kBlock);
-    kernels::pairwise_block_scalar(rows, n, d, i0, m);
+    kernels::pairwise_block_scalar(base, idx, n, d, i0, m);
     for (size_t j = i0 + 1; j < n; ++j)
       for (size_t i = i0; i < std::min(i1, j); ++i) m[i * n + j] = m[j * n + i];
     for (size_t i = i0; i < i1; ++i) m[i * n + i] = 0.0;
@@ -226,6 +248,21 @@ void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
   } else {
     ThreadPool::shared().run(blocks, block, threads);
   }
+}
+
+}  // namespace
+
+void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
+                      size_t threads) {
+  const double* base = batch.empty() ? nullptr : batch.row(0).data();
+  pairwise_rows(base, nullptr, batch.rows(), batch.dim(), out, threads);
+}
+
+void pairwise_dist_sq(const GradientBatch& batch, std::span<const size_t> rows,
+                      std::span<double> out, size_t threads) {
+  for (size_t r : rows) require(r < batch.rows(), "pairwise_dist_sq: row index out of range");
+  const double* base = rows.empty() ? nullptr : batch.row(0).data();
+  pairwise_rows(base, rows.data(), rows.size(), batch.dim(), out, threads);
 }
 
 }  // namespace dpbyz

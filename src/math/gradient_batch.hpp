@@ -89,8 +89,11 @@ class GradientBatch {
   /// All vectors must share one dimension.
   static GradientBatch from_vectors(std::span<const Vector> vs);
 
-  /// True iff every stored component is finite (no NaN/Inf).
-  bool all_finite() const;
+  /// True iff every stored component is finite (no NaN/Inf).  The scan
+  /// is cut into one contiguous chunk per thread on ThreadPool::shared()
+  /// at `threads` width (0 = resolve_threads) once the batch is large
+  /// enough to pay for the dispatch; allocates nothing.
+  bool all_finite(size_t threads = 1) const;
 
  private:
   /// Start of the arena this batch reads: its own buffer when owning,
@@ -163,5 +166,13 @@ void median_rows_into(const GradientBatch& batch, std::vector<double>& column_sc
 /// serially.
 void pairwise_dist_sq(const GradientBatch& batch, std::span<double> out,
                       size_t threads);
+
+/// The same kernel over the batch rows listed in `rows`, in that order:
+/// fills the m*m row-major `out` (m = rows.size()) with
+/// out[a*m + b] = ||row(rows[a]) - row(rows[b])||², through an index list
+/// rather than a copy of the rows.  The thread gate is computed on m.
+/// Every entry has the bits pairwise_dist_sq gives the same two rows.
+void pairwise_dist_sq(const GradientBatch& batch, std::span<const size_t> rows,
+                      std::span<double> out, size_t threads);
 
 }  // namespace dpbyz

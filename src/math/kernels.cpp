@@ -75,16 +75,17 @@ void u_pair_lanes(const double* const* a, const double* const* b, size_t d,
 
 }  // namespace
 
-void pairwise_block_scalar(const double* rows, size_t n, size_t d, size_t i0,
-                           double* out) {
+void pairwise_block_scalar(const double* rows, const size_t* idx, size_t n, size_t d,
+                           size_t i0, double* out) {
   constexpr size_t J = detail::kPairSources;
+  auto row = [&](size_t r) { return rows + (idx != nullptr ? idx[r] : r) * d; };
   // Lanes and source rows past the last row repeat it.  Sums that are not
   // entries of this block's columns (those padded pairs, and every lane of
   // a partial block) go to `spill`; the partial block's real ones are then
   // copied out.
   const size_t lanes = std::min(kPairLanes, n - i0);
   const double* a[kPairLanes];
-  for (size_t l = 0; l < kPairLanes; ++l) a[l] = rows + std::min(i0 + l, n - 1) * d;
+  for (size_t l = 0; l < kPairLanes; ++l) a[l] = row(std::min(i0 + l, n - 1));
   const auto body = fast_backend_kind() == FastBackend::kAvx2 ? detail::avx2_pair_lanes
                                                                 : u_pair_lanes;
   double spill[J][kPairLanes];
@@ -93,7 +94,7 @@ void pairwise_block_scalar(const double* rows, size_t n, size_t d, size_t i0,
     const double* b[J];
     double* dst[J];
     for (size_t t = 0; t < J; ++t) {
-      b[t] = rows + std::min(j + t, n - 1) * d;
+      b[t] = row(std::min(j + t, n - 1));
       dst[t] = t < m && lanes == kPairLanes ? out + (j + t) * n + i0 : spill[t];
     }
     body(a, b, d, dst);

@@ -78,10 +78,12 @@ class MathModeScope {
 /// Lane rows per block of pairwise_block_scalar.
 inline constexpr size_t kPairLanes = 8;
 
-/// One lane block of the pairwise matrix.  For the n x d row-major matrix
-/// `rows` and the lane rows i in [i0, min(i0 + kPairLanes, n)), writes
-/// out[j*n + i] = ||row_i - row_j||² for every j > i (the lower triangle
-/// of the n x n `out`, columns of this block only).  Each value is
+/// One lane block of the pairwise matrix over n rows of length d, row r
+/// being rows + idx[r] * d (rows + r * d when `idx` is null, so a
+/// row-major matrix needs no index list).  For the lane rows i in
+/// [i0, min(i0 + kPairLanes, n)), writes out[j*n + i] = ||row_i - row_j||²
+/// for every j > i (the lower triangle of the n x n `out`, columns of this
+/// block only).  Each value is
 /// bit-identical to vec::dist_sq's scalar loop (see the header).
 /// Entries out[j*n + i] with i >= j inside the block's own square
 /// [i0, i0 + kPairLanes)² receive scratch values; pairwise_dist_sq
@@ -89,7 +91,7 @@ inline constexpr size_t kPairLanes = 8;
 /// Nothing outside those columns is touched, so blocks are independent.
 /// Routes to the backend fast_backend_kind() names; both bodies give the
 /// same bits, so the choice moves wall-clock only.
-void pairwise_block_scalar(const double* rows, size_t n, size_t d, size_t i0,
-                           double* out);
+void pairwise_block_scalar(const double* rows, const size_t* idx, size_t n, size_t d,
+                           size_t i0, double* out);
 
 }  // namespace dpbyz::kernels

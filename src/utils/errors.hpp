@@ -3,8 +3,9 @@
 // The library is used both as a research harness (where a violated
 // precondition is a programming error and should abort loudly) and from
 // long-running benchmark drivers (where we want a useful message).  We
-// therefore throw std::invalid_argument / std::logic_error with formatted
-// context instead of asserting, and never continue past a violated check.
+// therefore throw std::invalid_argument / std::runtime_error /
+// std::logic_error with formatted context instead of asserting, and never
+// continue past a violated check.
 #pragma once
 
 #include <stdexcept>
@@ -25,6 +26,15 @@ inline void require(bool cond, const std::string& msg) {
 /// allocation to the throwing branch.
 inline void require(bool cond, const char* msg) {
   if (!cond) throw std::invalid_argument(msg);
+}
+
+/// Throw std::runtime_error with `msg` when `cond` is false.
+/// Use for persisted state that decodes but carries a word no writer
+/// produces (a corrupt checkpoint), as codec::Reader does for a short
+/// read; a checkpoint that is intact but written by another
+/// configuration is a require() violation.
+inline void require_intact(bool cond, const char* msg) {
+  if (!cond) throw std::runtime_error(msg);
 }
 
 /// Throw std::logic_error with `msg` when `cond` is false.

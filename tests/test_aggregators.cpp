@@ -1,15 +1,22 @@
 // Per-GAR unit tests: exact behaviour on hand-computable inputs,
-// admissibility constraints, and the k_F(n, f) table.
+// admissibility constraints, the k_F(n, f) table, the distinct-row
+// distance matrix, and the rejection of non-finite rows by every rule and
+// tree (these run under the ASAN + UBSAN CI job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <stdexcept>
+#include <string>
 
 #include "aggregation/aggregator.hpp"
 #include "aggregation/average.hpp"
 #include "aggregation/bulyan.hpp"
 #include "aggregation/cge.hpp"
 #include "aggregation/geometric_median.hpp"
+#include "aggregation/hierarchical.hpp"
 #include "aggregation/kf_table.hpp"
 #include "aggregation/krum.hpp"
 #include "aggregation/mda.hpp"
@@ -17,7 +24,9 @@
 #include "aggregation/median.hpp"
 #include "aggregation/phocas.hpp"
 #include "aggregation/trimmed_mean.hpp"
+#include "bits_digest.hpp"
 #include "math/rng.hpp"
+#include "net/transport.hpp"
 
 namespace dpbyz {
 namespace {
@@ -388,6 +397,222 @@ TEST(Aggregator, RejectsMalformedInputs) {
   EXPECT_THROW(agg.aggregate(ragged), std::invalid_argument);
   std::vector<Vector> with_nan{{1.0}, {2.0}, {std::nan("")}};
   EXPECT_THROW(agg.aggregate(with_nan), std::invalid_argument);
+}
+
+// ---- distinct-row distance matrix -------------------------------------------
+
+GradientBatch normal_batch(size_t n, size_t d, uint64_t seed) {
+  GradientBatch batch(n, d);
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i)
+    for (double& x : batch.row(i)) x = rng.normal();
+  return batch;
+}
+
+void copy_row(GradientBatch& batch, size_t from, size_t to) {
+  vec::copy(batch.row(from), batch.row(to));
+}
+
+/// fill_dist_sq at `threads` against vec::dist_sq on every pair, bit for
+/// bit; returns fill_dist_sq's certificate.
+bool expect_matches_brute_force(const GradientBatch& batch, size_t threads,
+                                const std::string& label) {
+  const size_t n = batch.rows();
+  AggregatorWorkspace ws;
+  ws.threads = threads;
+  const bool certified = fill_dist_sq(batch, ws);
+  EXPECT_EQ(ws.dist_sq.size(), n * n) << label;
+  std::vector<double> want(n * n, 0.0);
+  for (size_t i = 0; i < n; ++i)
+    for (size_t j = 0; j < n; ++j)
+      if (i != j) want[i * n + j] = vec::dist_sq(batch.row(i), batch.row(j));
+  EXPECT_TRUE(testing_support::same_bits(ws.dist_sq, want))
+      << label << " threads " << threads;
+  return certified;
+}
+
+TEST(FillDistSq, DistinctRowMatrixIsBitIdenticalToBruteForce) {
+  // 48 rows at d = 22000: the 40 distinct rows alone clear the pool's
+  // 2^24 pair-coordinate gate (780 * 22000), so threads = 4 really forks.
+  const size_t n = 48, d = 22000;
+  GradientBatch adjacent = normal_batch(n, d, 1);
+  for (size_t r = 40; r < n; ++r) copy_row(adjacent, 39, r);  // the colluding tail
+  GradientBatch scattered = normal_batch(n, d, 2);
+  for (const size_t r : {3, 17, 18, 30, 47}) copy_row(scattered, 5, r);
+  for (const size_t r : {9, 44}) copy_row(scattered, 0, r);
+  GradientBatch all_equal = normal_batch(n, d, 3);
+  for (size_t r = 1; r < n; ++r) copy_row(all_equal, 0, r);
+  // Rows that compare == but differ in the sign of a zero stay distinct.
+  GradientBatch signed_zero = normal_batch(n, d, 4);
+  for (size_t r = 0; r < n; r += 2) {
+    signed_zero.row(r)[0] = 0.0;
+    signed_zero.row(r)[d - 1] = -0.0;
+    if (r + 1 < n) {
+      copy_row(signed_zero, r, r + 1);
+      signed_zero.row(r + 1)[d - 1] = 0.0;
+    }
+  }
+  for (const size_t threads : {1, 4}) {
+    EXPECT_TRUE(expect_matches_brute_force(normal_batch(n, d, 5), threads, "distinct"));
+    EXPECT_TRUE(expect_matches_brute_force(adjacent, threads, "adjacent"));
+    EXPECT_TRUE(expect_matches_brute_force(scattered, threads, "scattered"));
+    // One distinct row certifies nothing: the caller falls back to the sweep.
+    EXPECT_FALSE(expect_matches_brute_force(all_equal, threads, "all equal"));
+    EXPECT_TRUE(expect_matches_brute_force(signed_zero, threads, "signed zero"));
+  }
+
+  AggregatorWorkspace ws;
+  fill_dist_sq(adjacent, ws);
+  EXPECT_EQ(ws.distinct.size(), 40u);
+  EXPECT_EQ(ws.row_class[47], 39u);
+  fill_dist_sq(scattered, ws);
+  EXPECT_EQ(ws.distinct.size(), n - 7);
+  EXPECT_EQ(ws.row_class[44], 0u);
+  fill_dist_sq(all_equal, ws);
+  EXPECT_EQ(ws.distinct.size(), 1u);
+  fill_dist_sq(signed_zero, ws);
+  EXPECT_EQ(ws.distinct.size(), n);
+}
+
+TEST(FillDistSq, SmallShapesMatchBruteForce) {
+  // Every block shape of the lane kernel, with and without copies.
+  for (const size_t n : {1, 2, 3, 8, 9, 17}) {
+    for (const size_t d : {1, 3, 9}) {
+      GradientBatch batch = normal_batch(n, d, 10 * n + d);
+      const std::string label = "n " + std::to_string(n) + " d " + std::to_string(d);
+      EXPECT_EQ(expect_matches_brute_force(batch, 1, label), n >= 2);
+      if (n < 3) continue;
+      copy_row(batch, 0, n - 1);
+      copy_row(batch, 1, n / 2);
+      expect_matches_brute_force(batch, 1, label + " with copies");
+    }
+  }
+}
+
+// ---- non-finite rows -----------------------------------------------------------
+
+constexpr const char* kNonFiniteMessage = "non-finite gradient component";
+
+/// The message `rule` rejects `batch` with, or "accepted".
+std::string rejection(const Aggregator& rule, const GradientBatch& batch, size_t threads = 1) {
+  AggregatorWorkspace ws;
+  ws.threads = threads;
+  try {
+    rule.aggregate(batch, ws);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+/// Rows of an (n, d) batch to poison, and a name for the layout.
+struct BadLayout {
+  std::string name;
+  std::vector<size_t> rows;
+};
+
+TEST(Aggregator, EveryRuleRejectsNonFiniteRows) {
+  const size_t n = 11, f = 2, d = 6;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<BadLayout> layouts{
+      {"first", {0}},
+      {"last", {n - 1}},
+      {"adjacent copies", {4, 5}},
+      {"scattered copies", {1, 6, 10}},
+      {"colluding tail", {n - f, n - 1}},
+      {"every row", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+  };
+  for (const std::string& name : aggregator_names()) {
+    const auto rule = make_aggregator(name, n, f);
+    EXPECT_EQ(rejection(*rule, normal_batch(n, d, 7)), "accepted") << name;
+    for (const double bad : {std::nan(""), inf, -inf}) {
+      for (const size_t coordinate : {size_t{0}, d - 1}) {
+        for (const BadLayout& layout : layouts) {
+          GradientBatch batch = normal_batch(n, d, 7);
+          // Every poisoned row is a bitwise copy of the first one.
+          batch.row(layout.rows[0])[coordinate] = bad;
+          for (const size_t r : layout.rows) copy_row(batch, layout.rows[0], r);
+          for (const size_t threads : {1, 4})
+            EXPECT_NE(rejection(*rule, batch, threads).find(kNonFiniteMessage),
+                      std::string::npos)
+                << name << " " << bad << " at coordinate " << coordinate << ", "
+                << layout.name << ", threads " << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(Aggregator, FiniteRowsWhoseDistancesOverflowAggregateAsPinned) {
+  // Rows near ±1e200: every distance between distinct rows overflows to
+  // +inf, so the selection rules' matrix certifies nothing and they fall
+  // back to the sweep, which passes.  The outputs are pinned; mda, whose
+  // every subset then has an infinite diameter, finds none and fails its
+  // internal check.
+  const size_t n = 11, f = 2, d = 5;
+  GradientBatch batch(n, d);
+  Rng rng(5);
+  for (size_t i = 0; i + f < n; ++i)
+    for (double& x : batch.row(i)) x = 1e200 * (1.0 + 0.25 * rng.normal());
+  for (size_t i = n - f; i < n; ++i) vec::fill(batch.row(i), -1e200);  // colluding copies
+  const std::map<std::string, uint64_t> pins{
+      {"average", 0x897db487646c7c74ULL},      {"krum", 0x4f52d560f8b88799ULL},
+      {"multi-krum", 0x27af7045c43fe65eULL},   {"mda_greedy", 0x72fdf1fdf30707d0ULL},
+      {"median", 0xc701a9cd2871b542ULL},       {"trimmed-mean", 0xadeb338aad4043a8ULL},
+      {"bulyan", 0xbffc30dae1ac3466ULL},       {"meamed", 0xfb4703f126e754e7ULL},
+      {"phocas", 0x31fdda8d425bf1eaULL},       {"cge", 0x27af7045c43fe65eULL},
+      {"geometric-median", 0xc701a9cd2871b542ULL},
+  };
+  for (const std::string& name : aggregator_names()) {
+    const auto rule = make_aggregator(name, n, f);
+    for (const size_t threads : {1, 4}) {
+      AggregatorWorkspace ws;
+      ws.threads = threads;
+      if (name == "mda") {
+        EXPECT_THROW(rule->aggregate(batch, ws), std::logic_error);
+        continue;
+      }
+      EXPECT_EQ(testing_support::bits_digest(rule->aggregate(batch, ws)), pins.at(name))
+          << name << " threads " << threads;
+    }
+  }
+}
+
+TEST(Aggregator, TreeRejectsNonFiniteRowsBeforeAnyChannelTraffic) {
+  // n = 45 over L = 2, B = 3: 15-row children over 5-row leaves.  At
+  // d = 1500 the batch holds 67500 values, enough for the root's sweep to
+  // fork at threads = 4.  The bad row sits in the last leaf, so a tree
+  // that swept only after running its children would have pushed frames
+  // through every earlier edge first.
+  const size_t n = 45, f = 2, d = 1500;
+  const double inf = std::numeric_limits<double>::infinity();
+  const net::LinkConfig link;  // raw64, no faults
+  const GradientBatch clean = normal_batch(n, d, 9);
+  for (const char* inner : {"krum", "median"}) {
+    for (const net::LinkConfig* edge : {static_cast<const net::LinkConfig*>(nullptr), &link}) {
+      for (const size_t threads : {1, 4}) {
+        const std::string label = std::string(inner) + (edge ? " framed" : " flat") +
+                                  " threads " + std::to_string(threads);
+        const HierarchicalAggregator tree(inner, "median", n, f, 2, 3, threads, edge);
+        for (const double bad : {std::nan(""), inf, -inf}) {
+          GradientBatch batch = clean;
+          batch.row(n - 1)[d - 1] = bad;
+          copy_row(batch, n - 1, n - 2);
+          EXPECT_NE(rejection(tree, batch).find(kNonFiniteMessage), std::string::npos)
+              << label << " " << bad;
+          EXPECT_EQ(tree.channel_stats(), net::ChannelStats{}) << label << " " << bad;
+        }
+        // The rejections advanced no channel stream: the tree then
+        // aggregates a clean batch as a fresh one does.
+        const HierarchicalAggregator fresh(inner, "median", n, f, 2, 3, threads, edge);
+        AggregatorWorkspace ws, fresh_ws;
+        EXPECT_TRUE(testing_support::same_bits(tree.aggregate(clean, ws),
+                                               fresh.aggregate(clean, fresh_ws)))
+            << label;
+        EXPECT_EQ(tree.channel_stats(), fresh.channel_stats()) << label;
+      }
+    }
+  }
 }
 
 }  // namespace

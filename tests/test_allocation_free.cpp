@@ -64,10 +64,12 @@ namespace dpbyz {
 namespace {
 
 /// Allocations performed by `steps` full training rounds after `warmup`
-/// rounds have populated every arena, workspace, and worker buffer.
+/// rounds have populated every arena, workspace, and worker buffer.  The
+/// last `copies` rows repeat the row before them, as colluding Byzantine
+/// workers do.
 template <typename Mechanism>
 size_t steady_state_allocs(const std::string& gar_name, const Mechanism& mechanism,
-                           size_t warmup = 3, size_t steps = 2) {
+                           size_t copies = 0, size_t warmup = 3, size_t steps = 2) {
   BlobsConfig bc;
   bc.num_samples = 200;
   bc.num_features = 6;
@@ -91,6 +93,8 @@ size_t steady_state_allocs(const std::string& gar_name, const Mechanism& mechani
   auto one_step = [&](size_t t) {
     const Vector& w = server.parameters();
     for (size_t i = 0; i < n; ++i) workers[i].submit_into(w, submissions.row(i));
+    for (size_t r = n - copies; r < n; ++r)
+      vec::copy(submissions.row(n - copies - 1), submissions.row(r));
     server.step(submissions, t);
   };
 
@@ -120,10 +124,12 @@ TEST(AllocationFree, SteadyStateStepWithoutDpAndAverage) {
 }
 
 TEST(AllocationFree, SteadyStateSelectionRulesAreAllocationFree) {
-  // Every rule that reads the pairwise matrix reuses ws.dist_sq.
+  // Every rule that reads the pairwise matrix reuses ws.dist_sq, and
+  // with copied rows its distinct-row index too.
   const NoNoise mech;
-  for (const char* gar : {"krum", "multi-krum", "mda", "mda_greedy", "bulyan"})
-    EXPECT_EQ(steady_state_allocs(gar, mech), 0u) << gar;
+  for (const size_t copies : {0, 3})
+    for (const char* gar : {"krum", "multi-krum", "mda", "mda_greedy", "bulyan"})
+      EXPECT_EQ(steady_state_allocs(gar, mech, copies), 0u) << gar << " copies " << copies;
 }
 
 TEST(AllocationFree, WorkerMomentumPathIsAllocationFreeToo) {

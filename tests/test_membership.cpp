@@ -204,7 +204,7 @@ TEST(Membership, SaveLoadRoundTripsRosterRngAndTrace) {
     MembershipManager m(c, 6, Rng(0));
     try {
       m.load(is);
-    } catch (const std::invalid_argument& e) {
+    } catch (const std::runtime_error& e) {
       return e.what();
     }
     return "loaded";

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -337,6 +338,51 @@ TEST(TrainerCheckpoint, ResumeRejectsIncompatibleConfig) {
   other.learning_rate *= 2.0;
   EXPECT_THROW(Trainer(other, task.model, task.train, task.test).run(),
                std::invalid_argument);
+  std::remove(c.checkpoint_path.c_str());
+}
+
+TEST(TrainerCheckpoint, CorruptWordsInAValidRecordThrowRuntimeError) {
+  // A checkpoint whose framing and CRC are intact but whose words no
+  // writer produces is corrupt, not a configuration mismatch: resuming it
+  // throws std::runtime_error, the type codec::Reader throws for a
+  // truncated one.
+  SmallTask task;
+  ExperimentConfig c = ckpt_config(temp_ckpt("corrupt_word"));
+  c.churn = "epoch";
+  c.churn_epoch_rounds = 5;
+  c.churn_join_prob = 0.6;
+  c.churn_leave_prob = 0.1;
+  c.steps = 20;
+  const RunResult first = Trainer(c, task.model, task.train, task.test).run();
+  ASSERT_FALSE(first.churn_trace.empty());
+  const std::optional<TrainerCheckpoint> intact = load_checkpoint(c.checkpoint_path);
+  ASSERT_TRUE(intact.has_value());
+  ExperimentConfig resumed = c;
+  resumed.steps = 40;
+
+  const auto resume_error = [&](const TrainerCheckpoint& ckpt) -> std::string {
+    save_checkpoint(c.checkpoint_path, ckpt);
+    try {
+      Trainer(resumed, task.model, task.train, task.test).run();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "resumed";
+  };
+  // The membership blob ends with the last churn event's (epoch, kind,
+  // worker) words; kind 5 is outside ChurnEvent::Kind.
+  TrainerCheckpoint stray_kind = *intact;
+  std::string& blob = stray_kind.membership_blob;
+  ASSERT_GE(blob.size(), 24u);
+  const uint64_t kind = 5;
+  std::memcpy(blob.data() + blob.size() - 16, &kind, sizeof kind);  // codec words are LE
+  EXPECT_NE(resume_error(stray_kind).find("churn event kind"), std::string::npos);
+
+  TrainerCheckpoint short_metrics = *intact;
+  short_metrics.train_loss.pop_back();
+  EXPECT_NE(resume_error(short_metrics).find("metrics length mismatch"), std::string::npos);
+
+  EXPECT_EQ(resume_error(*intact), "resumed");
   std::remove(c.checkpoint_path.c_str());
 }
 
