@@ -1,7 +1,9 @@
 // bench_gar_micro — google-benchmark timings of every GAR.
 //
 // Supporting performance data: aggregation cost per server step as a
-// function of the committee size n and the model dimension d.  Useful to
+// function of the committee size n and the model dimension d, on a
+// prepacked GradientBatch and a warmed AggregatorWorkspace (the
+// allocation-free path a server round takes).  Useful to
 // document that MDA's exact subset search is practical at the paper's
 // n = 11 and where it stops being so.
 #include <benchmark/benchmark.h>
@@ -42,9 +44,14 @@ void run_gar(benchmark::State& state, const std::string& name) {
     return;
   }
   const auto agg = dpbyz::make_aggregator(name, n, f);
-  const auto g = make_gradients(n, d, 1);
+  // The batch is packed once and the workspace warmed, so each iteration
+  // times the rule alone, as a server round runs it.
+  const auto batch = dpbyz::GradientBatch::from_vectors(make_gradients(n, d, 1));
+  dpbyz::AggregatorWorkspace ws;
+  agg->aggregate(batch, ws);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agg->aggregate(g));
+    benchmark::DoNotOptimize(agg->aggregate(batch, ws).data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n * d));

@@ -79,7 +79,9 @@
 // epochs vs moderate (join 0.6 / leave 0.1) vs high (0.9 / 0.3) churn —
 // the epoch rows amortize one boundary into the allocation window so
 // renegotiation cost is counted — plus the per-boundary renegotiation
-// overhead (zero-prob E = 5 vs off) and the per-checkpoint write cost.
+// overhead (zero-prob E = 5 vs off: the median of alternating run pairs
+// with its quartiles, null when they span zero) and the per-checkpoint
+// write cost.
 // Four contracts ride along: churn-off steady state stays
 // allocation-free, zero-probability epochs are trajectory-inert,
 // checkpoint writes never perturb a run, and a kill-at-half/restore run
@@ -350,6 +352,16 @@ struct WireRow {
   uint64_t tree_bytes_per_round;    // framed L=1 B=4 n=48 tree, one round
 };
 
+/// Alternating run pairs behind churn_renegotiation_ms_per_boundary.
+constexpr size_t kRenegPairs = 11;
+
+/// Median and quartiles of a set of paired differences.
+struct Quartiles {
+  double q1 = 0.0, median = 0.0, q3 = 0.0;
+  /// False when the quartile range spans zero: the sign is noise.
+  bool resolved() const { return q1 > 0.0 || q3 < 0.0; }
+};
+
 /// One elastic-membership training run on the phishing task (median GAR,
 /// "little" attack, n = 11, f = 3 — the churn-stress tool's config).
 /// The allocs column amortizes one epoch boundary into its 20-step
@@ -447,7 +459,8 @@ struct PipelineHarness {
     } else {
       dpbyz::ThreadPool::shared().run(workers.size(), submit, threads);
     }
-    server.step(submissions, t++);
+    server.aggregate_with(server.gar(), submissions);
+    server.apply(t++);
   }
 };
 
@@ -505,9 +518,9 @@ int main(int argc, char** argv) {
         const double new_s =
             time_call([&] { agg->aggregate(batch, ws); }, budget_s);
         // The seed aggregate() validated finiteness/dimensions on every
-        // call (Aggregator::validate_inputs) before running the GAR, and
-        // the batch path above still does; include that cost on the
-        // reference side for a like-for-like comparison.
+        // call before running the GAR, and the batch path above still
+        // does; include that cost on the reference side for a
+        // like-for-like comparison.
         const double ref_s = time_call(
             [&] {
               for (const Vector& g : gradients)
@@ -1210,7 +1223,7 @@ int main(int argc, char** argv) {
   // uninterrupted trajectory bit-for-bit in-process (the CI leg proves
   // the same across processes with cmp).
   std::vector<ChurnRow> churn_rows;
-  double churn_reneg_ms = 0.0;       // per epoch boundary, zero-prob epochs
+  Quartiles churn_reneg;             // ms per epoch boundary, zero-prob epochs
   double churn_ckpt_write_ms = 0.0;  // per written checkpoint
   bool churn_ckpt_write_inert = true;
   bool churn_restore_identical = true;
@@ -1274,7 +1287,6 @@ int main(int argc, char** argv) {
         "--------------------------------------------------------------------"
         "--------------\n");
     std::optional<dpbyz::RunResult> off_run;
-    double off_total_s = 0.0;
     for (const Point& p : points) {
       dpbyz::ExperimentConfig c = cfg;
       const bool epoch = std::string(p.label) != "off";
@@ -1293,7 +1305,6 @@ int main(int argc, char** argv) {
       bool off_identical = true;
       if (!epoch) {
         off_run = run;
-        off_total_s = total_s;
       } else if (p.join == 0.0 && p.leave == 0.0) {
         off_identical = same_trajectory(run, *off_run);
       }
@@ -1320,21 +1331,35 @@ int main(int argc, char** argv) {
 
     // Renegotiation overhead per boundary: zero-probability epochs at
     // E = 5 (steps/5 boundaries) against the churn-off run — the only
-    // difference is the boundary machinery itself.
+    // difference is the boundary machinery itself.  Host noise moves one
+    // run as much as the boundaries do, so the two configs alternate over
+    // kRenegPairs pairs and the figure is the median of the paired
+    // differences with their quartiles, unresolved (null in the JSON)
+    // when the quartile range spans zero.
     {
-      dpbyz::ExperimentConfig c = cfg;
-      c.churn = "epoch";
-      c.churn_epoch_rounds = 5;
-      c.churn_join_prob = 0.0;
-      c.churn_leave_prob = 0.0;
-      c.reputation = "off";
-      double total_s = 0.0;
-      run_timed(c, total_s);
+      dpbyz::ExperimentConfig epochs = cfg;
+      epochs.churn = "epoch";
+      epochs.churn_epoch_rounds = 5;
+      epochs.churn_join_prob = 0.0;
+      epochs.churn_leave_prob = 0.0;
+      epochs.reputation = "off";
       const double boundaries = static_cast<double>(cfg.steps) / 5.0;
-      churn_reneg_ms = (total_s - off_total_s) / boundaries * 1e3;
-      std::printf("renegotiation overhead: %.4f ms per boundary "
-                  "(zero-prob E=5 vs off, %g boundaries)\n",
-                  churn_reneg_ms, boundaries);
+      std::vector<double> diffs(kRenegPairs);
+      for (double& diff : diffs) {
+        double epochs_s = 0.0, off_s = 0.0;
+        run_timed(epochs, epochs_s);
+        run_timed(cfg, off_s);
+        diff = (epochs_s - off_s) / boundaries * 1e3;
+      }
+      std::sort(diffs.begin(), diffs.end());
+      churn_reneg = {diffs[kRenegPairs / 4], diffs[kRenegPairs / 2],
+                     diffs[3 * kRenegPairs / 4]};
+      std::printf("renegotiation overhead: %.4f ms per boundary, quartiles "
+                  "[%.4f, %.4f]%s (zero-prob E=5 vs off, %g boundaries, "
+                  "median of %zu pairs)\n",
+                  churn_reneg.median, churn_reneg.q1, churn_reneg.q3,
+                  churn_reneg.resolved() ? "" : " — unresolved", boundaries,
+                  kRenegPairs);
     }
 
     // Checkpoint write cost + the two restore gates, on the moderate
@@ -1381,6 +1406,9 @@ int main(int argc, char** argv) {
     }
   }
 
+  char reneg_median[32] = "null";
+  if (churn_reneg.resolved())
+    std::snprintf(reneg_median, sizeof reneg_median, "%.6f", churn_reneg.median);
   FILE* out = std::fopen("BENCH_gar_scaling.json", "w");
   if (!out) {
     std::fprintf(stderr, "cannot open BENCH_gar_scaling.json for writing\n");
@@ -1559,11 +1587,14 @@ int main(int argc, char** argv) {
                  i + 1 < churn_rows.size() ? "," : "");
   }
   std::fprintf(out,
-               "  ],\n  \"churn_renegotiation_ms_per_boundary\": %.6f,\n"
+               "  ],\n  \"churn_renegotiation_ms_per_boundary\": %s,\n"
+               "  \"churn_renegotiation_quartiles_ms\": [%.6f, %.6f],\n"
+               "  \"churn_renegotiation_pairs\": %zu,\n"
                "  \"churn_checkpoint_write_ms\": %.6f,\n"
                "  \"churn_checkpoint_write_inert\": %s,\n"
                "  \"churn_restore_bit_identical\": %s\n}\n",
-               churn_reneg_ms, churn_ckpt_write_ms,
+               reneg_median, churn_reneg.q1, churn_reneg.q3, kRenegPairs,
+               churn_ckpt_write_ms,
                churn_ckpt_write_inert ? "true" : "false",
                churn_restore_identical ? "true" : "false");
   std::fclose(out);

@@ -41,9 +41,8 @@ std::span<const double> Aggregator::run(const GradientBatch& batch, AggregatorWo
 }
 
 Vector Aggregator::aggregate(std::span<const Vector> gradients) const {
-  // No validate_inputs here: from_vectors enforces equal dimensions and
-  // the forwarded aggregate() re-validates count/dim/finiteness, so a
-  // second full O(n*d) scan would buy nothing.
+  // from_vectors enforces equal dimensions; the forwarded aggregate()
+  // validates count, dim and finiteness.
   const GradientBatch batch = GradientBatch::from_vectors(gradients);
   AggregatorWorkspace ws;
   const auto view = aggregate(batch, ws);
@@ -66,19 +65,6 @@ void Aggregator::require_finite(const GradientBatch& batch, size_t threads) {
 void Aggregator::fill_certified_dist_sq(const GradientBatch& batch,
                                         AggregatorWorkspace& ws) {
   if (!fill_dist_sq(batch, ws) && !ws.rows_finite) require_finite(batch);
-}
-
-void Aggregator::validate_inputs(std::span<const Vector> gradients) const {
-  require(gradients.size() == n_,
-          "Aggregator::aggregate: expected exactly n gradients (name=" + name() + ")");
-  const size_t d = gradients[0].size();
-  require(d > 0, "Aggregator::aggregate: zero-dimensional gradients");
-  for (const Vector& g : gradients) {
-    require(g.size() == d, "Aggregator::aggregate: dimension mismatch across gradients");
-    require(vec::all_finite(g),
-            "Aggregator::aggregate: non-finite gradient component (a real "
-            "server drops such submissions as malformed)");
-  }
 }
 
 bool fill_dist_sq(const GradientBatch& batch, AggregatorWorkspace& ws) {

@@ -20,9 +20,10 @@
 //     bit-identical to the seed std::span<const Vector> implementations
 //     (preserved in aggregation/reference_gars.hpp and enforced by the
 //     golden tests).
-// The std::span<const Vector> overload is the legacy convenience path: it
-// packs the vectors into a temporary batch and forwards — correct but
-// allocating, for tests and cold call sites only.
+// The std::span<const Vector> overload is a test-facing convenience: it
+// packs the vectors into a temporary batch (GradientBatch::from_vectors)
+// and forwards to the batch path, so it checks the same rules and returns
+// the same bits — but it allocates, so no round loop calls it.
 #pragma once
 
 #include <memory>
@@ -48,8 +49,8 @@ class Aggregator {
   std::span<const double> aggregate(const GradientBatch& batch,
                                     AggregatorWorkspace& ws) const;
 
-  /// Legacy convenience: packs `gradients` into a temporary batch and
-  /// forwards to the view path (allocates; not for the hot loop).
+  /// Test-facing convenience: packs `gradients` into a temporary batch
+  /// and forwards to the view path (allocates; not for the hot loop).
   Vector aggregate(std::span<const Vector> gradients) const;
 
   /// Short identifier ("krum", "mda", ...), stable across versions.
@@ -110,9 +111,6 @@ class Aggregator {
   /// the rows and ws.rows_finite is unset: the selection rules' first
   /// read of the batch.
   static void fill_certified_dist_sq(const GradientBatch& batch, AggregatorWorkspace& ws);
-
-  /// Legacy-path validation with the same rules, on owning vectors.
-  void validate_inputs(std::span<const Vector> gradients) const;
 
  private:
   /// The tree hands its children views its root has already swept.

@@ -41,15 +41,6 @@ void Bulyan::select_indices_view(const GradientBatch& batch, AggregatorWorkspace
   }
 }
 
-std::vector<size_t> Bulyan::select_indices(std::span<const Vector> gradients) const {
-  validate_inputs(gradients);
-  const GradientBatch batch = GradientBatch::from_vectors(gradients);
-  AggregatorWorkspace ws;
-  ws.reserve(batch.rows(), batch.dim());
-  select_indices_view(batch, ws);
-  return ws.selected;
-}
-
 void Bulyan::aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   select_indices_view(batch, ws);
   const size_t theta = ws.selected.size();

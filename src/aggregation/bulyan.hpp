@@ -28,11 +28,8 @@ class Bulyan final : public Aggregator {
   std::string name() const override { return "bulyan"; }
   double vn_threshold() const override;
 
-  /// Indices chosen by the iterated-Krum selection stage (size n - 2f).
-  std::vector<size_t> select_indices(std::span<const Vector> gradients) const;
-
-  /// Hot-path selection: fills ws.dist_sq and leaves the selected indices
-  /// in ws.selected (selection order).
+  /// The iterated-Krum selection stage: fills ws.dist_sq and leaves the
+  /// n - 2f selected indices in ws.selected (selection order).
   void select_indices_view(const GradientBatch& batch, AggregatorWorkspace& ws) const;
 
  protected:

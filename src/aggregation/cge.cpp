@@ -30,15 +30,6 @@ void Cge::select_indices_view(const GradientBatch& batch, AggregatorWorkspace& w
   ws.selected.resize(keep);
 }
 
-std::vector<size_t> Cge::select_indices(std::span<const Vector> gradients) const {
-  validate_inputs(gradients);
-  const GradientBatch batch = GradientBatch::from_vectors(gradients);
-  AggregatorWorkspace ws;
-  ws.reserve(batch.rows(), batch.dim());
-  select_indices_view(batch, ws);
-  return ws.selected;
-}
-
 void Cge::aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const {
   select_indices_view(batch, ws);
   mean_rows_of_into(batch, ws.selected, ws.output);

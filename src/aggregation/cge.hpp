@@ -21,11 +21,9 @@ class Cge final : public Aggregator {
 
   std::string name() const override { return "cge"; }
 
-  /// Indices of the n - f smallest-norm gradients (ties broken by
-  /// lexicographic vector order for permutation invariance).
-  std::vector<size_t> select_indices(std::span<const Vector> gradients) const;
-
-  /// Hot-path selection: leaves the kept indices in ws.selected.
+  /// Leaves the indices of the n - f smallest-norm rows in ws.selected
+  /// (ties broken by lexicographic row order for permutation invariance).
+  /// Checks no finiteness; aggregate() does.
   void select_indices_view(const GradientBatch& batch, AggregatorWorkspace& ws) const;
 
  protected:

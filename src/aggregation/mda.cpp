@@ -34,8 +34,11 @@ namespace {
 /// distinct squared diameters into one double, and on such a tie the
 /// seed's >= prune keeps the earlier-enumerated subset while a squared-
 /// value search would see a strict ordering and pick the other one,
-/// breaking bit-identity.  `current` / `best` are caller-owned scratch so
-/// the search allocates nothing.
+/// breaking bit-identity.  The prune applies only once an incumbent
+/// exists, so finite rows whose distances all overflow still yield the
+/// first-enumerated subset; for finite diameters the order and tie-break
+/// are the seed's.  `current` / `best` are caller-owned scratch so the
+/// search allocates nothing.
 struct SubsetSearch {
   SubsetSearch(std::span<const double> d, size_t n, size_t m, std::vector<size_t>& cur,
                std::vector<size_t>& bst)
@@ -55,7 +58,9 @@ struct SubsetSearch {
 
   void descend(size_t next, double diameter) {
     if (current.size() == target) {
-      if (diameter < best_diameter) {
+      // The first complete subset is always taken: when every distance
+      // has overflowed to +inf, no subset beats the +inf sentinel.
+      if (best.empty() || diameter < best_diameter) {
         best_diameter = diameter;
         best.assign(current.begin(), current.end());
       }
@@ -67,7 +72,7 @@ struct SubsetSearch {
       double new_diameter = diameter;
       for (size_t j : current)
         new_diameter = std::max(new_diameter, dist[j * count + i]);
-      if (new_diameter >= best_diameter) continue;  // prune
+      if (!best.empty() && new_diameter >= best_diameter) continue;  // prune
       current.push_back(i);
       descend(i + 1, new_diameter);
       current.pop_back();
@@ -88,15 +93,6 @@ void Mda::select_subset_view(const GradientBatch& batch, AggregatorWorkspace& ws
   SubsetSearch search(ws.dist_sq, count, count - f(), ws.active, ws.selected);
   search.run();
   check_internal(ws.selected.size() == count - f(), "Mda: subset search failed");
-}
-
-std::vector<size_t> Mda::select_subset(std::span<const Vector> gradients) const {
-  validate_inputs(gradients);
-  const GradientBatch batch = GradientBatch::from_vectors(gradients);
-  AggregatorWorkspace ws;
-  ws.reserve(batch.rows(), batch.dim());
-  select_subset_view(batch, ws);
-  return ws.selected;
 }
 
 void Mda::aggregate_into(const GradientBatch& batch, AggregatorWorkspace& ws) const {

@@ -35,11 +35,8 @@ class Mda final : public Aggregator {
   std::string name() const override { return "mda"; }
   double vn_threshold() const override;
 
-  /// The selected subset (indices) of minimal diameter; exposed for tests.
-  std::vector<size_t> select_subset(std::span<const Vector> gradients) const;
-
-  /// Hot-path subset selection: fills ws.dist_sq and leaves the winning
-  /// subset in ws.selected (ascending index order).
+  /// Subset selection: fills ws.dist_sq and leaves the winning subset of
+  /// minimal diameter in ws.selected (ascending index order).
   void select_subset_view(const GradientBatch& batch, AggregatorWorkspace& ws) const;
 
   /// Number of subsets the exact search would enumerate for (n, f).

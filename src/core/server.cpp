@@ -17,15 +17,6 @@ ParameterServer::ParameterServer(std::unique_ptr<Aggregator> gar, SgdOptimizer o
   ws_.threads = resolve_threads(threads);
 }
 
-void ParameterServer::step(const GradientBatch& batch, size_t t) {
-  aggregate(batch);
-  apply(t);
-}
-
-void ParameterServer::aggregate(const GradientBatch& batch) {
-  aggregate_with(*gar_, batch);
-}
-
 void ParameterServer::aggregate_with(const Aggregator& gar, const GradientBatch& batch) {
   const auto view = gar.aggregate(batch, ws_);
   last_aggregate_.assign(view.begin(), view.end());
@@ -59,12 +50,6 @@ void ParameterServer::restore(Vector w, const Vector& velocity) {
   require(w.size() == w_.size(), "ParameterServer::restore: dimension mismatch");
   w_ = std::move(w);
   optimizer_.restore_velocity(velocity);
-}
-
-void ParameterServer::step(std::span<const Vector> gradients, size_t t) {
-  legacy_batch_.reshape(gradients.size(), gradients.empty() ? 0 : gradients[0].size());
-  for (size_t i = 0; i < gradients.size(); ++i) legacy_batch_.set_row(i, gradients[i]);
-  step(legacy_batch_, t);
 }
 
 }  // namespace dpbyz

@@ -8,9 +8,10 @@
 // mechanism; the server object needs no code for it.
 //
 // The server owns the AggregatorWorkspace its GAR aggregates through, so
-// the per-step hot path (step on a GradientBatch) allocates nothing once
-// the workspace has warmed up, and grants that workspace its thread
-// budget.
+// a round (aggregate_with(gar(), batch), then apply(t)) allocates nothing
+// once the workspace has warmed up, and grants that workspace its thread
+// budget.  The two phases stay separate calls so the round engine can
+// time and interleave them.
 #pragma once
 
 #include <memory>
@@ -32,28 +33,15 @@ class ParameterServer {
   ParameterServer(std::unique_ptr<Aggregator> gar, SgdOptimizer optimizer, Vector w0,
                   size_t threads = 0);
 
-  /// One synchronous round: aggregate the n batch rows and apply the
-  /// update for (1-based) step t.  Allocation-free at steady state.
-  /// Equivalent to aggregate(batch) followed by apply(t) — the split
-  /// exists so the round engine can time (and interleave) the two
-  /// phases separately.
-  void step(const GradientBatch& batch, size_t t);
-
-  /// Legacy convenience: packs the vectors into an internal arena and
-  /// forwards (copies; not for the hot loop).
-  void step(std::span<const Vector> gradients, size_t t);
-
-  /// Phase 1 of step(): run the server's own GAR over the batch and
-  /// latch the result into last_aggregate().  Does not touch the model.
-  void aggregate(const GradientBatch& batch);
-
-  /// Same, but through a caller-supplied GAR — the round engine swaps in
-  /// a per-(n', f) rule when participation shrinks the round (the GAR is
-  /// constructed at a fixed row count; see core/pipeline.hpp).  Scratch
-  /// still comes from this server's workspace.
+  /// Phase 1 of a round: run `gar` over the batch rows and latch the
+  /// result into last_aggregate(); the model is untouched.  `gar` is
+  /// gar() for a full round; the round engine swaps in a per-(n', f)
+  /// rule when participation shrinks the round (the GAR is constructed
+  /// at a fixed row count; see core/pipeline.hpp).  Scratch comes from
+  /// this server's workspace, so this allocates nothing at steady state.
   void aggregate_with(const Aggregator& gar, const GradientBatch& batch);
 
-  /// Phase 2 of step(): apply the latched aggregate for (1-based) step t.
+  /// Phase 2 of a round: apply the latched aggregate for (1-based) step t.
   void apply(size_t t);
 
   const Vector& parameters() const { return w_; }
@@ -87,7 +75,6 @@ class ParameterServer {
   Vector w_;
   Vector last_aggregate_;
   AggregatorWorkspace ws_;
-  GradientBatch legacy_batch_;  // arena backing the span overload
   /// Rules replaced by renegotiate(), kept alive (see renegotiate docs).
   std::vector<std::unique_ptr<Aggregator>> retired_;
 };

@@ -14,25 +14,4 @@ void IidSampler::next_into(size_t batch_size, Rng& rng, std::vector<size_t>& out
   for (size_t& i : out) i = rng.uniform_index(n_);
 }
 
-EpochShuffleSampler::EpochShuffleSampler(size_t population_size) : n_(population_size) {
-  require(n_ > 0, "EpochShuffleSampler: population must be positive");
-}
-
-void EpochShuffleSampler::next_into(size_t batch_size, Rng& rng,
-                                    std::vector<size_t>& out) {
-  require(batch_size > 0, "EpochShuffleSampler::next: batch_size must be positive");
-  require(batch_size <= n_,
-          "EpochShuffleSampler::next: batch_size exceeds population");
-  // Reshuffle when the current epoch cannot supply a full batch.  The
-  // (at most batch_size - 1) leftover indices of the old permutation are
-  // dropped so that a single batch never contains duplicates.
-  if (order_.empty() || cursor_ + batch_size > order_.size()) {
-    order_ = rng.permutation(n_);
-    cursor_ = 0;
-  }
-  out.assign(order_.begin() + static_cast<std::ptrdiff_t>(cursor_),
-             order_.begin() + static_cast<std::ptrdiff_t>(cursor_ + batch_size));
-  cursor_ += batch_size;
-}
-
 }  // namespace dpbyz

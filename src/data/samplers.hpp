@@ -1,10 +1,9 @@
-// samplers.hpp — mini-batch index samplers.
+// samplers.hpp — the mini-batch index sampler.
 //
 // Each honest worker W_i "locally samples a random training batch xi_t^(i)
 // from the data distribution D" (paper §2.1).  We model D as the empirical
-// distribution over the training set, so the faithful sampler draws b
-// indices uniformly *with replacement* (iid).  An epoch-style
-// without-replacement sampler is provided for completeness and tests.
+// distribution over the training set, so the sampler draws b indices
+// uniformly *with replacement* (iid).
 #pragma once
 
 #include <cstddef>
@@ -14,16 +13,16 @@
 
 namespace dpbyz {
 
-/// Interface: produce mini-batches of indices into a dataset of size n.
-class BatchSampler {
+/// IID sampling with replacement — the paper's model of batch sampling.
+class IidSampler {
  public:
-  virtual ~BatchSampler() = default;
+  explicit IidSampler(size_t population_size);
 
   /// Write the next batch of exactly `batch_size` indices in
   /// [0, population()) into `out` (resized to batch_size) — the worker
   /// pipeline's hot path: with a reused caller buffer, steady-state calls
   /// perform no heap allocation.  Draw-for-draw identical to next().
-  virtual void next_into(size_t batch_size, Rng& rng, std::vector<size_t>& out) = 0;
+  void next_into(size_t batch_size, Rng& rng, std::vector<size_t>& out);
 
   /// Allocating convenience wrapper around next_into.
   std::vector<size_t> next(size_t batch_size, Rng& rng) {
@@ -33,33 +32,10 @@ class BatchSampler {
   }
 
   /// Size of the underlying index population.
-  virtual size_t population() const = 0;
-};
-
-/// IID sampling with replacement — the paper's model of batch sampling.
-class IidSampler final : public BatchSampler {
- public:
-  explicit IidSampler(size_t population_size);
-  void next_into(size_t batch_size, Rng& rng, std::vector<size_t>& out) override;
-  size_t population() const override { return n_; }
+  size_t population() const { return n_; }
 
  private:
   size_t n_;
-};
-
-/// Epoch shuffling without replacement: each call consumes the next chunk
-/// of a random permutation, reshuffling when exhausted.  Batches never
-/// contain duplicates; successive batches within an epoch are disjoint.
-class EpochShuffleSampler final : public BatchSampler {
- public:
-  explicit EpochShuffleSampler(size_t population_size);
-  void next_into(size_t batch_size, Rng& rng, std::vector<size_t>& out) override;
-  size_t population() const override { return n_; }
-
- private:
-  size_t n_;
-  std::vector<size_t> order_;
-  size_t cursor_ = 0;
 };
 
 }  // namespace dpbyz

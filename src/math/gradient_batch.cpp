@@ -55,13 +55,6 @@ void GradientBatch::set_row(size_t i, std::span<const double> v) {
   std::copy(v.begin(), v.end(), row(i).begin());
 }
 
-void GradientBatch::swap(GradientBatch& other) {
-  require(!is_view_ && !other.is_view_, "GradientBatch::swap: views cannot swap arenas");
-  std::swap(rows_, other.rows_);
-  std::swap(dim_, other.dim_);
-  data_.swap(other.data_);
-}
-
 Vector GradientBatch::row_vector(size_t i) const {
   const auto r = row(i);
   return Vector(r.begin(), r.end());

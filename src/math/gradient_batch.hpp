@@ -76,16 +76,11 @@ class GradientBatch {
   /// Copy `v` (length dim()) into row i.
   void set_row(size_t i, std::span<const double> v);
 
-  /// O(1) arena exchange between two owning batches (extents swap with
-  /// the buffers; no row is copied).  The double-buffered round engine
-  /// uses this to retarget its fill buffer each round.  Throws when
-  /// either side is a view — views alias someone else's storage.
-  void swap(GradientBatch& other);
-
   /// Owning copy of row i (allocates — not for the hot path).
   Vector row_vector(size_t i) const;
 
-  /// Pack owning vectors into a fresh batch (legacy-API bridge).
+  /// Pack owning vectors into a fresh batch (the bridge tests and the
+  /// span-of-vectors aggregate() take; allocates).
   /// All vectors must share one dimension.
   static GradientBatch from_vectors(std::span<const Vector> vs);
 

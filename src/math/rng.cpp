@@ -220,12 +220,6 @@ void Rng::add_normal(std::span<const double> base, double stddev,
     detail::add_normal_portable(engine_, base, stddev, out);
 }
 
-Vector Rng::laplace_vector(size_t d, double scale) {
-  Vector out(d);
-  for (double& x : out) x = laplace(0.0, scale);
-  return out;
-}
-
 void Rng::save(std::ostream& os) const {
   codec::put_u64(os, seed_);
   codec::put_u64s(os, engine_.state);

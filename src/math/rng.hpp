@@ -111,9 +111,6 @@ class Rng {
   /// mechanism and the dataset generators.  `out` may alias `base`.
   void add_normal(std::span<const double> base, double stddev, std::span<double> out);
 
-  /// Vector of iid Laplace(0, scale) entries.
-  Vector laplace_vector(size_t d, double scale);
-
   /// Fisher–Yates shuffle of an index range [0, n), returned as a vector.
   std::vector<size_t> permutation(size_t n);
 

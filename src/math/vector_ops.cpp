@@ -106,7 +106,7 @@ bool lex_less(CView a, CView b) {
   return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }
 
-// ---- Vector API (forwards to the span implementations) ----
+// ---- allocating helpers (return a fresh Vector) ----
 
 Vector zeros(size_t d) { return Vector(d, 0.0); }
 
@@ -130,32 +130,6 @@ Vector scale(const Vector& a, double s) {
   return out;
 }
 
-void add_inplace(Vector& a, const Vector& b) { add_inplace(View(a), CView(b)); }
-
-void sub_inplace(Vector& a, const Vector& b) { sub_inplace(View(a), CView(b)); }
-
-void scale_inplace(Vector& a, double s) { scale_inplace(View(a), s); }
-
-void axpy_inplace(Vector& a, double s, const Vector& b) {
-  axpy_inplace(View(a), s, CView(b));
-}
-
-double dot(const Vector& a, const Vector& b) { return dot(CView(a), CView(b)); }
-
-double norm_sq(const Vector& a) { return norm_sq(CView(a)); }
-
-double norm(const Vector& a) { return norm(CView(a)); }
-
-double norm_l1(const Vector& a) { return norm_l1(CView(a)); }
-
-double norm_inf(const Vector& a) { return norm_inf(CView(a)); }
-
-double dist_sq(const Vector& a, const Vector& b) {
-  return dist_sq(CView(a), CView(b));
-}
-
-double dist(const Vector& a, const Vector& b) { return dist(CView(a), CView(b)); }
-
 Vector mean(std::span<const Vector> vs) {
   require(!vs.empty(), "vec::mean: empty input");
   Vector out = zeros(vs[0].size());
@@ -174,12 +148,6 @@ Vector mean_of(std::span<const Vector> vs, std::span<const size_t> idx) {
   }
   scale_inplace(out, 1.0 / static_cast<double>(idx.size()));
   return out;
-}
-
-bool all_finite(const Vector& a) { return all_finite(CView(a)); }
-
-bool approx_equal(const Vector& a, const Vector& b, double tol) {
-  return approx_equal(CView(a), CView(b), tol);
 }
 
 double quantize_int8(CView src, std::span<int8_t> out) {

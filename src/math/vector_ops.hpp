@@ -20,9 +20,10 @@ namespace dpbyz {
 using Vector = std::vector<double>;
 
 /// Mutable / read-only views over contiguous coordinate storage (a Vector,
-/// a GradientBatch row, or any double buffer).  The span overloads below
-/// are the allocation-free hot-path API; the Vector overloads forward to
-/// them, so both paths are bit-identical.
+/// a GradientBatch row, or any double buffer).  Every in-place op and
+/// reduction below takes views, and a Vector binds to them implicitly, so
+/// each operation has one entry; only the allocating helpers (zeros, add,
+/// sub, scale, mean, mean_of) return a fresh Vector.
 using View = std::span<double>;
 using CView = std::span<const double>;
 
@@ -40,52 +41,13 @@ Vector sub(const Vector& a, const Vector& b);
 /// Scalar multiple s * a.
 Vector scale(const Vector& a, double s);
 
-/// In-place a += b.
-void add_inplace(Vector& a, const Vector& b);
-
-/// In-place a -= b.
-void sub_inplace(Vector& a, const Vector& b);
-
-/// In-place a *= s.
-void scale_inplace(Vector& a, double s);
-
-/// In-place a += s * b (BLAS axpy).
-void axpy_inplace(Vector& a, double s, const Vector& b);
-
-/// Inner product <a, b>.
-double dot(const Vector& a, const Vector& b);
-
-/// Squared L2 norm.
-double norm_sq(const Vector& a);
-
-/// L2 norm.
-double norm(const Vector& a);
-
-/// L1 norm.
-double norm_l1(const Vector& a);
-
-/// L-infinity norm.
-double norm_inf(const Vector& a);
-
-/// Squared L2 distance ||a - b||^2 without allocating a temporary.
-double dist_sq(const Vector& a, const Vector& b);
-
-/// L2 distance ||a - b||.
-double dist(const Vector& a, const Vector& b);
-
 /// Arithmetic mean of a non-empty set of equal-dimension vectors.
 Vector mean(std::span<const Vector> vs);
 
 /// Mean of the subset of `vs` selected by `idx` (indices into vs).
 Vector mean_of(std::span<const Vector> vs, std::span<const size_t> idx);
 
-/// True iff every component is finite (no NaN/Inf).
-bool all_finite(const Vector& a);
-
-/// True iff ||a - b||_inf <= tol.
-bool approx_equal(const Vector& a, const Vector& b, double tol = 1e-12);
-
-// ---- span overloads (allocation-free; write into caller storage) ----
+// ---- view operations (allocation-free; write into caller storage) ----
 
 /// Set every component of `a` to `value`.
 void fill(View a, double value);
@@ -107,7 +69,8 @@ double norm_inf(CView a);
 double dist_sq(CView a, CView b);
 double dist(CView a, CView b);
 bool all_finite(CView a);
-bool approx_equal(CView a, CView b, double tol);
+/// True iff the dimensions match and ||a - b||_inf <= tol.
+bool approx_equal(CView a, CView b, double tol = 1e-12);
 
 /// Lexicographic strict ordering of two views — the canonical GAR
 /// tie-break, matching std::vector<double>'s operator< on the same values.

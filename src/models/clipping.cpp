@@ -13,10 +13,4 @@ double clip_l2_inplace(std::span<double> g, double max_norm) {
   return n;
 }
 
-Vector clip_l2(const Vector& g, double max_norm) {
-  Vector out = g;
-  clip_l2_inplace(out, max_norm);
-  return out;
-}
-
 }  // namespace dpbyz

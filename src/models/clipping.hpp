@@ -11,13 +11,11 @@
 
 namespace dpbyz {
 
-/// Scale `g` down to L2 norm `max_norm` iff it exceeds it; identity
-/// otherwise.  max_norm must be positive.
-Vector clip_l2(const Vector& g, double max_norm);
-
-/// In-place variant; returns the pre-clip norm (useful for diagnostics).
-/// Takes a view so it works on arena rows and reused worker buffers
-/// (Vectors bind implicitly); performs no heap allocation.
+/// Scale `g` in place down to L2 norm `max_norm` iff it exceeds it;
+/// identity otherwise.  max_norm must be positive.  Returns the pre-clip
+/// norm (useful for diagnostics).  Takes a view so it works on arena rows
+/// and reused worker buffers (Vectors bind implicitly); performs no heap
+/// allocation.
 double clip_l2_inplace(std::span<double> g, double max_norm);
 
 }  // namespace dpbyz

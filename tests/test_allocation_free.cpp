@@ -95,7 +95,8 @@ size_t steady_state_allocs(const std::string& gar_name, const Mechanism& mechani
     for (size_t i = 0; i < n; ++i) workers[i].submit_into(w, submissions.row(i));
     for (size_t r = n - copies; r < n; ++r)
       vec::copy(submissions.row(n - copies - 1), submissions.row(r));
-    server.step(submissions, t);
+    server.aggregate_with(server.gar(), submissions);
+    server.apply(t);
   };
 
   size_t t = 1;
@@ -164,10 +165,14 @@ TEST(AllocationFree, FlatKrumStepAboveDispatchGateAtDefaultThreads) {
     for (double& x : batch.row(i)) x = rng.normal();
   ParameterServer server(make_aggregator("krum", n, 2),
                          SgdOptimizer(d, constant_lr(0.1), 0.9), Vector(d, 0.0));
-  for (size_t t = 1; t <= 2; ++t) server.step(batch, t);
+  auto round = [&](size_t t) {
+    server.aggregate_with(server.gar(), batch);
+    server.apply(t);
+  };
+  for (size_t t = 1; t <= 2; ++t) round(t);
   g_alloc_count.store(0);
   g_count_allocs.store(true);
-  for (size_t t = 3; t <= 4; ++t) server.step(batch, t);
+  for (size_t t = 3; t <= 4; ++t) round(t);
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0u);
 }

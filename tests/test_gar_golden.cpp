@@ -98,8 +98,8 @@ void expect_bit_identical(const std::string& name, size_t n, size_t f,
                          << ")";
   }
 
-  // The legacy span overload must route through the same kernel.
-  EXPECT_EQ(agg->aggregate(inputs), want) << name << " legacy path on " << label;
+  // The span-of-vectors overload must route through the same kernel.
+  EXPECT_EQ(agg->aggregate(inputs), want) << name << " span-of-vectors path on " << label;
 }
 
 TEST_P(GarGoldenTest, BitIdenticalOnSeededRandomInputs) {
@@ -212,10 +212,12 @@ TEST(GarGolden, KrumScoresReferenceMatchesMatrixPath) {
 
 TEST(GarGolden, SelectionHelpersMatchReference) {
   const auto inputs = adversarial_inputs(25, 5, 9, 11);
-  const Mda mda(25, 5);
-  EXPECT_EQ(mda.select_subset(inputs), reference::mda_select(inputs, 5));
-  const Bulyan bulyan(25, 5);
-  EXPECT_EQ(bulyan.select_indices(inputs), reference::bulyan_select(inputs, 25, 5));
+  const GradientBatch batch = GradientBatch::from_vectors(inputs);
+  AggregatorWorkspace ws;
+  Mda(25, 5).select_subset_view(batch, ws);
+  EXPECT_EQ(ws.selected, reference::mda_select(inputs, 5));
+  Bulyan(25, 5).select_indices_view(batch, ws);
+  EXPECT_EQ(ws.selected, reference::bulyan_select(inputs, 25, 5));
 }
 
 }  // namespace

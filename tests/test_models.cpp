@@ -155,8 +155,9 @@ TEST(QuadraticModel, AccuracyIsNan) {
 }
 
 TEST(Clipping, LeavesShortVectorsUntouched) {
-  const Vector g{0.3, 0.4};  // norm 0.5
-  EXPECT_EQ(clip_l2(g, 1.0), g);
+  Vector g{0.3, 0.4};  // norm 0.5
+  clip_l2_inplace(g, 1.0);
+  EXPECT_EQ(g, (Vector{0.3, 0.4}));
 }
 
 TEST(Clipping, ScalesLongVectorsToBound) {

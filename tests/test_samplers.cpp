@@ -45,31 +45,5 @@ TEST(IidSampler, RejectsZeroBatchOrPopulation) {
   EXPECT_THROW(s.next(0, rng), std::invalid_argument);
 }
 
-TEST(EpochShuffleSampler, BatchesWithinEpochAreDisjoint) {
-  EpochShuffleSampler s(10);
-  Rng rng(3);
-  const auto b1 = s.next(5, rng);
-  const auto b2 = s.next(5, rng);
-  std::set<size_t> all(b1.begin(), b1.end());
-  all.insert(b2.begin(), b2.end());
-  EXPECT_EQ(all.size(), 10u);  // one full epoch, no repeats
-}
-
-TEST(EpochShuffleSampler, NoDuplicatesInsideABatch) {
-  EpochShuffleSampler s(7);
-  Rng rng(4);
-  for (int round = 0; round < 20; ++round) {
-    const auto batch = s.next(5, rng);
-    const std::set<size_t> uniq(batch.begin(), batch.end());
-    EXPECT_EQ(uniq.size(), batch.size());
-  }
-}
-
-TEST(EpochShuffleSampler, BatchLargerThanPopulationThrows) {
-  EpochShuffleSampler s(3);
-  Rng rng(1);
-  EXPECT_THROW(s.next(4, rng), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace dpbyz

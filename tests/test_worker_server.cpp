@@ -86,7 +86,8 @@ TEST(ParameterServer, AppliesAggregateAndUpdate) {
   SgdOptimizer opt(2, constant_lr(1.0), 0.0);
   ParameterServer server(std::move(gar), std::move(opt), Vector{0.0, 0.0});
   const std::vector<Vector> grads{{1.0, 0.0}, {3.0, 2.0}};
-  server.step(grads, 1);
+  server.aggregate_with(server.gar(), GradientBatch::from_vectors(grads));
+  server.apply(1);
   EXPECT_EQ(server.last_aggregate(), (Vector{2.0, 1.0}));
   EXPECT_EQ(server.parameters(), (Vector{-2.0, -1.0}));
 }
