@@ -73,6 +73,12 @@
 // per wire mode the encode/decode throughput,
 // bytes per row/round, codec allocation count, and the checksum gates.
 //
+// A noise sweep times the DP Gaussian draw (Rng::add_normal) per entry
+// the host runs — portable, AVX2, AVX-512 — in ns per coordinate at
+// d in {69, 1001, 10001}, and gates each entry's output and engine
+// against the portable one.  The JSON host block records the entry
+// cpuid dispatches to and whether AVX-512 is present.
+//
 // A seventh sweep measures elastic membership epochs (core/membership.hpp)
 // on the churn-stress config (phishing task, median, "little", n = 11,
 // f = 3): rounds/s and allocs/step at churn off vs zero-probability
@@ -81,7 +87,8 @@
 // renegotiation cost is counted — plus the per-boundary renegotiation
 // overhead (zero-prob E = 5 vs off: the median of alternating run pairs
 // with its quartiles, null when they span zero) and the per-checkpoint
-// write cost.
+// write cost (alternating bare/writing pairs).  Step times and write
+// costs are medians with quartiles over repeated runs.
 // Four contracts ride along: churn-off steady state stays
 // allocation-free, zero-probability epochs are trajectory-inert,
 // checkpoint writes never perturb a run, and a kill-at-half/restore run
@@ -97,7 +104,8 @@
 // the stats reference or allocates, an L = 1 tree diverging from the
 // pinned sharded outputs or the framed tree from the in-memory one, a
 // wire codec that allocates, fails the raw64 byte-exact round trip,
-// passes a corrupted frame, breaks the int8 error contract, a churn-off
+// passes a corrupted frame, breaks the int8 error contract, a noise
+// entry whose draws or engine differ from the portable one, a churn-off
 // trainer that allocates at steady state, a zero-probability churn
 // epoch that perturbs the trajectory, a checkpoint write that perturbs
 // a run, or a kill/restore cycle that loses bit-identity — the CI smoke
@@ -135,6 +143,7 @@
 #include "dp/mechanism.hpp"
 #include "math/gradient_batch.hpp"
 #include "math/kernels.hpp"
+#include "math/kernels_isa.hpp"
 #include "math/rng.hpp"
 #include "math/statistics.hpp"
 #include "math/vector_ops.hpp"
@@ -355,11 +364,29 @@ struct WireRow {
 /// Alternating run pairs behind churn_renegotiation_ms_per_boundary.
 constexpr size_t kRenegPairs = 11;
 
-/// Median and quartiles of a set of paired differences.
+/// Timed repeats behind every median-and-quartiles figure of the noise
+/// and churn sweeps.
+constexpr size_t kRepeats = 7;
+
+/// Median and quartiles of a set of samples (e.g. paired differences).
 struct Quartiles {
   double q1 = 0.0, median = 0.0, q3 = 0.0;
   /// False when the quartile range spans zero: the sign is noise.
   bool resolved() const { return q1 > 0.0 || q3 < 0.0; }
+};
+
+Quartiles quartiles_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  return {samples[n / 4], samples[n / 2], samples[3 * n / 4]};
+}
+
+/// One Rng::add_normal entry at one dimension (the noise sweep).
+struct NoiseRow {
+  std::string entry;  // "portable" | "avx2" | "avx512"
+  size_t d;
+  Quartiles ns_per_coord;  // over kRepeats timed repeats
+  bool identical;          // output bits and engine == the portable entry's
 };
 
 /// One elastic-membership training run on the phishing task (median GAR,
@@ -374,7 +401,8 @@ struct ChurnRow {
   size_t rounds;       // trained rounds
   size_t events;       // applied churn-trace length
   size_t final_rows;   // last round's aggregated row count (h_e + f_e)
-  double step_s;       // wall-clock per round, one full run
+  Quartiles step_ms;   // wall-clock per round over kRepeats full runs
+  Quartiles rounds_per_s;
   double allocs;       // per step; epoch rows amortize one boundary
   bool off_identical;  // zero-prob epoch row: bitwise == churn-off run
 };
@@ -1208,6 +1236,64 @@ int main(int argc, char** argv) {
     }
   }
 
+  // ---- noise sweep: the DP Gaussian draw, per add_normal entry ------------
+  // Rng::add_normal's entries (the portable reference, and the AVX2 and
+  // AVX-512 bodies where cpuid reports them) at the e2e dimensions: d =
+  // 69 (paper_mda), 1001 (dp_tree_n1000) and 10001.  Each repeat draws
+  // about 2^18 coordinates in calls of d from one advancing stream; the
+  // figure is ns per coordinate, median and quartiles over kRepeats
+  // repeats.  Gate: five consecutive calls from a mid-block engine offset
+  // must leave every entry's output bits and engine equal to the
+  // portable entry's.
+  using NoiseBody = void (*)(dpbyz::Mt64&, std::span<const double>, double, std::span<double>);
+  std::vector<std::pair<const char*, NoiseBody>> noise_entries{
+      {"portable", &dpbyz::detail::add_normal_portable}};
+  if (dpbyz::kernels::detail::cpu_has_avx2())
+    noise_entries.emplace_back("avx2", &dpbyz::detail::add_normal_avx2);
+  if (dpbyz::kernels::detail::cpu_has_avx512())
+    noise_entries.emplace_back("avx512", &dpbyz::detail::add_normal_avx512);
+  std::vector<NoiseRow> noise_rows;
+  {
+    std::printf("\nnoise entry dispatched: %s\n%-9s %6s | %9s %17s | %8s | %9s\n",
+                dpbyz::detail::add_normal_entry(), "entry", "d", "ns/coord", "quartiles",
+                "vs port.", "identical");
+    std::printf("--------------------------------------------------------------------\n");
+    for (const size_t d : {size_t{69}, size_t{1001}, size_t{10001}}) {
+      Vector base(d), want(d), got(d);
+      for (size_t i = 0; i < d; ++i) base[i] = 0.01 * static_cast<double>(i % 97) - 0.5;
+      const size_t calls = std::max<size_t>(1, (size_t{1} << 18) / d);
+      double portable_ns = 0.0;
+      for (const auto& [name, body] : noise_entries) {
+        Rng ref(17), mine(17);
+        for (int k = 0; k < 101; ++k) {
+          (void)ref.engine()();
+          (void)mine.engine()();
+        }
+        bool identical = true;
+        for (int call = 0; call < 5; ++call) {
+          dpbyz::detail::add_normal_portable(ref.engine(), base, 0.5, want);
+          body(mine.engine(), base, 0.5, got);
+          identical = identical &&
+                      std::memcmp(want.data(), got.data(), d * sizeof(double)) == 0 &&
+                      mine.engine() == ref.engine();
+        }
+        std::vector<double> ns(kRepeats);
+        for (double& sample : ns) {
+          const auto start = Clock::now();
+          for (size_t c = 0; c < calls; ++c) body(mine.engine(), base, 0.5, got);
+          sample = seconds_since(start) * 1e9 / static_cast<double>(calls * d);
+        }
+        const NoiseRow row{name, d, quartiles_of(ns), identical};
+        if (row.entry == "portable") portable_ns = row.ns_per_coord.median;
+        std::printf("%-9s %6zu | %9.2f   [%6.2f, %6.2f] | %7.2fx | %9s\n", name, d,
+                    row.ns_per_coord.median, row.ns_per_coord.q1, row.ns_per_coord.q3,
+                    portable_ns / row.ns_per_coord.median, identical ? "yes" : "NO");
+        std::fflush(stdout);
+        noise_rows.push_back(row);
+      }
+    }
+  }
+
   // ---- churn sweep: elastic membership epochs ----------------------------
   // What elasticity costs at training time, on the same phishing config
   // the CI churn-stress leg replays: per-round wall-clock and allocs per
@@ -1224,7 +1310,7 @@ int main(int argc, char** argv) {
   // the same across processes with cmp).
   std::vector<ChurnRow> churn_rows;
   Quartiles churn_reneg;             // ms per epoch boundary, zero-prob epochs
-  double churn_ckpt_write_ms = 0.0;  // per written checkpoint
+  Quartiles churn_ckpt_write_ms;     // per written checkpoint
   bool churn_ckpt_write_inert = true;
   bool churn_restore_identical = true;
   {
@@ -1286,6 +1372,7 @@ int main(int argc, char** argv) {
     std::printf(
         "--------------------------------------------------------------------"
         "--------------\n");
+    std::printf("(step and rounds/s: medians of %zu runs)\n", kRepeats);
     std::optional<dpbyz::RunResult> off_run;
     for (const Point& p : points) {
       dpbyz::ExperimentConfig c = cfg;
@@ -1300,15 +1387,22 @@ int main(int argc, char** argv) {
         // identical roster, so the trajectory must match churn-off.
         if (p.join == 0.0 && p.leave == 0.0) c.reputation = "off";
       }
-      double total_s = 0.0;
-      const auto run = run_timed(c, total_s);
+      // kRepeats full runs; the trajectory gates read the last one.
+      std::vector<double> step_ms(kRepeats), rounds_per_s(kRepeats);
+      std::optional<dpbyz::RunResult> timed;
+      for (size_t r = 0; r < kRepeats; ++r) {
+        double total_s = 0.0;
+        timed = run_timed(c, total_s);
+        step_ms[r] = total_s / static_cast<double>(cfg.steps) * 1e3;
+        rounds_per_s[r] = static_cast<double>(cfg.steps) / total_s;
+      }
+      const dpbyz::RunResult& run = *timed;
       bool off_identical = true;
       if (!epoch) {
         off_run = run;
       } else if (p.join == 0.0 && p.leave == 0.0) {
         off_identical = same_trajectory(run, *off_run);
       }
-      const double step_s = total_s / static_cast<double>(cfg.steps);
       ChurnRow row{p.label,
                    epoch ? size_t{20} : size_t{0},
                    p.join,
@@ -1316,14 +1410,15 @@ int main(int argc, char** argv) {
                    cfg.steps,
                    run.churn_trace.size(),
                    run.round_rows.back(),
-                   step_s,
+                   quartiles_of(step_ms),
+                   quartiles_of(rounds_per_s),
                    allocs_per_step(c),
                    off_identical};
       std::printf("%-18s %3zu %5.2f %6.2f | %6zu %5zu | %9.4f %9.1f | %6.1f | "
                   "%6s\n",
                   row.churn.c_str(), row.epoch_rounds, row.join_prob,
-                  row.leave_prob, row.events, row.final_rows, row.step_s * 1e3,
-                  1.0 / row.step_s, row.allocs,
+                  row.leave_prob, row.events, row.final_rows, row.step_ms.median,
+                  row.rounds_per_s.median, row.allocs,
                   epoch && p.join == 0.0 ? (off_identical ? "yes" : "NO") : "-");
       std::fflush(stdout);
       churn_rows.push_back(std::move(row));
@@ -1351,9 +1446,7 @@ int main(int argc, char** argv) {
         run_timed(cfg, off_s);
         diff = (epochs_s - off_s) / boundaries * 1e3;
       }
-      std::sort(diffs.begin(), diffs.end());
-      churn_reneg = {diffs[kRenegPairs / 4], diffs[kRenegPairs / 2],
-                     diffs[3 * kRenegPairs / 4]};
+      churn_reneg = quartiles_of(diffs);
       std::printf("renegotiation overhead: %.4f ms per boundary, quartiles "
                   "[%.4f, %.4f]%s (zero-prob E=5 vs off, %g boundaries, "
                   "median of %zu pairs)\n",
@@ -1374,32 +1467,39 @@ int main(int argc, char** argv) {
       // eval_every is part of the checkpoint signature, so the killed
       // half-run and the resumed full run must share one value.
       churning.eval_every = cfg.steps / 2;
-      double plain_s = 0.0;
-      const auto plain = run_timed(churning, plain_s);
-
       const char* ckpt_path = "bench_churn.ckpt";
-      std::remove(ckpt_path);
       dpbyz::ExperimentConfig writing = churning;
       writing.checkpoint_path = ckpt_path;
       writing.checkpoint_every = 25;
-      double writing_s = 0.0;
-      const auto written = run_timed(writing, writing_s);
       const double n_ckpts = static_cast<double>(cfg.steps / 25);  // written
-      churn_ckpt_write_ms = (writing_s - plain_s) / n_ckpts * 1e3;
-      churn_ckpt_write_inert = same_trajectory(written, plain);
+      // kRepeats alternating (bare, writing) pairs; each writing run
+      // starts from no file, so it writes rather than resumes.
+      std::vector<double> write_ms(kRepeats);
+      std::optional<dpbyz::RunResult> plain, written;
+      for (double& ms : write_ms) {
+        double plain_s = 0.0, writing_s = 0.0;
+        plain = run_timed(churning, plain_s);
+        std::remove(ckpt_path);
+        written = run_timed(writing, writing_s);
+        ms = (writing_s - plain_s) / n_ckpts * 1e3;
+      }
+      churn_ckpt_write_ms = quartiles_of(write_ms);
+      churn_ckpt_write_inert = same_trajectory(*written, *plain);
 
       std::remove(ckpt_path);
       dpbyz::ExperimentConfig killed = writing;
       killed.steps = cfg.steps / 2;
       phishing.run(killed);  // dies at its steps/2 checkpoint
       const auto resumed = phishing.run(writing);  // fresh run, same file
-      churn_restore_identical = same_trajectory(resumed, plain) &&
-                                resumed.churn_trace == plain.churn_trace;
+      churn_restore_identical = same_trajectory(resumed, *plain) &&
+                                resumed.churn_trace == plain->churn_trace;
       std::remove(ckpt_path);
 
-      std::printf("checkpoint write: %.4f ms each (%g per run); writes inert: "
-                  "%s; kill@%zu/restore bit-identical: %s\n",
-                  churn_ckpt_write_ms, n_ckpts,
+      std::printf("checkpoint write: %.4f ms each, quartiles [%.4f, %.4f] (%g per "
+                  "run, median of %zu pairs); writes inert: %s; kill@%zu/restore "
+                  "bit-identical: %s\n",
+                  churn_ckpt_write_ms.median, churn_ckpt_write_ms.q1,
+                  churn_ckpt_write_ms.q3, n_ckpts, kRepeats,
                   churn_ckpt_write_inert ? "yes" : "NO", killed.steps,
                   churn_restore_identical ? "yes" : "NO");
       std::fflush(stdout);
@@ -1419,9 +1519,12 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "{\n  \"bench\": \"gar_scaling\",\n"
                "  \"host\": {\"cores\": %u, \"fast_backend\": \"%s\", "
+               "\"noise_entry\": \"%s\", \"avx512\": %s, "
                "\"compiler\": \"%s\", \"mode\": \"%s\"},\n  \"results\": [\n",
                std::max(1u, std::thread::hardware_concurrency()),
-               dpbyz::kernels::fast_backend(), DPBYZ_BENCH_COMPILER, fast ? "fast" : "full");
+               dpbyz::kernels::fast_backend(), dpbyz::detail::add_normal_entry(),
+               dpbyz::kernels::detail::cpu_has_avx512() ? "true" : "false",
+               DPBYZ_BENCH_COMPILER, fast ? "fast" : "full");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
@@ -1568,6 +1671,17 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(r.tree_bytes_per_round),
                  i + 1 < wire_rows.size() ? "," : "");
   }
+  std::fprintf(out, "  ],\n  \"noise_sweep\": [\n");
+  for (size_t i = 0; i < noise_rows.size(); ++i) {
+    const NoiseRow& r = noise_rows[i];
+    std::fprintf(out,
+                 "    {\"entry\": \"%s\", \"d\": %zu, \"ns_per_coordinate\": %.3f, "
+                 "\"quartiles_ns\": [%.3f, %.3f], \"repeats\": %zu, "
+                 "\"bit_identical_to_portable\": %s}%s\n",
+                 r.entry.c_str(), r.d, r.ns_per_coord.median, r.ns_per_coord.q1,
+                 r.ns_per_coord.q3, kRepeats, r.identical ? "true" : "false",
+                 i + 1 < noise_rows.size() ? "," : "");
+  }
   std::fprintf(out, "  ],\n  \"churn_sweep\": [\n");
   for (size_t i = 0; i < churn_rows.size(); ++i) {
     const ChurnRow& r = churn_rows[i];
@@ -1575,12 +1689,14 @@ int main(int argc, char** argv) {
                  "    {\"churn\": \"%s\", \"epoch_rounds\": %zu, "
                  "\"join_prob\": %.2f, \"leave_prob\": %.2f, \"rounds\": %zu, "
                  "\"churn_events\": %zu, \"final_round_rows\": %zu, "
-                 "\"step_ms\": %.6f, \"rounds_per_s\": %.1f, "
-                 "\"allocs_per_step\": %.1f, "
+                 "\"step_ms\": %.6f, \"step_ms_quartiles\": [%.6f, %.6f], "
+                 "\"rounds_per_s\": %.1f, \"rounds_per_s_quartiles\": [%.1f, %.1f], "
+                 "\"repeats\": %zu, \"allocs_per_step\": %.1f, "
                  "\"zero_churn_bit_identical_to_off\": %s}%s\n",
                  r.churn.c_str(), r.epoch_rounds, r.join_prob, r.leave_prob,
-                 r.rounds, r.events, r.final_rows, r.step_s * 1e3,
-                 1.0 / r.step_s, r.allocs,
+                 r.rounds, r.events, r.final_rows, r.step_ms.median, r.step_ms.q1,
+                 r.step_ms.q3, r.rounds_per_s.median, r.rounds_per_s.q1,
+                 r.rounds_per_s.q3, kRepeats, r.allocs,
                  r.epoch_rounds > 0 && r.join_prob == 0.0
                      ? (r.off_identical ? "true" : "false")
                      : "null",
@@ -1591,10 +1707,13 @@ int main(int argc, char** argv) {
                "  \"churn_renegotiation_quartiles_ms\": [%.6f, %.6f],\n"
                "  \"churn_renegotiation_pairs\": %zu,\n"
                "  \"churn_checkpoint_write_ms\": %.6f,\n"
+               "  \"churn_checkpoint_write_quartiles_ms\": [%.6f, %.6f],\n"
+               "  \"churn_checkpoint_write_pairs\": %zu,\n"
                "  \"churn_checkpoint_write_inert\": %s,\n"
                "  \"churn_restore_bit_identical\": %s\n}\n",
                reneg_median, churn_reneg.q1, churn_reneg.q3, kRenegPairs,
-               churn_ckpt_write_ms,
+               churn_ckpt_write_ms.median, churn_ckpt_write_ms.q1, churn_ckpt_write_ms.q3,
+               kRepeats,
                churn_ckpt_write_inert ? "true" : "false",
                churn_restore_identical ? "true" : "false");
   std::fclose(out);
@@ -1603,7 +1722,7 @@ int main(int argc, char** argv) {
                   pipeline_rows.size() + depth_rows.size() +
                   staleness_rows.size() + quad_staleness_rows.size() +
                   tree_rows.size() + tree_gate_rows.size() + wire_rows.size() +
-                  churn_rows.size());
+                  noise_rows.size() + churn_rows.size());
 
   // ---- --check: fail the process (and the CI smoke step) on regressions ---
   if (check) {
@@ -1696,6 +1815,11 @@ int main(int argc, char** argv) {
              " allocs after warmup");
       if (r.mode == "int8" && r.max_abs_err > 1.0 / 254.0 * 6.0)
         fail("int8 wire decode error exceeds the ||row||_inf/254 contract");
+    }
+    for (const NoiseRow& r : noise_rows) {
+      if (!r.identical)
+        fail("add_normal " + r.entry + " entry d=" + std::to_string(r.d) +
+             " diverged from the portable entry (output or engine)");
     }
     // Elastic-membership gates: the churn-off trainer must stay
     // allocation-free at steady state, zero-probability epochs must be

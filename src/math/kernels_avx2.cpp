@@ -19,6 +19,10 @@ namespace dpbyz::kernels::detail {
 
 bool cpu_has_avx2() { return __builtin_cpu_supports("avx2"); }
 
+bool cpu_has_avx512() {
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+}
+
 namespace {
 
 /// Transpose a 4-row x 4-coordinate tile: row r holds coordinates
@@ -80,6 +84,8 @@ __attribute__((target("avx2"))) void avx2_pair_lanes(const double* const* a,
 namespace dpbyz::kernels::detail {
 
 bool cpu_has_avx2() { return false; }
+
+bool cpu_has_avx512() { return false; }
 
 void avx2_pair_lanes(const double* const*, const double* const*, size_t, double* const*) {}
 

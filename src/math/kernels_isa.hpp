@@ -15,6 +15,10 @@ namespace dpbyz::kernels::detail {
 /// unrolled8 backend is the only one available.
 bool cpu_has_avx2();
 
+/// cpuid probe for AVX-512 F and DQ, the subsets the noise kernel's
+/// AVX-512 body (math/rng_avx.cpp) uses.  Always false on non-x86.
+bool cpu_has_avx512();
+
 /// Source rows each lane block of the pairwise kernel holds against its
 /// kPairLanes lane rows (kernels::pairwise_block_scalar).
 inline constexpr size_t kPairSources = 4;

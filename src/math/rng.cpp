@@ -30,17 +30,9 @@ Mt64::Mt64(uint64_t seed) {
 }
 
 void Mt64::twist() {
-  constexpr size_t kShift = 156;
-  constexpr uint64_t kUpper = ~uint64_t{0} << 31;
-  constexpr uint64_t kLower = ~kUpper;
-  constexpr uint64_t kMatrix = 0xb5026f5aa96619e9ULL;
-  // Branch-free (the low bit is a coin flip, so a branch on it would
-  // mispredict half the time), and each loop only reads words it has not
-  // yet written or finished writing, so both vectorize.
-  const auto mix = [](uint64_t word, uint64_t next, uint64_t far) {
-    const uint64_t y = (word & kUpper) | (next & kLower);
-    return far ^ (y >> 1) ^ (kMatrix & (0 - (y & 1)));
-  };
+  // Branch-free (the low bit of mix's y is a coin flip, so a branch on it
+  // would mispredict half the time), and each loop only reads words it
+  // has not yet written or finished writing, so both vectorize.
   for (size_t k = 0; k < kStateWords - kShift; ++k)
     state[k] = mix(state[k], state[k + 1], state[k + kShift]);
   for (size_t k = kStateWords - kShift; k < kStateWords - 1; ++k)
@@ -59,7 +51,7 @@ double scalar_normal(Mt64& engine, double stddev) {
   return dist(engine);
 }
 
-/// The block kernel behind Rng::add_normal.  libstdc++'s polar method,
+/// The reference body behind Rng::add_normal.  libstdc++'s polar method,
 /// drawn fresh per coordinate, is: take words (u1, u2), x = 2c(u1) - 1,
 /// y = 2c(u2) - 1, r2 = x² + y²; reject unless 0 < r2 <= 1; return
 /// (y · sqrt(-2 log(r2) / r2)) · stddev + 0.0.  The kernel evaluates the
@@ -116,21 +108,6 @@ void add_normal_portable(Mt64& engine, std::span<const double> base, double stdd
                          std::span<double> out) {
   add_normal_body(engine, base.data(), stddev, out.data(), out.size());
 }
-
-#if defined(__x86_64__) || defined(__i386__)
-// No "fma" in the target: a contracted multiply-add would round once
-// where the scalar draw rounds twice.
-__attribute__((target("avx2"))) void add_normal_avx2(Mt64& engine,
-                                                     std::span<const double> base,
-                                                     double stddev, std::span<double> out) {
-  add_normal_body(engine, base.data(), stddev, out.data(), out.size());
-}
-#else
-void add_normal_avx2(Mt64& engine, std::span<const double> base, double stddev,
-                     std::span<double> out) {
-  add_normal_portable(engine, base, stddev, out);
-}
-#endif
 
 }  // namespace detail
 
@@ -210,14 +187,28 @@ void Rng::normal_fill(std::span<double> out, double stddev) {
   for (double& x : out) x = dist(engine_);
 }
 
+namespace {
+struct NoiseEntry {
+  const char* name;
+  void (*body)(Mt64&, std::span<const double>, double, std::span<double>);
+};
+
+/// The widest add_normal body this host runs, probed once.
+const NoiseEntry& noise_entry() {
+  static const NoiseEntry entry =
+      kernels::detail::cpu_has_avx512()  ? NoiseEntry{"avx512", &detail::add_normal_avx512}
+      : kernels::detail::cpu_has_avx2() ? NoiseEntry{"avx2", &detail::add_normal_avx2}
+                                        : NoiseEntry{"portable", &detail::add_normal_portable};
+  return entry;
+}
+}  // namespace
+
+const char* detail::add_normal_entry() { return noise_entry().name; }
+
 void Rng::add_normal(std::span<const double> base, double stddev,
                      std::span<double> out) {
   require(base.size() == out.size(), "Rng::add_normal: dimension mismatch");
-  static const bool avx2 = kernels::detail::cpu_has_avx2();
-  if (avx2)
-    detail::add_normal_avx2(engine_, base, stddev, out);
-  else
-    detail::add_normal_portable(engine_, base, stddev, out);
+  noise_entry().body(engine_, base, stddev, out);
 }
 
 void Rng::save(std::ostream& os) const {

@@ -47,6 +47,17 @@ struct Mt64 {
     return z ^ (z >> 43);
   }
 
+  /// The twist's recurrence for one word: state[k] becomes
+  /// mix(state[k], state[k + 1], state[k + kShift]), indices mod
+  /// kStateWords, for k = 0, 1, ..., kStateWords - 1 in turn.
+  static constexpr size_t kShift = 156;
+  static constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+  static constexpr uint64_t kMatrix = 0xb5026f5aa96619e9ULL;
+  static uint64_t mix(uint64_t word, uint64_t next, uint64_t far) {
+    const uint64_t y = (word & kUpperMask) | (next & ~kUpperMask);
+    return far ^ (y >> 1) ^ (kMatrix & (0 - (y & 1)));
+  }
+
   /// Regenerate all kStateWords words and reset the index to 0.
   void twist();
 
@@ -151,14 +162,22 @@ inline double canonical_from_word(uint64_t u) {
   return std::bit_cast<double>(bits - (((bits >> 52) + 1) >> 10));
 }
 
-/// The two compilations of Rng::add_normal's kernel: the baseline ISA and
-/// AVX2 without FMA.  Rng::add_normal picks one by cpuid; both are
-/// exposed so tests can hold each to the per-coordinate loop.  On non-x86
-/// builds the AVX2 entry is the portable one.
+/// The three entries of Rng::add_normal's kernel.  The portable one is
+/// the reference, compiled for the baseline ISA; the AVX2 and AVX-512
+/// bodies (math/rng_avx.cpp) run everything but std::log at the vector
+/// width.  Rng::add_normal picks one by cpuid; all three are exposed so
+/// tests can hold each to the per-coordinate loop.  On non-x86 builds the
+/// AVX entries are the portable one.
 void add_normal_portable(Mt64& engine, std::span<const double> base, double stddev,
                          std::span<double> out);
 void add_normal_avx2(Mt64& engine, std::span<const double> base, double stddev,
                      std::span<double> out);
+void add_normal_avx512(Mt64& engine, std::span<const double> base, double stddev,
+                       std::span<double> out);
+
+/// The entry Rng::add_normal runs on this host: "avx512", "avx2" or
+/// "portable".
+const char* add_normal_entry();
 
 }  // namespace detail
 

@@ -110,26 +110,6 @@ bool lex_less(CView a, CView b) {
 
 Vector zeros(size_t d) { return Vector(d, 0.0); }
 
-Vector add(const Vector& a, const Vector& b) {
-  require_same_dim(a, b, "add");
-  Vector out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-Vector sub(const Vector& a, const Vector& b) {
-  require_same_dim(a, b, "sub");
-  Vector out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-Vector scale(const Vector& a, double s) {
-  Vector out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] * s;
-  return out;
-}
-
 Vector mean(std::span<const Vector> vs) {
   require(!vs.empty(), "vec::mean: empty input");
   Vector out = zeros(vs[0].size());

@@ -22,8 +22,8 @@ using Vector = std::vector<double>;
 /// Mutable / read-only views over contiguous coordinate storage (a Vector,
 /// a GradientBatch row, or any double buffer).  Every in-place op and
 /// reduction below takes views, and a Vector binds to them implicitly, so
-/// each operation has one entry; only the allocating helpers (zeros, add,
-/// sub, scale, mean, mean_of) return a fresh Vector.
+/// each operation has one entry; only the allocating helpers (zeros, mean,
+/// mean_of) return a fresh Vector.
 using View = std::span<double>;
 using CView = std::span<const double>;
 
@@ -31,15 +31,6 @@ namespace vec {
 
 /// A zero vector of dimension `d`.
 Vector zeros(size_t d);
-
-/// Element-wise a + b.  Dimensions must match.
-Vector add(const Vector& a, const Vector& b);
-
-/// Element-wise a - b.  Dimensions must match.
-Vector sub(const Vector& a, const Vector& b);
-
-/// Scalar multiple s * a.
-Vector scale(const Vector& a, double s);
 
 /// Arithmetic mean of a non-empty set of equal-dimension vectors.
 Vector mean(std::span<const Vector> vs);

@@ -159,9 +159,13 @@ TEST_P(GarPropertyTest, TranslationEquivariantOnSymmetricInputs) {
   const Vector shift{3.0, -4.0};
   std::vector<Vector> shifted;
   shifted.reserve(g.size());
-  for (const auto& v : g) shifted.push_back(vec::add(v, shift));
+  for (const auto& v : g) {
+    shifted.push_back(v);
+    vec::add_inplace(shifted.back(), shift);
+  }
   const Vector lhs = agg->aggregate(shifted);
-  const Vector rhs = vec::add(agg->aggregate(g), shift);
+  Vector rhs = agg->aggregate(g);
+  vec::add_inplace(rhs, shift);
   EXPECT_TRUE(vec::approx_equal(lhs, rhs, 1e-6));
 }
 

@@ -46,19 +46,26 @@ size_t stop_counting_allocs() {
 
 }  // namespace dpbyz::test
 
-void* operator new(std::size_t size) {
+// Every replacement stays out of line.  GCC's -Wmismatched-new-delete
+// pairs each inlined body's std::malloc or std::free with the call at the
+// other end, so a new inlined next to a call of the delete (at -O3), or a
+// delete inlined next to a call of the new (at -O1 -fsanitize=address),
+// reads as a mismatched pair.  Out of line, new pairs with delete.
+__attribute__((noinline)) void* operator new(std::size_t size) {
   if (g_count_allocs.load(std::memory_order_relaxed))
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+__attribute__((noinline)) void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete[](void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dpbyz {
 namespace {

@@ -105,8 +105,9 @@ TEST(NoiseShape, PerturbationIsAdditive) {
   const GaussianMechanism mech(0.5, 1e-6, 1.0);
   Rng a(7), b(7);
   const Vector g1{0.0, 0.0}, g2{5.0, -3.0};
-  const Vector n1 = vec::sub(mech.perturb(g1, a), g1);
-  const Vector n2 = vec::sub(mech.perturb(g2, b), g2);
+  Vector n1 = mech.perturb(g1, a), n2 = mech.perturb(g2, b);
+  vec::sub_inplace(n1, g1);
+  vec::sub_inplace(n2, g2);
   EXPECT_TRUE(vec::approx_equal(n1, n2, 1e-12));
 }
 

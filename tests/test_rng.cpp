@@ -347,6 +347,54 @@ TEST(RngAddNormal, Avx2EntryMatchesTheScalarLoop) {
   expect_matches_scalar_loop(&detail::add_normal_avx2);
 }
 
+TEST(RngAddNormal, Avx512EntryMatchesTheScalarLoop) {
+  if (!kernels::detail::cpu_has_avx512()) GTEST_SKIP() << "host has no AVX-512 F/DQ";
+  expect_matches_scalar_loop(&detail::add_normal_avx512);
+}
+
+/// Holds `entry` to the portable body over one long stream: 10^6
+/// coordinates in calls of seeded random length 1-3000, from engine
+/// offsets 0 and 311.  After every call the output bits and every engine
+/// word must match.  Long calls cross many twists and reach every
+/// acceptance mask of a group; short ones stop inside groups.
+void expect_tracks_portable_over_a_long_stream(AddNormalEntry entry) {
+  constexpr size_t kCoordinates = 1000000;
+  for (const int offset : {0, 311}) {
+    Rng ref(1234 + static_cast<uint64_t>(offset)), mine = ref;
+    for (int k = 0; k < offset; ++k) {
+      (void)ref.engine()();
+      (void)mine.engine()();
+    }
+    std::mt19937_64 lengths(99 + static_cast<uint64_t>(offset));
+    std::uniform_int_distribution<size_t> length(1, 3000);
+    Vector base(3000), want(3000), got(3000);
+    for (size_t i = 0; i < base.size(); ++i) base[i] = 0.25 * std::sin(static_cast<double>(i));
+    size_t drawn = 0, calls = 0;
+    while (drawn < kCoordinates) {
+      const size_t d = std::min(length(lengths), kCoordinates - drawn);
+      const std::span<const double> in(base.data(), d);
+      const std::span<double> ref_out(want.data(), d), out(got.data(), d);
+      detail::add_normal_portable(ref.engine(), in, 1.3, ref_out);
+      entry(mine.engine(), in, 1.3, out);
+      ASSERT_TRUE(same_bits(out, ref_out))
+          << "offset " << offset << ", call " << calls << ", d = " << d;
+      ASSERT_TRUE(mine.engine() == ref.engine()) << "offset " << offset << ", call " << calls;
+      drawn += d;
+      ++calls;
+    }
+  }
+}
+
+TEST(RngAddNormal, Avx2EntryTracksThePortableOverALongStream) {
+  if (!kernels::detail::cpu_has_avx2()) GTEST_SKIP() << "host has no AVX2";
+  expect_tracks_portable_over_a_long_stream(&detail::add_normal_avx2);
+}
+
+TEST(RngAddNormal, Avx512EntryTracksThePortableOverALongStream) {
+  if (!kernels::detail::cpu_has_avx512()) GTEST_SKIP() << "host has no AVX-512 F/DQ";
+  expect_tracks_portable_over_a_long_stream(&detail::add_normal_avx512);
+}
+
 TEST(RngAddNormal, DispatchedEntryAliasesAndChecksItsShape) {
   Rng a(3), b(3);
   Vector v(500, 1.5), want(500);
